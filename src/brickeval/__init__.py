@@ -6,11 +6,8 @@ from .analysis import (
     analyze,
     analyze_with_occupancy,
     collision_stats,
-    grounded_components,
     interlock_score,
     rasterize,
-    seam_coverage,
-    support_graph,
 )
 from .construct import ConstructorOptions, legalize, random_target
 from .core import (
@@ -22,7 +19,6 @@ from .core import (
     OrientedDim,
     UnknownDimension,
     WorldConfig,
-    brick_voxels,
     library_lookup,
     make_brick,
 )

@@ -1,10 +1,17 @@
 """Structure geometry: rasterization, collisions, support, grounding, seams.
 
+One clipping rule holds throughout: a footprint is clipped to the
+world's x/y extent, and only the clipped cells count. They are voxels
+(occupancy, collisions, seams) on the world's layers, and they carry
+support on every layer, inside the world or not. interlock_score
+without a world is the score in a world where nothing clips.
+
 Definitions used throughout:
 
 * A voxel collides when more than one brick occupies it.
 * Brick j supports brick i when j sits exactly one layer below i and
-  their footprints overlap; edges are undirected in the support graph.
+  their clipped footprints overlap; edges are undirected in the support
+  graph.
 * A brick is grounded when its support-graph component contains some
   brick at z = 0. The disconnected voxel set D holds occupied voxels
   covered only by ungrounded bricks; conn_score = 1 - |D| / max(|O|, 1).
@@ -38,6 +45,7 @@ import numpy as np
 from .core import BRICK_LIBRARY, Brick, BrickStructure, WorldConfig
 
 _PAD = max(d.h * d.w for d in BRICK_LIBRARY)
+_GAP = max(d.h for d in BRICK_LIBRARY) + 1  # one more than the longest footprint side
 _H = attrgetter("h")
 _W = attrgetter("w")
 
@@ -205,48 +213,6 @@ def collision_stats(field: OccupancyField) -> tuple[int, list[tuple[int, int, in
     return len(coords), [tuple(int(c) for c in v) for v in coords]
 
 
-def _clipped_interval(lo: int, size: int, bound: int | None) -> tuple[int, int]:
-    if bound is None:
-        return lo, lo + size
-    lo = min(lo, bound)
-    return lo, min(lo + size, bound)
-
-
-def _footprints_overlap(a: Brick, b: Brick, world: WorldConfig | None) -> bool:
-    ax0, ax1 = _clipped_interval(a.x, a.h, world.dim_x if world else None)
-    bx0, bx1 = _clipped_interval(b.x, b.h, world.dim_x if world else None)
-    ay0, ay1 = _clipped_interval(a.y, a.w, world.dim_y if world else None)
-    by0, by1 = _clipped_interval(b.y, b.w, world.dim_y if world else None)
-    return ax0 < bx1 and bx0 < ax1 and ay0 < by1 and by0 < ay1
-
-
-def support_graph(
-    structure: BrickStructure, world: WorldConfig | None = None
-) -> list[list[int]]:
-    """Undirected support adjacency over brick indices.
-
-    Edge (i, j) iff the bricks sit on vertically adjacent layers and
-    their footprints intersect. With a world given, footprints are
-    clipped to it first, so bricks sticking out sideways only support
-    through their in-world cells; without one, raw footprints are used.
-    """
-    n = len(structure)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    by_layer: dict[int, list[int]] = {}
-    for i, b in enumerate(structure):
-        by_layer.setdefault(b.z, []).append(i)
-    for z, uppers in by_layer.items():
-        lowers = by_layer.get(z - 1)
-        if lowers is None:
-            continue
-        for i in uppers:
-            for j in lowers:
-                if _footprints_overlap(structure[i], structure[j], world):
-                    adj[i].append(j)
-                    adj[j].append(i)
-    return [sorted(neighbors) for neighbors in adj]
-
-
 _EMPTY_ANALYSIS = StructureAnalysis(
     n_col=0,
     fully_in_bounds=True,
@@ -282,10 +248,7 @@ def analyze_with_occupancy(
     fully_in_bounds = lin.size == geom.total_area
 
     upper, lower = geom.support()
-    nonground = ~geom.ground
-    n_nonground = int(np.count_nonzero(nonground))
-    interlocked = np.bincount(upper, minlength=n) >= 2
-    interlock = float(np.count_nonzero(interlocked & nonground) / max(n_nonground, 1))
+    interlock = _interlock(geom, upper)
 
     label = _components(n, upper, lower)
     grounded_root = np.zeros(n, dtype=bool)
@@ -313,6 +276,51 @@ def analyze_with_occupancy(
         brick_count=n,
     )
     return result, occupied.reshape(world.shape)
+
+
+def _interlock(geom: _Geometry, upper: np.ndarray) -> float:
+    """Fraction of non-ground bricks that are the upper end of two or more support edges."""
+    nonground = ~geom.ground
+    n_nonground = int(np.count_nonzero(nonground))
+    interlocked = np.bincount(upper, minlength=geom.n) >= 2
+    return float(np.count_nonzero(interlocked & nonground) / max(n_nonground, 1))
+
+
+def _close_gaps(values: tuple[int, ...]) -> dict[int, int]:
+    """Small anchors with every gap between consecutive distinct values capped at _GAP.
+
+    The smallest value maps to 0. Footprints a gap of _GAP or more apart
+    never overlap, so overlaps are kept whatever the original size.
+    """
+    ordered = sorted(set(values))
+    small = {ordered[0]: 0}
+    for prev, v in zip(ordered, ordered[1:]):
+        small[v] = small[prev] + min(v - prev, _GAP)
+    return small
+
+
+def interlock_score(
+    structure: BrickStructure, world: WorldConfig | None = None
+) -> float:
+    """Fraction of non-ground bricks resting on two or more distinct supports.
+
+    With a world given, footprints are clipped to it, as in analyze().
+    Without one, it is the score in a world where nothing clips: x and y
+    anchors keep their overlaps but have wide gaps closed, and the world
+    is just large enough to hold every footprint whole. It is one layer
+    tall, which leaves the ground at z = 0, and support between layers
+    outside it is exact whatever their distance.
+    """
+    if not len(structure):
+        return 0.0
+    if world is None:
+        _, xs, ys, _ = zip(*structure.bricks)
+        sx, sy = _close_gaps(xs), _close_gaps(ys)
+        bricks = tuple(Brick(d, sx[x], sy[y], z) for d, x, y, z in structure.bricks)
+        structure = BrickStructure(bricks)
+        world = WorldConfig(max(b.x + b.h for b in bricks), max(b.y + b.w for b in bricks), 1)
+    geom = _Geometry(structure, world)
+    return _interlock(geom, geom.support()[0])
 
 
 def _components(n: int, upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
@@ -372,38 +380,3 @@ def _seam_score(geom: _Geometry) -> float:
         total += int(np.count_nonzero(seams))
         covered += int(np.count_nonzero(seams & pair_at[1 : 1 + seams.size]))
     return 1.0 if total == 0 else covered / total
-
-
-def grounded_components(
-    structure: BrickStructure, world: WorldConfig
-) -> tuple[int, int, bool]:
-    """(occupied voxels, voxels owned only by ungrounded bricks, all-grounded-and-connected)."""
-    a = analyze(structure, world)
-    return a.occupied_count, a.disconnected_count, a.is_connected
-
-
-def interlock_score(
-    structure: BrickStructure, world: WorldConfig | None = None
-) -> float:
-    """Fraction of non-ground bricks resting on two or more distinct supports.
-
-    With a world given, support uses world-clipped footprints to match
-    analyze(); without one, raw footprints.
-    """
-    if world is not None:
-        return analyze(structure, world).interlock_score
-    adj = support_graph(structure)
-    nonground = [i for i, b in enumerate(structure) if b.z > 0]
-    if not structure:
-        return 0.0
-    hits = 0
-    for i in nonground:
-        below = sum(1 for j in adj[i] if structure[j].z == structure[i].z - 1)
-        if below >= 2:
-            hits += 1
-    return hits / max(len(nonground), 1)
-
-
-def seam_coverage(structure: BrickStructure, world: WorldConfig) -> float:
-    """Fraction of covered seams; 1.0 when no seams exist."""
-    return analyze(structure, world).seam_coverage

@@ -133,12 +133,6 @@ class Brick(NamedTuple):
     def w(self) -> int:
         return self.dim.w
 
-    def footprint(self) -> Iterator[tuple[int, int]]:
-        """Cells (u, v) covered by this brick in its layer, unclipped."""
-        for u in range(self.x, self.x + self.dim.h):
-            for v in range(self.y, self.y + self.dim.w):
-                yield (u, v)
-
 
 def make_brick(h: int, w: int, x: int, y: int, z: int) -> Brick:
     """Build a brick from raw integers, validating the dimension pair."""
@@ -161,17 +155,3 @@ class BrickStructure:
 
     def __getitem__(self, i: int) -> Brick:
         return self.bricks[i]
-
-
-def brick_voxels(brick: Brick, world: WorldConfig) -> tuple[set[tuple[int, int, int]], bool]:
-    """Voxels of a brick clipped to the world.
-
-    Returns the set of in-bounds voxels and a flag that is true only when
-    the whole footprint (and layer) lies inside the world.
-    """
-    voxels: set[tuple[int, int, int]] = set()
-    if 0 <= brick.z < world.dim_z:
-        for u, v in brick.footprint():
-            if 0 <= u < world.dim_x and 0 <= v < world.dim_y:
-                voxels.add((u, v, brick.z))
-    return voxels, len(voxels) == brick.dim.area

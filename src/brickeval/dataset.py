@@ -69,10 +69,17 @@ def decode_target_voxels(s: str, world: WorldConfig = DEFAULT_WORLD) -> np.ndarr
         compressed = base64.b64decode(s, validate=True)
     except (binascii.Error, ValueError) as exc:
         raise BadBase64(str(exc)) from None
+    # Inflate at most one byte more than a world holds, so a small
+    # request cannot claim unbounded memory.
+    inflate = zlib.decompressobj()
     try:
-        raw = zlib.decompress(compressed)
+        raw = inflate.decompress(compressed, world.n_voxels + 1)
     except zlib.error as exc:
         raise BadCompression(str(exc)) from None
+    if len(raw) > world.n_voxels:
+        raise BadLength(f"expected {world.n_voxels} voxel bytes, got more")
+    if not inflate.eof:
+        raise BadCompression("incomplete or truncated stream")
     if len(raw) != world.n_voxels:
         raise BadLength(f"expected {world.n_voxels} voxel bytes, got {len(raw)}")
     flat = np.frombuffer(raw, dtype=np.uint8)

@@ -4,9 +4,11 @@ Each request line is a JSON object {"id", "completion", and exactly one
 of "target_voxels" (codec string) or "target_points" (point-token
 text)}. Each response line echoes the id with the reward breakdown, or
 {"id", "error_code"} where error_code is "bad_request" (unreadable or
-mistyped request; id is null when it cannot be recovered) or
-"bad_target_encoding" (target failed to decode). Scoring is pure, so
-responses are byte-identical for identical request lines.
+mistyped request, a line that is not UTF-8 among them; id is null when
+it cannot be recovered) or "bad_target_encoding" (target failed to
+decode). Both transports read bytes and decode each line on its own, so
+one bad line costs only its own response. Scoring is pure, so responses
+are byte-identical for identical request lines.
 
 With one worker (the default) requests are scored in order in the
 serving thread. With N > 1 (capped at the usable CPU cores, since
@@ -25,7 +27,6 @@ pending responses and exits cleanly.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import queue
@@ -67,11 +68,11 @@ def _response(request_id: str, breakdown: RewardBreakdown) -> str:
     return json.dumps(record)
 
 
-def handle_request_line(line: str, world: WorldConfig) -> str:
-    """Score one request line; never raises."""
+def handle_request_line(line: str | bytes, world: WorldConfig) -> str:
+    """Score one request line, text or strict UTF-8 bytes; never raises."""
     try:
-        obj = json.loads(line)
-    except json.JSONDecodeError:
+        obj = json.loads(line.decode("utf-8") if isinstance(line, bytes) else line)
+    except (UnicodeDecodeError, json.JSONDecodeError):
         return _error(None, "bad_request")
     if not isinstance(obj, dict):
         return _error(None, "bad_request")
@@ -102,7 +103,7 @@ def handle_request_line(line: str, world: WorldConfig) -> str:
         return _error(request_id, "bad_request")
 
 
-def _handle_chunk(world: WorldConfig, lines: list[str]) -> list[str]:
+def _handle_chunk(world: WorldConfig, lines: list[str | bytes]) -> list[str]:
     return [handle_request_line(line, world) for line in lines]
 
 
@@ -152,7 +153,7 @@ class Workers:
     def score(
         self,
         world: WorldConfig,
-        lines: list[str],
+        lines: list[str | bytes],
         done: Callable[[list[str]], None],
         failed: Callable[[BaseException], None],
     ) -> None:
@@ -164,7 +165,7 @@ class Workers:
 
 
 def serve_lines(
-    lines: Iterable[str],
+    lines: Iterable[str | bytes],
     write_line: Callable[[str], None],
     world: WorldConfig = DEFAULT_WORLD,
     threads: int = 1,
@@ -193,7 +194,7 @@ def serve_lines(
 
 
 def _pump(
-    lines: Iterable[str],
+    lines: Iterable[str | bytes],
     write_line: Callable[[str], None],
     world: WorldConfig,
     workers: Workers,
@@ -230,7 +231,7 @@ def _pump(
             budget.release()
 
     threading.Thread(target=read, daemon=True).start()
-    pending: list[str] = []
+    pending: list[str | bytes] = []
     in_flight = 0
     ended = False
     error: BaseException | None = None
@@ -275,7 +276,7 @@ def serve_stdio(world: WorldConfig = DEFAULT_WORLD, threads: int = 1) -> int:
         out.write(text + "\n")
         out.flush()
 
-    serve_lines(sys.stdin, write_line, world, threads)
+    serve_lines(sys.stdin.buffer, write_line, world, threads)
     out.flush()
     return 0
 
@@ -306,13 +307,12 @@ class RewardTCPServer(socketserver.ThreadingTCPServer):
 class _TCPHandler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
         server: RewardTCPServer = self.server  # type: ignore[assignment]
-        reader = io.TextIOWrapper(self.rfile, encoding="utf-8")
 
         def write_line(text: str) -> None:
             self.wfile.write((text + "\n").encode("utf-8"))
 
         try:
-            serve_lines(reader, write_line, server.world, server.threads, workers=server.workers)
+            serve_lines(self.rfile, write_line, server.world, server.threads, workers=server.workers)
         except (BrokenPipeError, ConnectionResetError):
             pass
 

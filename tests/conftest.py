@@ -1,6 +1,14 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from brickeval import BrickStructure, DEFAULT_WORLD, make_brick
+
+# pytest puts src/ on sys.path (pyproject.toml); subprocesses that run
+# `python -m brickeval` find the package the same way.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
 @pytest.fixture

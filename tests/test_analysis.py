@@ -8,14 +8,13 @@ from brickeval import (
     WorldConfig,
     analyze,
     analyze_with_occupancy,
+    Brick,
     collision_stats,
-    grounded_components,
     interlock_score,
     make_brick,
     rasterize,
-    seam_coverage,
-    support_graph,
 )
+from brickeval.analysis import _Geometry
 
 from helpers import (
     collision_free_structure,
@@ -29,6 +28,24 @@ from helpers import (
 
 def struct(*specs):
     return BrickStructure(tuple(make_brick(*s) for s in specs))
+
+
+def support_edges(s, world):
+    upper, lower = _Geometry(s, world).support()
+    return list(zip(upper.tolist(), lower.tolist()))
+
+
+def far_layers(rng, s):
+    # Lift every layer from a random one up by a large amount, so the
+    # lifted layers stay stacked but lie past the world and far from the
+    # rest, and move some bricks to x anchors at or past 2**63.
+    cut = int(rng.integers(1, 4))
+    lift = int(rng.choice([10**12, 2**63 + 1, 10**30]))
+    shift = int(rng.choice([2**63, 10**40]))
+    return BrickStructure(tuple(
+        Brick(b.dim, b.x + (shift if b.y % 3 == 0 else 0), b.y, b.z + (lift if b.z >= cut else 0))
+        for b in s
+    ))
 
 
 # ---------------------------------------------------------------- rasterize
@@ -104,48 +121,57 @@ def test_collision_list_sorted(world):
 # ------------------------------------------------------------ support graph
 
 
-def test_support_edge_adjacent_layers():
-    adj = support_graph(struct((1, 2, 0, 0, 0), (1, 2, 0, 0, 1)))
-    assert adj == [[1], [0]]
+def test_support_edge_adjacent_layers(world):
+    assert support_edges(struct((1, 2, 0, 0, 0), (1, 2, 0, 0, 1)), world) == [(1, 0)]
 
 
-def test_no_edge_across_layer_gap():
-    adj = support_graph(struct((1, 2, 0, 0, 0), (1, 2, 0, 0, 2)))
-    assert adj == [[], []]
+def test_no_edge_across_layer_gap(world):
+    assert support_edges(struct((1, 2, 0, 0, 0), (1, 2, 0, 0, 2)), world) == []
 
 
-def test_bridge_has_two_supports(perfect_fixture):
-    adj = support_graph(perfect_fixture)
-    assert adj == [[2], [2], [0, 1]]
+def test_bridge_has_two_supports(world, perfect_fixture):
+    assert support_edges(perfect_fixture, world) == [(2, 0), (2, 1)]
 
 
 def test_support_graph_matches_oracle(world):
+    # Edges run from each brick to the bricks one layer below it, also
+    # on layers past the world and on layers far apart.
+    tiny = WorldConfig(5, 5, 3)
     rng = np.random.default_rng(25)
-    for _ in range(40):
-        s = random_structure(rng, world, 10, in_bounds=False)
-        adj = support_graph(s, world)
+    for k in range(120):
+        w = world if k < 40 else tiny
+        if k < 40:
+            s = random_structure(rng, w, 10, in_bounds=False)
+        else:
+            s = random_structure(rng, w, 20, in_bounds=bool(k % 2), min_bricks=8)
+        if k >= 80:
+            s = far_layers(rng, s)
+        edges = support_edges(s, w)
         for i in range(len(s)):
-            below = [j for j in adj[i] if s[j].z == s[i].z - 1]
-            assert below == oracle_supports_below(s, i, world)
+            assert [j for u, j in edges if u == i] == oracle_supports_below(s, i, w)
 
 
 # ---------------------------------------------------------------- grounding
 
 
+def grounding(a):
+    return a.occupied_count, a.disconnected_count, a.is_connected
+
+
 def test_grounded_singleton(world):
-    assert grounded_components(struct((1, 1, 0, 0, 0)), world) == (1, 0, True)
+    assert grounding(analyze(struct((1, 1, 0, 0, 0)), world)) == (1, 0, True)
 
 
 def test_floating_singleton(world):
-    s = struct((1, 1, 0, 0, 5))
-    assert grounded_components(s, world) == (1, 1, False)
-    assert analyze(s, world).conn_score == 0.0
+    a = analyze(struct((1, 1, 0, 0, 5)), world)
+    assert grounding(a) == (1, 1, False)
+    assert a.conn_score == 0.0
 
 
 def test_floating_brick_ratio(world):
     s = struct((2, 2, 0, 0, 0), (1, 1, 10, 10, 3))
     a = analyze(s, world)
-    assert grounded_components(s, world) == (5, 1, False)
+    assert grounding(a) == (5, 1, False)
     assert a.conn_score == 0.8
     assert not a.is_connected
 
@@ -192,6 +218,8 @@ def test_ground_only_denominator_clamped(world):
     s = struct((2, 2, 0, 0, 0), (2, 2, 4, 4, 0))
     assert interlock_score(s) == 0.0
     assert analyze(s, world).interlock_score == 0.0
+    assert interlock_score(BrickStructure(())) == 0.0
+    assert interlock_score(BrickStructure(()), world) == 0.0
 
 
 def test_interlock_matches_oracle(world):
@@ -202,39 +230,64 @@ def test_interlock_matches_oracle(world):
         assert analyze(s, world).interlock_score == oracle_interlock(s, world)
 
 
+def test_interlock_huge_anchors_and_far_layers(world):
+    tiny = WorldConfig(5, 5, 3)
+    rng = np.random.default_rng(31)
+    for _ in range(60):
+        s = far_layers(rng, random_structure(rng, tiny, 20, in_bounds=True, min_bricks=8))
+        assert interlock_score(s) == oracle_interlock(s, None)
+        assert interlock_score(s, tiny) == oracle_interlock(s, tiny)
+    # A bridge over two bricks, alone and lifted to layers far past the
+    # world, with anchors far past 2**63.
+    base = 2**64 + 5
+    for z in (0, 10**12, 2**63):
+        bridge = struct((1, 2, base, base, z), (1, 2, base, base + 2, z), (1, 4, base, base, z + 1))
+        assert interlock_score(bridge) == (1.0 if z == 0 else 1 / 3)
+        assert interlock_score(bridge, world) == 0.0
+    # An 8-long brick ends just before the next anchor: no support.
+    for far in (0, 2**64):
+        s = struct((8, 1, far, 0, 0), (1, 1, far + 8, 0, 0), (8, 1, far + 8, 0, 1))
+        assert interlock_score(s) == oracle_interlock(s, None) == 0.0
+
+
 def test_clipping_changes_support(world):
     # Unclipped footprints overlap at x=21..25; in-world cells do not.
     s = struct((8, 1, 18, 0, 0), (8, 1, 21, 0, 1))
     assert interlock_score(s) == 0.0  # one support, not two
-    assert support_graph(s) == [[1], [0]]
-    assert support_graph(s, world) == [[], []]
+    assert oracle_supports_below(s, 1, None) == [0]
+    assert support_edges(s, world) == []
+    # The second support of the upper brick lies wholly outside the world.
+    s = struct((1, 1, 17, 0, 0), (8, 1, 21, 0, 0), (8, 1, 17, 0, 1))
+    assert interlock_score(s) == 1.0
+    assert interlock_score(s, world) == 0.0
+    assert support_edges(s, world) == [(2, 0)]
 
 
 # ------------------------------------------------------------ seam coverage
 
 
 def test_seam_covered_by_bridge(world, perfect_fixture):
-    assert seam_coverage(perfect_fixture, world) == 1.0
+    assert analyze(perfect_fixture, world).seam_coverage == 1.0
 
 
 def test_seam_uncovered(world):
     s = struct((1, 2, 0, 0, 0), (1, 2, 0, 2, 0))
-    assert seam_coverage(s, world) == 0.0
+    assert analyze(s, world).seam_coverage == 0.0
 
 
 def test_seam_vacuous_single_brick(world):
-    assert seam_coverage(struct((2, 4, 3, 3, 3)), world) == 1.0
+    assert analyze(struct((2, 4, 3, 3, 3)), world).seam_coverage == 1.0
 
 
 def test_seam_same_brick_cells_not_seams(world):
     # Adjacent voxels of one brick never count.
-    assert seam_coverage(struct((2, 6, 0, 0, 0)), world) == 1.0
+    assert analyze(struct((2, 6, 0, 0, 0)), world).seam_coverage == 1.0
 
 
 def test_seam_top_layer_excluded(world):
     # z=19 has no layer above, so its seams fall outside the total.
     s = struct((1, 2, 0, 0, 19), (1, 2, 0, 2, 19))
-    assert seam_coverage(s, world) == 1.0
+    assert analyze(s, world).seam_coverage == 1.0
 
 
 def test_seam_partial(world):
@@ -244,7 +297,7 @@ def test_seam_partial(world):
         (1, 2, 5, 0, 0), (1, 2, 5, 2, 0),
         (1, 4, 0, 0, 1),
     )
-    assert seam_coverage(s, world) == 0.5
+    assert analyze(s, world).seam_coverage == 0.5
 
 
 def test_seam_owner_is_lowest_index(world):

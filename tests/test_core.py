@@ -4,12 +4,14 @@ import pytest
 from brickeval import (
     BRICK_LIBRARY,
     Brick,
+    BrickStructure,
     OrientedDim,
     UnknownDimension,
     WorldConfig,
-    brick_voxels,
+    analyze,
     library_lookup,
     make_brick,
+    rasterize,
 )
 from helpers import oracle_voxels, random_structure
 
@@ -45,6 +47,14 @@ def test_world_config_defaults_and_validation():
     assert w.contains(19, 19, 19) and not w.contains(20, 0, 0)
     with pytest.raises(ValueError):
         WorldConfig(0, 20, 20)
+
+
+def brick_voxels(brick, world):
+    # A lone brick's voxels and in-bounds verdict, from the library.
+    s = BrickStructure((brick,))
+    counts = rasterize(s, world).counts
+    assert counts.max(initial=0) <= 1
+    return {tuple(int(c) for c in v) for v in np.argwhere(counts)}, analyze(s, world).fully_in_bounds
 
 
 def test_brick_voxels_in_bounds(world):
@@ -95,4 +105,5 @@ def test_brick_equality_and_fields():
     b = make_brick(2, 4, 1, 2, 3)
     assert a == b
     assert (a.h, a.w, a.x, a.y, a.z) == (2, 4, 1, 2, 3)
-    assert set(a.footprint()) == {(u, v) for u in (1, 2) for v in (2, 3, 4, 5)}
+    vox, _ = brick_voxels(a, WorldConfig())
+    assert vox == {(u, v, 3) for u in (1, 2) for v in (2, 3, 4, 5)}

@@ -3,6 +3,7 @@
 import base64
 import json
 import logging
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -30,6 +31,7 @@ from brickeval import (
     score_completion,
     serialize_structure,
 )
+from brickeval.service import handle_request_line
 
 from helpers import collision_free_structure, oracle_decode_voxels
 
@@ -89,11 +91,12 @@ def test_decode_bad_base64(world):
 def test_decode_bad_compression(world):
     with pytest.raises(BadCompression):
         decode_target_voxels(base64.b64encode(b"plainly not zlib").decode(), world)
-    # Truncated but valid base64 of a valid stream.
-    good = encode_target_voxels(np.ones(world.shape, dtype=bool))
-    clipped = base64.b64encode(base64.b64decode(good)[:10]).decode()
-    with pytest.raises(BadCompression):
-        decode_target_voxels(clipped, world)
+    # Truncated but valid base64 of a valid stream, cut early, midway and
+    # inside the trailing checksum.
+    raw = base64.b64decode(encode_target_voxels(np.ones(world.shape, dtype=bool)))
+    for cut in (10, len(raw) // 2, len(raw) - 2):
+        with pytest.raises(BadCompression):
+            decode_target_voxels(base64.b64encode(raw[:cut]).decode(), world)
 
 
 def test_decode_bad_length(world):
@@ -103,6 +106,35 @@ def test_decode_bad_length(world):
     long = base64.b64encode(zlib.compress(b"\x00" * 8001)).decode()
     with pytest.raises(BadLength):
         decode_target_voxels(long, world)
+
+
+def zlib_bomb(n_bytes):
+    # A stream of n_bytes zeros, compressed piecewise so no copy is made.
+    comp = zlib.compressobj()
+    chunk = b"\x00" * (1 << 20)
+    data = b"".join(comp.compress(chunk) for _ in range(n_bytes >> 20))
+    return base64.b64encode(data + comp.flush()).decode()
+
+
+def test_decode_bomb_is_bounded(world):
+    bomb = zlib_bomb(64 << 20)
+    line = json.dumps({"id": "z", "completion": "", "target_voxels": bomb})
+    tracemalloc.start()
+    try:
+        rec = json.loads(handle_request_line(line, world))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec == {"id": "z", "error_code": "bad_target_encoding"}
+    assert peak < 8 << 20  # the request line and its decoded base64, not the 64 MiB
+    with pytest.raises(BadLength):
+        decode_target_voxels(bomb, world)
+
+
+def test_decode_accepts_trailing_bytes(world):
+    grid = np.random.default_rng(54).random(world.shape) < 0.3
+    raw = base64.b64decode(encode_target_voxels(grid)) + b"trailing"
+    assert np.array_equal(decode_target_voxels(base64.b64encode(raw).decode(), world), grid)
 
 
 def test_decode_bad_value(world):

@@ -1,6 +1,7 @@
 """Reward service: request handling, concurrency, stdio, and TCP."""
 
 import json
+import os
 import socket
 import subprocess
 import sys
@@ -71,6 +72,14 @@ def test_target_points_transport(perfect_fixture):
 def test_not_json_is_bad_request():
     rec = json.loads(handle_request_line("not json at all", WORLD))
     assert rec == {"id": None, "error_code": "bad_request"}
+
+
+def test_byte_lines_decode_as_utf8(perfect_fixture):
+    line = fixture_request(perfect_fixture)
+    assert handle_request_line(line.encode("utf-8"), WORLD) == handle_request_line(line, WORLD)
+    for bad in (b"\xff\n", b'{"id": "\xc3("}', line.encode("utf-8")[:-1] + b"\x80}"):
+        rec = json.loads(handle_request_line(bad, WORLD))
+        assert rec == {"id": None, "error_code": "bad_request"}
 
 
 def test_non_object_is_bad_request():
@@ -204,25 +213,62 @@ def test_stdio_subprocess_round_trip(perfect_fixture):
     assert out[2]["id"] == "b" and out[2]["total"] == -10.0
 
 
-def test_tcp_round_trip(perfect_fixture):
-    server = RewardTCPServer(("127.0.0.1", 0), WORLD, threads=2)
+def invalid_utf8_requests(perfect_fixture):
+    return b"".join((
+        fixture_request(perfect_fixture, request_id="before").encode("utf-8") + b"\n",
+        b'{"id": "bad", "completion": "\xff"}\n',
+        fixture_request(perfect_fixture, request_id="after").encode("utf-8") + b"\n",
+    ))
+
+
+def assert_invalid_utf8_answered(data):
+    out = [json.loads(l) for l in data.decode("utf-8").splitlines()]
+    assert len(out) == 3
+    assert out[0]["id"] == "before" and out[0]["total"] == 10.0
+    assert out[1] == {"id": None, "error_code": "bad_request"}
+    assert out[2]["id"] == "after" and out[2]["total"] == 10.0
+
+
+def test_stdio_survives_invalid_utf8(perfect_fixture):
+    # Strict stdio decoding must not matter: lines are read as bytes.
+    proc = subprocess.run(
+        [sys.executable, "-m", "brickeval", "serve", "--transport", "stdio"],
+        input=invalid_utf8_requests(perfect_fixture),
+        capture_output=True,
+        timeout=60,
+        env={**os.environ, "PYTHONIOENCODING": "utf-8:strict"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert_invalid_utf8_answered(proc.stdout)
+
+
+def tcp_exchange(server, payload):
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
         host, port = server.server_address
         with socket.create_connection((host, port), timeout=30) as conn:
-            payload = fixture_request(perfect_fixture, request_id="tcp-1") + "\n"
-            conn.sendall(payload.encode("utf-8"))
+            conn.sendall(payload)
             conn.shutdown(socket.SHUT_WR)
             data = b""
-            while not data.endswith(b"\n"):
+            while True:
                 chunk = conn.recv(4096)
                 if not chunk:
-                    break
+                    return data
                 data += chunk
-        rec = json.loads(data.decode("utf-8"))
-        assert rec["id"] == "tcp-1" and rec["total"] == 10.0
     finally:
         server.shutdown()
         server.server_close()
         thread.join(timeout=10)
+
+
+def test_tcp_survives_invalid_utf8(perfect_fixture):
+    server = RewardTCPServer(("127.0.0.1", 0), WORLD, threads=1)
+    assert_invalid_utf8_answered(tcp_exchange(server, invalid_utf8_requests(perfect_fixture)))
+
+
+def test_tcp_round_trip(perfect_fixture):
+    server = RewardTCPServer(("127.0.0.1", 0), WORLD, threads=2)
+    payload = fixture_request(perfect_fixture, request_id="tcp-1") + "\n"
+    rec = json.loads(tcp_exchange(server, payload.encode("utf-8")).decode("utf-8"))
+    assert rec["id"] == "tcp-1" and rec["total"] == 10.0

@@ -17,7 +17,7 @@ from brickeval import (
     serialize_pointcloud,
     serialize_structure,
 )
-from brickeval.tokens import OUTPUT_HEADER
+from brickeval.tokens import OUTPUT_HEADER, _parse_plain
 from helpers import collision_free_structure, random_structure
 
 
@@ -151,6 +151,24 @@ def test_round_trip_both_layouts(world):
             s2, r = parse_structure(text)
             assert r.parsed_ok and r.brick_count == len(s)
             assert s2 == s
+
+
+def test_one_pass_parse_equals_line_by_line(world):
+    # A plain completion is read in one pass; its \r\n twin fails the
+    # one-pass grammar and goes line by line. Both must agree.
+    rng = np.random.default_rng(9)
+    for i in range(200):
+        s = random_structure(rng, world, 30, in_bounds=bool(i % 2))
+        for layout in ("one_per_line", "comma_inline"):
+            body = serialize_structure(s, layout)
+            if i % 3 == 0:
+                body = body.replace("\n", "\n\n  ").replace(", ", " ,\t")
+            for text in (body + "\n", OUTPUT_HEADER + "\n" + body, "\n" + OUTPUT_HEADER + " \n" + body + "\n"):
+                twin = text.replace("\n", "\r\n")
+                assert _parse_plain(text) is not None and _parse_plain(twin) is None
+                bricks, report = parse_structure(text)
+                assert (bricks, report) == parse_structure(twin)
+                assert bricks == s and report.parsed_ok
 
 
 def test_serialize_empty_structure():
