@@ -8,6 +8,13 @@ anchored at the scan cell. Priority is footprint area, largest first,
 with equal-area variants shuffled by the seed; since 1x1 is in the
 library, every target cell is eventually covered exactly, so the output
 is always collision-free, in bounds, and rasterizes to the target.
+
+Each layer is held as one Python int per row x, bit y set while cell
+(x, y) is still uncovered. A brick h x w fits at (x, y) when the w bits
+from y are set in each of the h rows from x, and placing it clears
+them; the next cell to scan is read off a row's lowest set bit. The
+output is deterministic and the same as testing every candidate cell
+by cell: same bricks, in the same order.
 """
 
 from __future__ import annotations
@@ -56,26 +63,47 @@ def legalize(
         raise ValueError(
             f"target shape {tuple(target.shape)} does not match world {world.shape}"
         )
-    priority = [(d, d.h, d.w) for d in _dim_priority(opts)]
-    dim_x, dim_y = world.dim_x, world.dim_y
+    priority = [(d, d.w, (1 << d.w) - 1, d.h) for d in _dim_priority(opts)]
+    dim_x, dim_y, dim_z = world.shape
+    # Row x of layer z as an int: bit y set = cell (x, y) still uncovered,
+    # assembled from 64-bit words so rows of any width stay exact.
+    words = np.zeros((dim_z, dim_x, -(-dim_y // 64) * 64), dtype=bool)
+    words[:, :, :dim_y] = target.transpose(2, 0, 1)
+    words = np.packbits(words, axis=2, bitorder="little").view("<u8").astype(object)
+    layers = (words << (64 * np.arange(words.shape[2], dtype=object))).sum(axis=2).tolist()
     bricks: list[Brick] = []
-    for z in range(world.dim_z):
-        layer = target[:, :, z]
-        if not layer.any():
+    for z, rows in enumerate(layers):
+        if not any(rows):
             continue
-        uncovered = layer.copy()
-        cells = [(int(x), int(y)) for x, y in np.argwhere(layer)]
+        rows.append(0)  # an empty row past the last, where every fit test stops
         offset = z % 2 if opts.stagger else 0
-        if offset:
-            cells.sort(key=lambda c: ((c[0] - offset) % dim_x, (c[1] - offset) % dim_y))
-        for x, y in cells:
-            if not uncovered[x, y]:
-                continue
-            for dim, h, w in priority:
-                if x + h <= dim_x and y + w <= dim_y and uncovered[x : x + h, y : y + w].all():
-                    bricks.append(Brick(dim, x, y, z))
-                    uncovered[x : x + h, y : y + w] = False
-                    break
+        # Rows are scanned from row `offset` up and then row 0, each row
+        # from bit `offset` up and then bit 0. Every cell already scanned
+        # is covered, so a brick fits only over cells later in that order,
+        # and a row's next cell to scan is its lowest uncovered bit at or
+        # past `offset`, else bit 0. `run` counts the uncovered cells from
+        # y along the row, which bounds the width that fits.
+        for x in (*range(offset, dim_x), *range(offset)):
+            r = rows[x]
+            while r:
+                ahead = r >> offset << offset or r
+                y = (ahead & -ahead).bit_length() - 1
+                t = r >> y
+                run = (t ^ (t + 1)).bit_length() - 1
+                for dim, w, m, h in priority:
+                    if w > run:
+                        continue
+                    m <<= y
+                    end = x + h
+                    i = x + 1
+                    while i < end and rows[i] & m == m:
+                        i += 1
+                    if i == end:
+                        for i in range(x, end):
+                            rows[i] &= ~m
+                        bricks.append(Brick(dim, x, y, z))
+                        break
+                r = rows[x]
     return BrickStructure(tuple(bricks))
 
 

@@ -7,8 +7,11 @@ text)}. Each response line echoes the id with the reward breakdown, or
 mistyped request, a line that is not UTF-8 among them; id is null when
 it cannot be recovered) or "bad_target_encoding" (target failed to
 decode). Both transports read bytes and decode each line on its own, so
-one bad line costs only its own response. Scoring is pure, so responses
-are byte-identical for identical request lines.
+one bad line costs only its own response. A line longer than
+max_line_bytes(world) is answered {"id": null, "error_code":
+"bad_request"}; it is read and dropped in bounded pieces, never held
+whole. Scoring is pure, so responses are byte-identical for identical
+request lines.
 
 With one worker (the default) requests are scored in order in the
 serving thread. With N > 1 (capped at the usable CPU cores, since
@@ -34,7 +37,7 @@ import signal
 import socketserver
 import sys
 import threading
-from typing import Callable, Iterable
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 from .core import WorldConfig, DEFAULT_WORLD
 from .dataset import CodecError, decode_target_voxels
@@ -42,6 +45,9 @@ from .rewards import RewardBreakdown, score_completion
 from .tokens import MalformedPointToken, OutOfWorldCoordinate, parse_pointcloud
 
 _CHUNK_LINES = 32
+# Stands in for a line over the length bound: it is not UTF-8, so it is
+# answered as any undecodable line is, with bad_request and a null id.
+_OVER_LONG = b"\xff over-long line"
 _RESPONSE_FIELDS = (
     "total",
     "r_col",
@@ -101,6 +107,31 @@ def handle_request_line(line: str | bytes, world: WorldConfig) -> str:
         return _response(request_id, score_completion(completion, target, world))
     except Exception:
         return _error(request_id, "bad_request")
+
+
+def max_line_bytes(world: WorldConfig) -> int:
+    """Longest request line read, newline excluded: 1 MiB or 64 bytes a voxel, if more.
+
+    A full-world point list with a full-world completion of 1x1 bricks
+    takes about 25 bytes a voxel (200 KB in a 20x20x20 world), so every
+    valid request fits.
+    """
+    return max(1 << 20, 64 * world.n_voxels)
+
+
+def read_lines(stream: BinaryIO, world: WorldConfig) -> Iterator[bytes]:
+    """Lines of a byte stream, none longer than max_line_bytes(world).
+
+    An over-long line comes out as a short line answered bad_request;
+    the rest of it is read up to its newline in bounded pieces and dropped.
+    """
+    limit = max_line_bytes(world)
+    while line := stream.readline(limit + 1):
+        if len(line) > limit and not line.endswith(b"\n"):
+            while line and not line.endswith(b"\n"):
+                line = stream.readline(limit)
+            line = _OVER_LONG
+        yield line
 
 
 def _handle_chunk(world: WorldConfig, lines: list[str | bytes]) -> list[str]:
@@ -276,7 +307,7 @@ def serve_stdio(world: WorldConfig = DEFAULT_WORLD, threads: int = 1) -> int:
         out.write(text + "\n")
         out.flush()
 
-    serve_lines(sys.stdin.buffer, write_line, world, threads)
+    serve_lines(read_lines(sys.stdin.buffer, world), write_line, world, threads)
     out.flush()
     return 0
 
@@ -312,7 +343,8 @@ class _TCPHandler(socketserver.StreamRequestHandler):
             self.wfile.write((text + "\n").encode("utf-8"))
 
         try:
-            serve_lines(self.rfile, write_line, server.world, server.threads, workers=server.workers)
+            serve_lines(read_lines(self.rfile, server.world), write_line, server.world, server.threads,
+                        workers=server.workers)
         except (BrokenPipeError, ConnectionResetError):
             pass
 

@@ -2,8 +2,9 @@
 
 The oracles deliberately avoid the library's vectorized code paths:
 footprints are Python sets, support is pairwise set intersection,
-components come from breadth-first search, and grids are compared by
-looping over voxel lists.
+components come from breadth-first search, grids are compared by
+looping over voxel lists, and the legalizer tests every candidate
+brick cell by cell against a set of uncovered cells.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from collections import deque
 
 import numpy as np
 
-from brickeval import Brick, BrickStructure, WorldConfig, library_lookup
+from brickeval import BRICK_LIBRARY, Brick, BrickStructure, WorldConfig, library_lookup
 
 
 def oracle_footprint(brick: Brick, world: WorldConfig | None = None) -> set[tuple[int, int]]:
@@ -124,6 +125,51 @@ def oracle_decode_voxels(s: str, world: WorldConfig) -> np.ndarray:
                 assert byte in (0, 1)
                 grid[x, y, z] = bool(byte)
     return grid
+
+
+def oracle_priority(seed: int, largest_first: bool) -> list[tuple[int, int]]:
+    """Legalizer brick order: by area, each equal-area group in library
+    order shuffled by one shared generator, largest group first."""
+    rng = np.random.default_rng(seed)
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for d in BRICK_LIBRARY:
+        groups.setdefault(d.h * d.w, []).append((d.h, d.w))
+    order = []
+    for area in sorted(groups, reverse=True):
+        group = groups[area]
+        if len(group) > 1:
+            group = [group[k] for k in rng.permutation(len(group))]
+        order += group
+    return order if largest_first else order[::-1]
+
+
+def oracle_legalize(
+    target: np.ndarray, world: WorldConfig, stagger: bool = False, seed: int = 0,
+    largest_first: bool = True,
+) -> BrickStructure:
+    """Greedy cover, layer by layer: at each uncovered target cell in scan
+    order, place the first brick in priority order whose cells all lie in
+    the world and are still uncovered. Odd layers scan phase-shifted by
+    one cell on both axes when staggered."""
+    priority = oracle_priority(seed, largest_first)
+    bricks = []
+    for z in range(world.dim_z):
+        cells = [(x, y) for x in range(world.dim_x) for y in range(world.dim_y) if target[x, y, z]]
+        off = z % 2 if stagger else 0
+        cells.sort(key=lambda c: ((c[0] - off) % world.dim_x, (c[1] - off) % world.dim_y))
+        uncovered = set(cells)
+        for x, y in cells:
+            if (x, y) not in uncovered:
+                continue
+            for h, w in priority:
+                if x + h > world.dim_x or y + w > world.dim_y:
+                    continue
+                fp = {(u, v) for u in range(x, x + h) for v in range(y, y + w)}
+                if fp <= uncovered:
+                    uncovered -= fp
+                    bricks.append(Brick(library_lookup(h, w), x, y, z))
+                    break
+    return BrickStructure(tuple(bricks))
 
 
 ALL_DIMS = (

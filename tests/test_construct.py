@@ -5,12 +5,15 @@ import pytest
 
 from brickeval import (
     ConstructorOptions,
+    WorldConfig,
     analyze,
     interlock_score,
     legalize,
     random_target,
     rasterize,
 )
+
+from helpers import oracle_legalize
 
 
 def assert_exact_cover(structure, target, world):
@@ -123,6 +126,39 @@ def test_seed_changes_tie_breaks_only(world):
     for seed in range(4):
         s = legalize(grid, ConstructorOptions(seed=seed), world)
         assert_exact_cover(s, grid, world)
+
+
+DIFF_WORLDS = (
+    WorldConfig(1, 1, 1),
+    WorldConfig(1, 9, 2),
+    WorldConfig(5, 7, 3),
+    WorldConfig(7, 12, 4),
+    WorldConfig(4, 63, 3),
+    WorldConfig(3, 64, 3),
+    WorldConfig(6, 65, 2),
+    WorldConfig(5, 100, 2),
+    WorldConfig(20, 20, 20),
+)
+
+
+def test_legalize_matches_oracle():
+    # Same bricks in the same order as the cell-by-cell greedy, for every
+    # option set, fill level and world, including rows wider than 63 and
+    # full layers, where a brick must not reach past the world's edge.
+    rng = np.random.default_rng(404)
+    for world in DIFF_WORLDS:
+        for fill in (0.0, 0.05, 0.3, 0.6, 0.9, 1.0):
+            for grounded in (False, True):
+                if grounded:
+                    grid = random_target(int(rng.integers(1 << 30)), fill_prob=fill, grounded=True, world=world)
+                else:
+                    grid = rng.random(world.shape) < fill
+                for stagger in (False, True):
+                    for largest_first in (True, False):
+                        seed = int(rng.integers(6))
+                        opts = ConstructorOptions(stagger=stagger, seed=seed, largest_first=largest_first)
+                        expected = oracle_legalize(grid, world, stagger, seed, largest_first)
+                        assert legalize(grid, opts, world) == expected, (world, fill, grounded, opts)
 
 
 # -------------------------------------------------------------- random_target

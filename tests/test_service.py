@@ -1,12 +1,15 @@
 """Reward service: request handling, concurrency, stdio, and TCP."""
 
+import io
 import json
 import os
+import queue
 import socket
 import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -17,7 +20,14 @@ from brickeval import (
     serialize_structure,
 )
 from brickeval.core import DEFAULT_WORLD
-from brickeval.service import RewardTCPServer, handle_request_line, serve_lines
+from brickeval.service import (
+    RewardTCPServer,
+    Workers,
+    handle_request_line,
+    max_line_bytes,
+    read_lines,
+    serve_lines,
+)
 
 WORLD = DEFAULT_WORLD
 
@@ -189,6 +199,55 @@ def test_backpressure_bounds_intake(perfect_fixture):
     assert len(consumed) == 100
 
 
+def wait_up(workers, timeout=60):
+    deadline = time.monotonic() + timeout
+    while not workers.up():
+        assert time.monotonic() < deadline, "no worker started"
+        time.sleep(0.02)
+
+
+def test_lone_request_answered_while_input_open(perfect_fixture):
+    # Once workers are up, a line with none of its stream at the workers
+    # must be answered before more input arrives, and so must a burst.
+    feed = queue.Queue()
+    answers = queue.Queue()
+    workers = Workers(2)
+    try:
+        wait_up(workers)
+        server = threading.Thread(
+            target=serve_lines,
+            args=(iter(feed.get, None), answers.put, WORLD),
+            kwargs={"workers": workers},
+            daemon=True,
+        )
+        server.start()
+        feed.put(fixture_request(perfect_fixture, request_id="lone"))
+        assert json.loads(answers.get(timeout=30))["id"] == "lone"
+        for i in range(3):
+            feed.put(fixture_request(perfect_fixture, request_id=f"burst-{i}"))
+        ids = {json.loads(answers.get(timeout=30))["id"] for _ in range(3)}
+        assert ids == {"burst-0", "burst-1", "burst-2"}
+        assert server.is_alive()  # input is still open
+        feed.put(None)
+        server.join(timeout=30)
+        assert not server.is_alive()
+    finally:
+        workers.close()
+
+
+def test_running_workers_match_sequential(perfect_fixture):
+    lines = request_batch(perfect_fixture, 40)
+    seq, par = [], []
+    serve_lines(iter(lines), seq.append, WORLD, threads=1)
+    workers = Workers(2)
+    try:
+        wait_up(workers)
+        serve_lines(iter(lines), par.append, WORLD, workers=workers)
+    finally:
+        workers.close()
+    assert sorted(par) == sorted(seq)
+
+
 # ------------------------------------------------------------------ transports
 
 
@@ -272,3 +331,143 @@ def test_tcp_round_trip(perfect_fixture):
     payload = fixture_request(perfect_fixture, request_id="tcp-1") + "\n"
     rec = json.loads(tcp_exchange(server, payload.encode("utf-8")).decode("utf-8"))
     assert rec["id"] == "tcp-1" and rec["total"] == 10.0
+
+
+def test_tcp_connections_share_workers(perfect_fixture):
+    # Two connections at once on one server with two workers: both are
+    # answered in full, and the lines of both reach the shared workers.
+    server = RewardTCPServer(("127.0.0.1", 0), WORLD, threads=2)
+    workers = server.workers
+    scored = []
+    score = workers.score
+
+    def recording_score(world, lines, done, failed):
+        scored.extend(json.loads(line)["id"] for line in lines)
+        score(world, lines, done, failed)
+
+    workers.score = recording_score
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        wait_up(workers)
+        conns = [socket.create_connection(server.server_address, timeout=30) for _ in range(2)]
+        payloads = [
+            "".join(fixture_request(perfect_fixture, request_id=f"c{c}-{i}") + "\n" for i in range(16))
+            for c in range(2)
+        ]
+        for conn, payload in zip(conns, payloads):
+            conn.sendall(payload.encode("utf-8"))
+        for c, conn in enumerate(conns):
+            with conn:
+                conn.shutdown(socket.SHUT_WR)
+                data = b""
+                while chunk := conn.recv(65536):
+                    data += chunk
+            out = [json.loads(line) for line in data.decode("utf-8").splitlines()]
+            assert sorted(rec["id"] for rec in out) == sorted(f"c{c}-{i}" for i in range(16))
+            assert all(rec["total"] == 10.0 for rec in out)
+        assert server.workers is workers
+        assert {name.split("-")[0] for name in scored} == {"c0", "c1"}
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+# ------------------------------------------------------------ line length bound
+
+
+def test_line_bound_admits_largest_valid_request():
+    # A full-world point list with a full-world completion, every brick 1x1.
+    full = np.ones(WORLD.shape, dtype=bool)
+    bricks = "\n".join(f"1x1 ({x},{y},{z})" for x, y, z in np.argwhere(full).tolist())
+    line = json.dumps({"id": "big", "completion": bricks, "target_points": serialize_pointcloud(full)})
+    assert len(line) < max_line_bytes(WORLD)
+    assert max_line_bytes(WORLD) >= 1 << 20
+
+
+def test_read_lines_cuts_at_bound():
+    limit = max_line_bytes(WORLD)
+    exact = b"x" * limit + b"\n"
+    over = b"y" * (limit + 1) + b"\n"
+    tail = b"z" * (limit + 1)  # over-long and unterminated at end of input
+    out = list(read_lines(io.BytesIO(b"a\n" + exact + over + b"b\n" + over + tail), WORLD))
+    assert out[0] == b"a\n" and out[1] == exact and out[3] == b"b\n"
+    for marker in (out[2], out[4], out[5]):
+        assert len(marker) < 64
+        assert json.loads(handle_request_line(marker, WORLD)) == {"id": None, "error_code": "bad_request"}
+    assert len(out) == 6
+    assert list(read_lines(io.BytesIO(b"z" * limit), WORLD)) == [b"z" * limit]
+
+
+class _Endless(io.RawIOBase):
+    """A stream of one request line of `size` bytes, made up as it is read."""
+
+    def __init__(self, head, size, tail):
+        self.head, self.left, self.tail = head, size, tail
+
+    def readable(self):
+        return True
+
+    def readinto(self, buf):
+        if self.head:
+            n = min(len(buf), len(self.head))
+            buf[:n], self.head = self.head[:n], self.head[n:]
+            return n
+        if self.left:
+            n = min(len(buf), self.left)
+            buf[:n] = b" " * n
+            self.left -= n
+            return n
+        n = min(len(buf), len(self.tail))
+        buf[:n], self.tail = self.tail[:n], self.tail[n:]
+        return n
+
+
+def test_over_long_line_is_never_buffered_whole(perfect_fixture):
+    after = fixture_request(perfect_fixture, request_id="after").encode("utf-8") + b"\n"
+    stream = io.BufferedReader(_Endless(b'{"id": "huge", "completion": "', 64 << 20, b'"}\n' + after))
+    tracemalloc.start()
+    try:
+        out = []
+        serve_lines(read_lines(stream, WORLD), out.append, WORLD)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * max_line_bytes(WORLD)
+    assert json.loads(out[0]) == {"id": None, "error_code": "bad_request"}
+    assert json.loads(out[1])["id"] == "after" and len(out) == 2
+
+
+def over_long_requests(perfect_fixture):
+    pad = b" " * max_line_bytes(WORLD)
+    return b"".join((
+        fixture_request(perfect_fixture, request_id="before").encode("utf-8") + b"\n",
+        b'{"id": "long", "completion": ""' + pad + b'}\n',
+        fixture_request(perfect_fixture, request_id="after").encode("utf-8") + b"\n",
+    ))
+
+
+def assert_over_long_answered(data):
+    out = [json.loads(l) for l in data.decode("utf-8").splitlines()]
+    assert len(out) == 3
+    assert out[0]["id"] == "before" and out[0]["total"] == 10.0
+    assert out[1] == {"id": None, "error_code": "bad_request"}
+    assert out[2]["id"] == "after" and out[2]["total"] == 10.0
+
+
+def test_stdio_answers_over_long_line(perfect_fixture):
+    proc = subprocess.run(
+        [sys.executable, "-m", "brickeval", "serve", "--transport", "stdio"],
+        input=over_long_requests(perfect_fixture),
+        capture_output=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert_over_long_answered(proc.stdout)
+
+
+def test_tcp_answers_over_long_line(perfect_fixture):
+    server = RewardTCPServer(("127.0.0.1", 0), WORLD, threads=1)
+    assert_over_long_answered(tcp_exchange(server, over_long_requests(perfect_fixture)))
