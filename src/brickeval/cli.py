@@ -183,11 +183,12 @@ def _cmd_eval(args, world: WorldConfig) -> int:
             continue
         try:
             obj = json.loads(line)
-            completion = obj["completion"]
-            if "target_voxels" in obj:
-                target = decode_target_voxels(obj["target_voxels"], world)
-            else:
-                target = parse_pointcloud(obj["target_points"], world)
+            kind = "target_voxels" if "target_voxels" in obj else "target_points"
+            completion, target_text = obj["completion"], obj[kind]
+            if not isinstance(completion, str) or not isinstance(target_text, str):
+                raise TypeError(f"completion and {kind} must be strings")
+            decode = decode_target_voxels if kind == "target_voxels" else parse_pointcloud
+            target = decode(target_text, world)
             wall = float(obj.get("wall_time_s", 0.0))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise _DataError(f"{args.pairs}:{line_number}: bad pair record ({exc})")
@@ -272,10 +273,10 @@ def cli_dispatch(argv: list[str]) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except _DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except UnicodeDecodeError as exc:
+        print(f"error: input is not UTF-8 ({exc})", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (_DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:  # argparse --help

@@ -15,17 +15,19 @@ request lines.
 
 With one worker (the default) requests are scored in order in the
 serving thread. With N > 1 (capped at the usable CPU cores, since
-scoring is CPU-bound), that many spawned processes score them: request
-lines go to a free worker in chunks of whatever has arrived (at most 32
-lines), so nothing waits for a chunk to fill and a burst is sent in few
-messages. A lone request while none of its stream's requests is at a
-worker, and every request until the first worker has started, is
-scored in the serving process instead. Responses may then leave in a
-different order than the requests arrived; ids are the correlation
-key. A TCP server shares one set of worker processes among all its
-connections. In either mode at most max_pending requests are in
-flight, so a slow reader throttles intake. End of input flushes
-pending responses and exits cleanly.
+scoring is CPU-bound), a pool of that many spawned processes scores
+them: request lines go to a free worker in chunks of whatever has
+arrived (at most 32 lines), so nothing waits for a chunk to fill and a
+burst is sent in few messages. A lone request while none of its
+stream's requests is at a worker is scored in the serving process
+instead. Responses may then leave in a different order than the
+requests arrived; ids are the correlation key. A TCP server shares one
+pool among all its connections. If a worker dies, the pool is broken
+for good: the serving process scores the chunks it lost and every
+later one itself, so the stream is still answered in full, at the
+speed of one worker. In either mode at most 128 requests are in
+flight, so a slow reader throttles intake. End of input flushes pending
+responses and exits cleanly.
 """
 
 from __future__ import annotations
@@ -37,14 +39,18 @@ import signal
 import socketserver
 import sys
 import threading
-from typing import BinaryIO, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator
 
 from .core import WorldConfig, DEFAULT_WORLD
 from .dataset import CodecError, decode_target_voxels
 from .rewards import RewardBreakdown, score_completion
 from .tokens import MalformedPointToken, OutOfWorldCoordinate, parse_pointcloud
 
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
+
 _CHUNK_LINES = 32
+_MAX_PENDING = 128  # requests in flight before intake stalls
 # Stands in for a line over the length bound: it is not UTF-8, so it is
 # answered as any undecodable line is, with bad_request and a null id.
 _OVER_LONG = b"\xff over-long line"
@@ -138,10 +144,9 @@ def _handle_chunk(world: WorldConfig, lines: list[str | bytes]) -> list[str]:
     return [handle_request_line(line, world) for line in lines]
 
 
-def _worker_started(started) -> None:
+def _worker_init() -> None:
     # The serving process owns shutdown; workers just stop with it.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    started.set()
 
 
 def _worker_count(threads: int) -> int:
@@ -156,43 +161,24 @@ def _worker_count(threads: int) -> int:
     return max(1, min(threads, cores))
 
 
-class Workers:
-    """Spawned processes that score chunks of request lines.
+def start_workers(count: int) -> ProcessPoolExecutor:
+    """A pool of count spawned processes that score chunks of request lines.
 
     Spawning starts each worker from a fresh interpreter, which is safe
-    whatever threads the serving process runs, but a worker needs a
-    few hundred milliseconds to import the scorer. Until the first one
-    is up, serve_lines scores in-process instead. A script that creates
-    Workers must do so under `if __name__ == "__main__":`, since each
-    worker imports the script's main module again.
+    whatever threads the serving process runs, but a worker needs a few
+    hundred milliseconds to import the scorer, so all of them are started
+    now. A script that starts workers must do so under
+    `if __name__ == "__main__":`, since each worker imports the script's
+    main module again.
     """
+    import multiprocessing  # only a multi-worker service pays for these
+    from concurrent.futures import ProcessPoolExecutor
 
-    def __init__(self, count: int):
-        import multiprocessing  # only a multi-worker service pays for it
-
-        ctx = multiprocessing.get_context("spawn")
-        self._started = ctx.Event()
-        self._pool = ctx.Pool(count, initializer=_worker_started, initargs=(self._started,))
-        self._up = False
-
-    def up(self) -> bool:
-        """Whether a worker has started; once true, stays true."""
-        if not self._up:
-            self._up = self._started.is_set()
-        return self._up
-
-    def score(
-        self,
-        world: WorldConfig,
-        lines: list[str | bytes],
-        done: Callable[[list[str]], None],
-        failed: Callable[[BaseException], None],
-    ) -> None:
-        """Score lines in a worker; done or failed is called from a pool thread."""
-        self._pool.apply_async(_handle_chunk, (world, lines), callback=done, error_callback=failed)
-
-    def close(self) -> None:
-        self._pool.terminate()
+    spawn = multiprocessing.get_context("spawn")
+    pool = ProcessPoolExecutor(count, mp_context=spawn, initializer=_worker_init)
+    for _ in range(count):
+        pool.submit(int)  # a submit that finds no idle worker starts one
+    return pool
 
 
 def serve_lines(
@@ -200,12 +186,11 @@ def serve_lines(
     write_line: Callable[[str], None],
     world: WorldConfig = DEFAULT_WORLD,
     threads: int = 1,
-    max_pending: int = 128,
-    workers: Workers | None = None,
+    workers: ProcessPoolExecutor | None = None,
 ) -> None:
     """Pump request lines through the scorer; blocks until input ends.
 
-    Blank lines are skipped. With running Workers passed in, or when
+    Blank lines are skipped. With a worker pool passed in, or when
     _worker_count(threads) > 1, lines are scored in worker processes and
     responses are written as they finish.
     """
@@ -216,31 +201,33 @@ def serve_lines(
                 write_line(handle_request_line(line, world))
         return
     if own:
-        workers = Workers(_worker_count(threads))
+        workers = start_workers(_worker_count(threads))
     try:
-        _pump(lines, write_line, world, workers, max(max_pending, 1))
+        _pump(lines, write_line, world, workers)
     finally:
         if own:
-            workers.close()
+            workers.shutdown(wait=False, cancel_futures=True)
 
 
 def _pump(
     lines: Iterable[str | bytes],
     write_line: Callable[[str], None],
     world: WorldConfig,
-    workers: Workers,
-    max_pending: int,
+    workers: ProcessPoolExecutor,
 ) -> None:
     """Feed lines to the workers in chunks and write their responses.
 
     A reader thread takes one unit of the in-flight budget per line, so
-    it stalls once max_pending lines await a response. This thread owns
+    it stalls once _MAX_PENDING lines await a response. This thread owns
     every write: it collects arriving lines and finished chunks from
     one queue, and sends the collected lines on whenever _CHUNK_LINES
-    have gathered or nothing else is waiting.
+    have gathered or nothing else is waiting. Once a worker has died the
+    pool is broken, and this thread scores every chunk itself.
     """
+    from concurrent.futures.process import BrokenProcessPool
+
     events: queue.SimpleQueue = queue.SimpleQueue()
-    budget = threading.Semaphore(max_pending)
+    budget = threading.Semaphore(_MAX_PENDING)
     stopping = threading.Event()
 
     def read() -> None:
@@ -273,28 +260,32 @@ def _pump(
                 pending.append(item)
             elif kind == "done":
                 in_flight -= 1
-                write(item)
-            elif kind == "failed":
-                raise item
+                chunk, future = item
+                try:
+                    responses = future.result()
+                except BrokenProcessPool:  # its worker died: score the chunk here
+                    responses = _handle_chunk(world, chunk)
+                write(responses)
             else:
                 ended, error = True, item
             if pending and (len(pending) >= _CHUNK_LINES or events.empty()):
                 # A lone line with none of this stream at the workers is
                 # scored here, which saves its two trips between processes.
-                if workers.up() and (in_flight or len(pending) > 1):
-                    workers.score(
-                        world,
-                        pending,
-                        lambda responses: events.put(("done", responses)),
-                        lambda exc: events.put(("failed", exc)),
-                    )
-                    in_flight += 1
+                if in_flight or len(pending) > 1:
+                    try:
+                        future = workers.submit(_handle_chunk, world, pending)
+                    except BrokenProcessPool:
+                        write(_handle_chunk(world, pending))
+                    else:
+                        future.add_done_callback(
+                            lambda f, chunk=pending: events.put(("done", (chunk, f))))
+                        in_flight += 1
                 else:
                     write(_handle_chunk(world, pending))
                 pending = []
     finally:
         stopping.set()
-        budget.release(max_pending)  # unblock the reader if it waits on the budget
+        budget.release(_MAX_PENDING)  # unblock the reader if it waits on the budget
     if error is not None:
         raise error
 
@@ -315,7 +306,7 @@ def serve_stdio(world: WorldConfig = DEFAULT_WORLD, threads: int = 1) -> int:
 class RewardTCPServer(socketserver.ThreadingTCPServer):
     """One scoring stream per connection; responses stay on their connection.
 
-    With threads > 1 every connection shares one set of worker processes.
+    With threads > 1 every connection shares one pool of worker processes.
     """
 
     allow_reuse_address = True
@@ -326,12 +317,12 @@ class RewardTCPServer(socketserver.ThreadingTCPServer):
         self.world = world
         self.threads = threads
         count = _worker_count(threads)
-        self.workers = Workers(count) if count > 1 else None
+        self.workers = start_workers(count) if count > 1 else None
 
     def server_close(self) -> None:
         super().server_close()
         if self.workers is not None:
-            self.workers.close()
+            self.workers.shutdown(wait=False, cancel_futures=True)
             self.workers = None
 
 

@@ -170,6 +170,52 @@ def test_eval_bad_pair_record(tmp_path, capsys, perfect_fixture):
     assert code == 2 and "bad pair record" in err
 
 
+def assert_data_error(code, err):
+    # Exit 2 with one "error:" line, not a traceback.
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("completion", 5),
+    ("completion", ["1x1 (0,0,0)"]),
+    ("target_voxels", 5),
+    ("target_points", 5),
+    ("target_points", ["(0,0,0)"]),
+])
+def test_eval_pair_fields_must_be_strings(tmp_path, capsys, field, value):
+    row = {"completion": "1x1 (0,0,0)", field: value}
+    if not field.startswith("target"):
+        row["target_points"] = "(0,0,0)"
+    f = tmp_path / "pairs.jsonl"
+    f.write_text(json.dumps(row) + "\n")
+    code, _, err = run(capsys, "eval", "--pairs", str(f))
+    assert_data_error(code, err)
+    assert "bad pair record" in err
+
+
+NOT_UTF8 = b"1x1 (0,0,0)\n\xff\xfe\n"
+
+
+@pytest.mark.parametrize("command", ["parse", "score-target", "score-completion", "eval", "construct", "convert"])
+def test_non_utf8_input_is_data_error(tmp_path, capsys, command):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(NOT_UTF8)
+    good = tmp_path / "good.txt"
+    good.write_text("(0,0,0)")
+    argv = {
+        "parse": ["parse", "--completion", str(bad)],
+        "score-target": ["score", "--target", str(bad), "--completion", str(good)],
+        "score-completion": ["score", "--target", str(good), "--completion", str(bad)],
+        "eval": ["eval", "--pairs", str(bad)],
+        "construct": ["construct", "--grid", str(bad)],
+        "convert": ["convert", "--input", str(bad), "--output", str(tmp_path / "out.jsonl")],
+    }[command]
+    code, _, err = run(capsys, *argv)
+    assert_data_error(code, err)
+    assert "UTF-8" in err
+
+
 def test_eval_empty_pairs(tmp_path, capsys):
     f = tmp_path / "pairs.jsonl"
     f.write_text("\n")

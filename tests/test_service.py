@@ -2,8 +2,10 @@
 
 import io
 import json
+import multiprocessing
 import os
 import queue
+import signal
 import socket
 import subprocess
 import sys
@@ -14,19 +16,23 @@ import tracemalloc
 import numpy as np
 
 from brickeval import (
+    ConstructorOptions,
     encode_target_voxels,
+    legalize,
+    random_target,
     rasterize,
     serialize_pointcloud,
     serialize_structure,
 )
+from brickeval import service
 from brickeval.core import DEFAULT_WORLD
 from brickeval.service import (
     RewardTCPServer,
-    Workers,
     handle_request_line,
     max_line_bytes,
     read_lines,
     serve_lines,
+    start_workers,
 )
 
 WORLD = DEFAULT_WORLD
@@ -154,18 +160,20 @@ def test_sequential_serving_preserves_order(perfect_fixture):
     assert ids == ["req-0", "req-1", "req-2", None, "req-4", "req-5", "req-6", None]
 
 
-def test_threaded_serving_matches_sequential(perfect_fixture):
+def test_threaded_serving_matches_sequential(perfect_fixture, monkeypatch):
     lines = request_batch(perfect_fixture, 40)
     seq, par = [], []
     serve_lines(iter(lines), seq.append, WORLD, threads=1)
-    serve_lines(iter(lines), par.append, WORLD, threads=4, max_pending=8)
+    monkeypatch.setattr(service, "_MAX_PENDING", 8)
+    serve_lines(iter(lines), par.append, WORLD, threads=4)
     assert sorted(par) == sorted(seq)
     assert len(par) == 40
 
 
-def test_backpressure_bounds_intake(perfect_fixture):
+def test_backpressure_bounds_intake(perfect_fixture, monkeypatch):
     # With the writer blocked, the reader may only run ahead by the
     # in-flight budget.
+    monkeypatch.setattr(service, "_MAX_PENDING", 8)
     consumed = []
     gate = threading.Event()
 
@@ -180,7 +188,7 @@ def test_backpressure_bounds_intake(perfect_fixture):
     worker = threading.Thread(
         target=serve_lines,
         args=(lines(), write_line, WORLD),
-        kwargs={"threads": 2, "max_pending": 8},
+        kwargs={"threads": 2},
         daemon=True,
     )
     worker.start()
@@ -200,10 +208,7 @@ def test_backpressure_bounds_intake(perfect_fixture):
 
 
 def wait_up(workers, timeout=60):
-    deadline = time.monotonic() + timeout
-    while not workers.up():
-        assert time.monotonic() < deadline, "no worker started"
-        time.sleep(0.02)
+    workers.submit(int).result(timeout=timeout)
 
 
 def test_lone_request_answered_while_input_open(perfect_fixture):
@@ -211,7 +216,7 @@ def test_lone_request_answered_while_input_open(perfect_fixture):
     # must be answered before more input arrives, and so must a burst.
     feed = queue.Queue()
     answers = queue.Queue()
-    workers = Workers(2)
+    workers = start_workers(2)
     try:
         wait_up(workers)
         server = threading.Thread(
@@ -232,20 +237,87 @@ def test_lone_request_answered_while_input_open(perfect_fixture):
         server.join(timeout=30)
         assert not server.is_alive()
     finally:
-        workers.close()
+        workers.shutdown(wait=False, cancel_futures=True)
+
+
+def test_one_worker_imports_no_process_machinery():
+    # Only a multi-worker service pays for importing the pool.
+    code = "import sys, brickeval.cli; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_running_workers_match_sequential(perfect_fixture):
     lines = request_batch(perfect_fixture, 40)
     seq, par = [], []
     serve_lines(iter(lines), seq.append, WORLD, threads=1)
-    workers = Workers(2)
+    workers = start_workers(2)
     try:
         wait_up(workers)
         serve_lines(iter(lines), par.append, WORLD, workers=workers)
     finally:
-        workers.close()
+        workers.shutdown(wait=False, cancel_futures=True)
     assert sorted(par) == sorted(seq)
+
+
+def dense_requests(n, prefix):
+    # 450-700 bricks each, so a chunk of 32 keeps a worker busy for over 100 ms.
+    builds, seed = [], 30_000
+    while len(builds) < 8:
+        target = random_target(seed=seed, fill_prob=0.5, grounded=True, world=WORLD)
+        seed += 1
+        s = legalize(target, ConstructorOptions(stagger=True), WORLD)
+        if 450 <= len(s) <= 700:
+            builds.append((serialize_structure(s), encode_target_voxels(rasterize(s, WORLD).occupied)))
+    return [
+        json.dumps({"id": f"{prefix}-{i}", "completion": builds[i % 8][0], "target_voxels": builds[i % 8][1]})
+        for i in range(n)
+    ]
+
+
+def serve_in_thread(lines, workers):
+    out = []
+    server = threading.Thread(
+        target=serve_lines, args=(lines, out.append, WORLD), kwargs={"workers": workers}, daemon=True
+    )
+    server.start()
+    return server, out
+
+
+def test_dead_workers_do_not_hang_the_stream():
+    # Kill every worker with chunks in flight: the lost chunks and all
+    # later ones are scored in the serving process, on this stream and on
+    # the next one that uses the broken pool.
+    lines = dense_requests(80, "d")
+    seq = []
+    serve_lines(iter(lines), seq.append, WORLD)
+    before = set(multiprocessing.active_children())
+    workers = start_workers(2)
+    try:
+        started = [p for p in multiprocessing.active_children() if p not in before]
+        assert len(started) == 2
+        wait_up(workers)
+        feed = queue.Queue()
+        server, out = serve_in_thread(iter(feed.get, None), workers)
+        for line in lines[:64]:
+            feed.put(line)
+        time.sleep(0.05)
+        for process in started:
+            os.kill(process.pid, signal.SIGKILL)
+        for line in lines[64:]:
+            feed.put(line)
+        feed.put(None)
+        server.join(timeout=30)
+        assert not server.is_alive(), f"hung at {len(out)} of {len(lines)} responses"
+        assert sorted(json.loads(r)["id"] for r in out) == sorted(f"d-{i}" for i in range(80))
+        assert sorted(out) == sorted(seq)
+        server, again = serve_in_thread(iter(lines[:40]), workers)
+        server.join(timeout=30)
+        assert not server.is_alive()
+        assert sorted(again) == sorted(seq[:40])
+    finally:
+        workers.shutdown(wait=False, cancel_futures=True)
 
 
 # ------------------------------------------------------------------ transports
@@ -338,18 +410,18 @@ def test_tcp_connections_share_workers(perfect_fixture):
     # answered in full, and the lines of both reach the shared workers.
     server = RewardTCPServer(("127.0.0.1", 0), WORLD, threads=2)
     workers = server.workers
+    wait_up(workers)
     scored = []
-    score = workers.score
+    submit = workers.submit
 
-    def recording_score(world, lines, done, failed):
+    def recording_submit(fn, world, lines):
         scored.extend(json.loads(line)["id"] for line in lines)
-        score(world, lines, done, failed)
+        return submit(fn, world, lines)
 
-    workers.score = recording_score
+    workers.submit = recording_submit
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
-        wait_up(workers)
         conns = [socket.create_connection(server.server_address, timeout=30) for _ in range(2)]
         payloads = [
             "".join(fixture_request(perfect_fixture, request_id=f"c{c}-{i}") + "\n" for i in range(16))
