@@ -30,24 +30,21 @@ coordinates come from one broadcast add. Support is a join on those
 cells (sorted by column and layer, the cells under a cell come just
 before it), components come from hooking and pointer jumping over the
 support edges, and seams from comparing the flat voxel-owner grid with
-itself shifted one step along x or y. Only conversion of the bricks
-into arrays loops in Python.
+itself shifted one step along x or y. The bricks come in as the
+structure's columns, so no pass loops over bricks in Python.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import attrgetter
 
 import numpy as np
 
-from .core import BRICK_LIBRARY, Brick, BrickStructure, WorldConfig
+from .core import BRICK_LIBRARY, BrickStructure, WorldConfig
 
 _PAD = max(d.h * d.w for d in BRICK_LIBRARY)
 _GAP = max(d.h for d in BRICK_LIBRARY) + 1  # one more than the longest footprint side
-_H = attrgetter("h")
-_W = attrgetter("w")
 
 
 def _build_offset_table() -> tuple[np.ndarray, np.ndarray]:
@@ -67,14 +64,6 @@ def _build_offset_table() -> tuple[np.ndarray, np.ndarray]:
 
 
 _OFFX, _OFFY = _build_offset_table()
-
-
-def _clamped(rows: tuple[tuple[int, ...], ...], bounds: tuple[tuple[int], ...]) -> np.ndarray:
-    """Rows of non-negative ints of any size as int64, each clamped to at most its bound."""
-    try:
-        return np.minimum(np.array(rows, dtype=np.int64), bounds)
-    except OverflowError:
-        return np.array([[min(v, b) for v in row] for row, (b,) in zip(rows, bounds)], dtype=np.int64)
 
 
 @dataclass
@@ -107,14 +96,15 @@ class StructureAnalysis:
 class _Geometry:
     """Per-structure arrays shared by the analysis passes.
 
-    Anchor coordinates are clamped to the world extent before entering
-    int64 arrays. Everything at or past the upper bound is outside the
-    world either way, so clamping preserves clipped-footprint semantics
-    while keeping adversarially huge parsed integers finite. Layers are
-    ranked instead: each distinct layer gets a small key, one above the
-    previous layer's key when the two layers are adjacent and two above
-    otherwise, so support stays exact for far-away layers and they
-    never alias.
+    They are built from the structure's columns alone. Anchors are
+    clamped to the world extent with np.minimum and then cast to int64:
+    everything at or past the upper bound is outside the world either
+    way, so clamping keeps clipped-footprint semantics, and it is exact
+    on object columns too, whose huge anchors come down to the bound.
+    Layers are ranked instead, over the distinct layers from np.unique:
+    the lowest gets key 2, and each next one the previous key plus one
+    when the two layers are adjacent and plus two otherwise, so support
+    stays exact for far-away layers and they never alias.
 
     Every footprint cell inside the world's x/y extent is one entry of
     the flat cell arrays, in brick order, whatever the brick's layer:
@@ -124,29 +114,26 @@ class _Geometry:
 
     def __init__(self, structure: BrickStructure, world: WorldConfig):
         dim_x, dim_y, dim_z = world.shape
-        dims, xs, ys, zs = zip(*structure.bricks)
-        n = len(dims)
-        self.n = n
+        h, w, x, y, z = structure.columns.T
+        hs = h.astype(np.int64, copy=False)
+        ws = w.astype(np.int64, copy=False)
+        self.n = hs.size
         self.world = world
-        hs = np.fromiter(map(_H, dims), np.int64, n)
-        ws = np.fromiter(map(_W, dims), np.int64, n)
-        x0, y0 = _clamped((xs, ys), ((dim_x,), (dim_y,)))
+        x0 = np.minimum(x, dim_x).astype(np.int64, copy=False)
+        y0 = np.minimum(y, dim_y).astype(np.int64, copy=False)
         x1 = np.minimum(x0 + hs, dim_x)
         y1 = np.minimum(y0 + ws, dim_y)
         self.total_area = int(np.dot(hs, ws))
 
-        rank: dict[int, int] = {}
-        world_z = [-1]  # per layer key: the world layer, or -1 for none
-        prev = None
-        for z in sorted(set(zs)):
-            if prev is None or z != prev + 1:
-                world_z.append(-1)
-            rank[z] = len(world_z)
-            world_z.append(z if 0 <= z < dim_z else -1)
-            prev = z
-        self.layer = np.fromiter(map(rank.__getitem__, zs), np.int64, n)
-        self.layer_span = len(world_z)
-        zc = np.array(world_z, dtype=np.int64)[self.layer]
+        layers, inverse = np.unique(z, return_inverse=True)
+        keys = np.empty(layers.size, dtype=np.int64)
+        keys[0] = 2
+        keys[1:] = np.where(np.diff(layers) == 1, 1, 2)
+        np.cumsum(keys, out=keys)
+        self.layer = keys[inverse]
+        self.layer_span = int(keys[-1]) + 1
+        in_world = (0 <= layers) & (layers < dim_z)
+        zc = np.where(in_world, layers, -1).astype(np.int64, copy=False)[inverse]
         self.ground = zc == 0
 
         code = (hs << 4) | ws
@@ -286,17 +273,16 @@ def _interlock(geom: _Geometry, upper: np.ndarray) -> float:
     return float(np.count_nonzero(interlocked & nonground) / max(n_nonground, 1))
 
 
-def _close_gaps(values: tuple[int, ...]) -> dict[int, int]:
-    """Small anchors with every gap between consecutive distinct values capped at _GAP.
+def _close_gaps(values: np.ndarray) -> np.ndarray:
+    """Small int64 anchors with every gap between consecutive distinct values capped at _GAP.
 
     The smallest value maps to 0. Footprints a gap of _GAP or more apart
     never overlap, so overlaps are kept whatever the original size.
     """
-    ordered = sorted(set(values))
-    small = {ordered[0]: 0}
-    for prev, v in zip(ordered, ordered[1:]):
-        small[v] = small[prev] + min(v - prev, _GAP)
-    return small
+    distinct, inverse = np.unique(values, return_inverse=True)
+    small = np.zeros(distinct.size, dtype=np.int64)
+    small[1:] = np.minimum(np.diff(distinct), _GAP)
+    return np.cumsum(small)[inverse]
 
 
 def interlock_score(
@@ -314,11 +300,10 @@ def interlock_score(
     if not len(structure):
         return 0.0
     if world is None:
-        _, xs, ys, _ = zip(*structure.bricks)
-        sx, sy = _close_gaps(xs), _close_gaps(ys)
-        bricks = tuple(Brick(d, sx[x], sy[y], z) for d, x, y, z in structure.bricks)
-        structure = BrickStructure(bricks)
-        world = WorldConfig(max(b.x + b.h for b in bricks), max(b.y + b.w for b in bricks), 1)
+        h, w, x, y, z = structure.columns.T
+        x, y = _close_gaps(x), _close_gaps(y)
+        world = WorldConfig(int((x + h).max()), int((y + w).max()), 1)
+        structure = BrickStructure._from_columns(np.stack((h, w, x, y, z), axis=1))
     geom = _Geometry(structure, world)
     return _interlock(geom, geom.support()[0])
 

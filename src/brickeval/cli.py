@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from dataclasses import asdict
@@ -183,13 +184,21 @@ def _cmd_eval(args, world: WorldConfig) -> int:
             continue
         try:
             obj = json.loads(line)
-            kind = "target_voxels" if "target_voxels" in obj else "target_points"
-            completion, target_text = obj["completion"], obj[kind]
+            if not isinstance(obj, dict):
+                raise TypeError("not a JSON object")
+            completion = obj["completion"]
+            voxels, points = obj.get("target_voxels"), obj.get("target_points")
+            if (voxels is None) == (points is None):
+                raise ValueError("needs exactly one of target_voxels and target_points")
+            kind = "target_voxels" if voxels is not None else "target_points"
+            target_text = obj[kind]
             if not isinstance(completion, str) or not isinstance(target_text, str):
                 raise TypeError(f"completion and {kind} must be strings")
             decode = decode_target_voxels if kind == "target_voxels" else parse_pointcloud
             target = decode(target_text, world)
             wall = float(obj.get("wall_time_s", 0.0))
+            if not 0.0 <= wall < math.inf:
+                raise ValueError(f"wall_time_s must be finite and non-negative, got {wall}")
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise _DataError(f"{args.pairs}:{line_number}: bad pair record ({exc})")
         samples.append(sample_metrics(completion, target, world, wall))

@@ -10,8 +10,10 @@ baked into the dimension pair rather than carried as a separate flag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterator, NamedTuple
+
+import numpy as np
 
 
 class UnknownDimension(ValueError):
@@ -141,14 +143,77 @@ def make_brick(h: int, w: int, x: int, y: int, z: int) -> Brick:
     return Brick(library_lookup(h, w), x, y, z)
 
 
-@dataclass(frozen=True)
 class BrickStructure:
-    """An ordered brick sequence. Order is significant for serialization."""
+    """An ordered brick sequence. Order is significant for serialization.
 
-    bricks: tuple[Brick, ...] = ()
+    The bricks are held in one of two forms, and the other is built on
+    first use: ``bricks``, a tuple of Brick, and ``columns``, a read-only
+    (n, 5) array whose columns are h, w, x, y and z. parse_structure
+    builds structures from columns, everything else from tuples. The
+    columns are int64 when every value fits, and otherwise an object
+    array of Python ints, so anchors of any size stay exact. Either way
+    a structure is immutable, and equality, hashing and repr go by
+    ``bricks`` as for a frozen dataclass with that one field.
+    """
+
+    __slots__ = ("_bricks", "_columns")
+
+    def __init__(self, bricks: tuple[Brick, ...] = ()):
+        object.__setattr__(self, "_bricks", bricks)
+        object.__setattr__(self, "_columns", None)
+
+    @classmethod
+    def _from_columns(cls, columns: np.ndarray) -> BrickStructure:
+        """A structure over validated (n, 5) columns, which it takes over."""
+        columns.flags.writeable = False
+        self = cls.__new__(cls)
+        object.__setattr__(self, "_bricks", None)
+        object.__setattr__(self, "_columns", columns)
+        return self
+
+    @property
+    def bricks(self) -> tuple[Brick, ...]:
+        if self._bricks is None:
+            h, w, x, y, z = self._columns.T.tolist()
+            dims = map(_DIM_CACHE.__getitem__, zip(h, w))
+            object.__setattr__(self, "_bricks", tuple(map(Brick._make, zip(dims, x, y, z))))
+        return self._bricks
+
+    @property
+    def columns(self) -> np.ndarray:
+        if self._columns is None:
+            rows = [(d.h, d.w, x, y, z) for d, x, y, z in self._bricks]
+            try:
+                columns = np.array(rows, dtype=np.int64)
+            except OverflowError:
+                columns = np.array(rows, dtype=object)
+            columns = columns.reshape(-1, 5)
+            columns.flags.writeable = False
+            object.__setattr__(self, "_columns", columns)
+        return self._columns
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return (self.__class__, (self.bricks,))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.bricks == other.bricks
+
+    def __hash__(self) -> int:
+        return hash((self.bricks,))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(bricks={self.bricks!r})"
 
     def __len__(self) -> int:
-        return len(self.bricks)
+        return len(self._columns if self._bricks is None else self._bricks)
 
     def __iter__(self) -> Iterator[Brick]:
         return iter(self.bricks)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Literal, NamedTuple
 
 import numpy as np
@@ -29,7 +28,6 @@ from .core import (
     PROMPT_DIM_ORDER,
     Brick,
     BrickStructure,
-    OrientedDim,
     UnknownDimension,
     WorldConfig,
     library_lookup,
@@ -64,11 +62,10 @@ _PLAIN_RE = re.compile(
     rf"([ \t\n]*{re.escape(OUTPUT_HEADER)}[ \t]*\n)?(?:{_PLAIN_LINE}\n)*{_PLAIN_LINE}", re.ASCII
 )
 _PLAIN_SEPARATORS = str.maketrans("x(),\t\n", "      ")
-# Library variants by h * _SIDES + w, None for every other footprint.
+# Whether footprint h x w is a library variant, by h * _SIDES + w.
 _SIDES = max(max(d.h, d.w) for d in BRICK_LIBRARY) + 1
-_DIMS_BY_HW: list[OrientedDim | None] = [None] * _SIDES**2
-for _d in BRICK_LIBRARY:
-    _DIMS_BY_HW[_d.h * _SIDES + _d.w] = _d
+_IS_DIM = np.zeros(_SIDES**2, dtype=bool)
+_IS_DIM[[d.h * _SIDES + d.w for d in BRICK_LIBRARY]] = True
 _POINT_RE = re.compile(r"\((\d+)\s*,\s*(\d+)\s*,\s*(\d+)\)", re.ASCII)
 _SEPARATOR_RE = re.compile(r"\s*,\s*", re.ASCII)
 
@@ -124,27 +121,22 @@ def _split_top_level(line: str) -> list[str]:
     return parts
 
 
-def _parse_plain(text: str) -> tuple[Brick, ...] | None:
-    """The bricks of a plain completion (see _PLAIN_RE), else None."""
+def _parse_plain(text: str) -> np.ndarray | None:
+    """The int64 columns h, w, x, y, z of a plain completion (see _PLAIN_RE), else None."""
     m = _PLAIN_RE.fullmatch(text)
     if m is None:
         return None
     body = text[m.end(1) :] if m.group(1) else text
     n = body.count("(")
     if n == 0:
-        return ()
+        return np.empty((0, 5), dtype=np.int64)
     values = np.fromstring(body.translate(_PLAIN_SEPARATORS), dtype=np.int64, sep=" ")
     if values.size != 5 * n:
         return None
     values = values.reshape(n, 5)
-    if (values[:, :2] >= _SIDES).any():
+    if values[:, :2].max() >= _SIDES or not _IS_DIM[values[:, 0] * _SIDES + values[:, 1]].all():
         return None
-    dims = list(map(_DIMS_BY_HW.__getitem__, (values[:, 0] * _SIDES + values[:, 1]).tolist()))
-    if None in dims:
-        return None
-    xs, ys, zs = values[:, 2:].T.tolist()
-    # tuple.__new__ builds each Brick without a Python-level call.
-    return tuple(map(tuple.__new__, repeat(Brick), zip(dims, xs, ys, zs)))
+    return values
 
 
 def parse_structure(text: str) -> tuple[BrickStructure, ParseReport]:
@@ -161,7 +153,8 @@ def parse_structure(text: str) -> tuple[BrickStructure, ParseReport]:
 
     plain = _parse_plain(text)
     if plain is not None:
-        return BrickStructure(plain), ParseReport(parsed_ok=bool(plain), brick_count=len(plain))
+        n = len(plain)
+        return BrickStructure._from_columns(plain), ParseReport(parsed_ok=n > 0, brick_count=n)
 
     bricks: list[Brick] = []
     malformed: list[MalformedEntry] = []

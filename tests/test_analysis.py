@@ -12,7 +12,9 @@ from brickeval import (
     collision_stats,
     interlock_score,
     make_brick,
+    parse_structure,
     rasterize,
+    serialize_structure,
 )
 from brickeval.analysis import _Geometry
 
@@ -22,6 +24,7 @@ from helpers import (
     oracle_counts,
     oracle_interlock,
     oracle_supports_below,
+    oracle_voxels,
     random_structure,
 )
 
@@ -392,3 +395,54 @@ def test_small_world(world):
     assert not analyze(s, tiny).fully_in_bounds
     assert analyze(s, world).occupied_count == 9
     assert analyze(s, world).fully_in_bounds
+
+
+# ------------------------------------------------------------------ columns
+
+HUGE = (2**63 - 1, 2**63, 10**30)
+
+
+def huge_values(rng, s):
+    # Move about a third of the bricks on each axis by one huge amount
+    # per axis, so the moved bricks keep their overlaps and stacking.
+    big = [HUGE[int(rng.integers(len(HUGE)))] for _ in range(3)]
+    moved = rng.random((len(s), 3)) < 0.35
+    return BrickStructure(tuple(
+        Brick(b.dim, *(v + d * m for v, d, m in zip((b.x, b.y, b.z), big, row.tolist())))
+        for b, row in zip(s, moved)
+    ))
+
+
+def test_columns_and_tuples_analyze_alike():
+    # Parsed structures carry columns (object arrays when a value passes
+    # int64), tuple-built ones build them: both must give the same
+    # analysis as each other and as the oracles.
+    worlds = (WorldConfig(1, 1, 1), WorldConfig(20, 20, 20), WorldConfig(5, 5, 3), WorldConfig(3, 7, 2))
+    rng = np.random.default_rng(43)
+    dtypes = set()
+    for i in range(600):
+        world = worlds[i % len(worlds)]
+        s = random_structure(rng, world, 12, in_bounds=i % 5 == 0)
+        if i % 3 == 0:
+            s = huge_values(rng, s)
+        parsed, report = parse_structure(serialize_structure(s, ("one_per_line", "comma_inline")[i % 2]))
+        assert report.parsed_ok and parsed == s
+        dtypes.add(parsed.columns.dtype)
+        twin = BrickStructure(s.bricks)
+        a, occupied = analyze_with_occupancy(parsed, world)
+        b, occupied_twin = analyze_with_occupancy(twin, world)
+        assert a == b and np.array_equal(occupied, occupied_twin)
+
+        counts = oracle_counts(s, world)
+        assert set(counts) == {tuple(v) for v in np.argwhere(occupied).tolist()}
+        assert a.n_col == sum(c > 1 for c in counts.values())
+        assert a.fully_in_bounds == all(len(oracle_voxels(x, world)) == x.dim.area for x in s)
+        connectivity = (a.occupied_count, a.disconnected_count, a.conn_score, a.is_connected)
+        assert connectivity == oracle_connectivity(s, world)
+        assert a.brick_count == len(s)
+
+        clipped = oracle_interlock(s, world)
+        assert a.interlock_score == interlock_score(parsed, world) == interlock_score(twin, world) == clipped
+        free = oracle_interlock(s, None)
+        assert interlock_score(parsed) == interlock_score(twin) == free
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}

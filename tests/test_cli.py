@@ -194,6 +194,28 @@ def test_eval_pair_fields_must_be_strings(tmp_path, capsys, field, value):
     assert "bad pair record" in err
 
 
+@pytest.mark.parametrize("wall", ['"nan"', '"inf"', "-1", "1e400"])
+def test_eval_rejects_non_finite_or_negative_wall_time(tmp_path, capsys, wall):
+    # NaN would reach the records as "avg_time_s": NaN, which is not JSON.
+    f = tmp_path / "pairs.jsonl"
+    f.write_text('{"completion": "2x4 (0,0,0)", "target_points": "(0,0,0)", '
+                 f'"wall_time_s": {wall}}}\n')
+    code, out, err = run(capsys, "eval", "--pairs", str(f), "--format", "records")
+    assert_data_error(code, err)
+    assert "bad pair record" in err and out == ""
+
+
+def test_eval_rejects_pair_with_both_targets(tmp_path, capsys):
+    # The service answers bad_request for this record; eval must not score it.
+    row = {"completion": "2x4 (0,0,0)", "target_points": "(0,0,0)",
+           "target_voxels": encode_target_voxels(np.zeros(WorldConfig().shape, dtype=bool))}
+    f = tmp_path / "pairs.jsonl"
+    f.write_text(json.dumps(row) + "\n")
+    code, out, err = run(capsys, "eval", "--pairs", str(f))
+    assert_data_error(code, err)
+    assert "bad pair record" in err and out == ""
+
+
 NOT_UTF8 = b"1x1 (0,0,0)\n\xff\xfe\n"
 
 

@@ -1,3 +1,6 @@
+import pickle
+from dataclasses import FrozenInstanceError, dataclass
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,9 @@ from brickeval import (
     analyze,
     library_lookup,
     make_brick,
+    parse_structure,
     rasterize,
+    serialize_structure,
 )
 from helpers import oracle_voxels, random_structure
 
@@ -107,3 +112,45 @@ def test_brick_equality_and_fields():
     assert (a.h, a.w, a.x, a.y, a.z) == (2, 4, 1, 2, 3)
     vox, _ = brick_voxels(a, WorldConfig())
     assert vox == {(u, v, 3) for u in (1, 2) for v in (2, 3, 4, 5)}
+
+
+@dataclass(frozen=True)
+class FrozenStructure:
+    # The contract BrickStructure keeps: a frozen dataclass over the brick tuple.
+    bricks: tuple = ()
+
+
+def test_columnar_structure_keeps_the_dataclass_contract(world):
+    rng = np.random.default_rng(13)
+    s = random_structure(rng, world, 30, in_bounds=False, min_bricks=2)
+    parsed, report = parse_structure(serialize_structure(s))
+    assert report.parsed_ok and parsed._bricks is None  # columns only so far
+    twin = BrickStructure(s.bricks)
+    reference = FrozenStructure(s.bricks)
+    assert parsed == twin and twin == parsed and parsed != s.bricks
+    assert hash(parsed) == hash(twin) == hash(reference)
+    assert repr(parsed) == repr(twin) == repr(reference).replace("FrozenStructure", "BrickStructure")
+    assert len(parsed) == len(twin) == len(s)
+    assert list(parsed) == list(twin) == list(s.bricks)
+    for i in (0, 1, -1):
+        assert parsed[i] == twin[i] and type(parsed[i]) is Brick
+    assert parsed[1:] == twin[1:]
+    for form in (parsed, twin):
+        copy = pickle.loads(pickle.dumps(form))
+        assert copy == form and hash(copy) == hash(form)
+        with pytest.raises(FrozenInstanceError):
+            form.bricks = ()
+        with pytest.raises(ValueError):
+            form.columns[0, 2] = 1
+    assert parsed.columns.dtype == twin.columns.dtype == np.int64
+    assert np.array_equal(parsed.columns, twin.columns)
+
+
+def test_columns_of_values_past_int64_are_exact_python_ints():
+    s = BrickStructure((make_brick(1, 2, 2**63, 0, 5), make_brick(2, 2, 0, 10**30, 2**63 - 1)))
+    assert s.columns.dtype == object
+    assert s.columns.tolist() == [[1, 2, 2**63, 0, 5], [2, 2, 0, 10**30, 2**63 - 1]]
+    parsed, report = parse_structure(serialize_structure(s))
+    assert report.parsed_ok and parsed == s and parsed.columns.dtype == object
+    empty, _ = parse_structure("### Bricks:\n")
+    assert empty == BrickStructure(()) and empty.columns.shape == BrickStructure(()).columns.shape == (0, 5)
