@@ -44,20 +44,16 @@ from .rewards import (
     DimensionMismatch,
     RewardBreakdown,
     reward_collision,
-    reward_connectivity,
-    reward_interlock,
     reward_shape,
     score_completion,
 )
 from .service import serve_rewards
 from .tokens import (
-    MalformedLine,
     MalformedPointToken,
     OutOfWorldCoordinate,
     ParseReport,
     PROMPT_TEMPLATE,
     build_prompt,
-    parse_brick_line,
     parse_pointcloud,
     parse_structure,
     serialize_pointcloud,

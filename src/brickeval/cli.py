@@ -18,7 +18,14 @@ import numpy as np
 
 from .construct import ConstructorOptions, legalize, random_target
 from .core import DEFAULT_WORLD, WorldConfig
-from .dataset import CodecError, convert_corpus, decode_target_voxels, encode_target_voxels
+from .dataset import (
+    CodecError,
+    convert_corpus,
+    decode_target_voxels,
+    encode_target_voxels,
+    read_pair,
+    read_record,
+)
 from .metrics import aggregate, emit_report, sample_metrics
 from .rewards import score_completion
 from .service import serve_rewards
@@ -183,23 +190,17 @@ def _cmd_eval(args, world: WorldConfig) -> int:
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
-            if not isinstance(obj, dict):
-                raise TypeError("not a JSON object")
-            completion = obj["completion"]
-            voxels, points = obj.get("target_voxels"), obj.get("target_points")
-            if (voxels is None) == (points is None):
-                raise ValueError("needs exactly one of target_voxels and target_points")
-            kind = "target_voxels" if voxels is not None else "target_points"
-            target_text = obj[kind]
-            if not isinstance(completion, str) or not isinstance(target_text, str):
-                raise TypeError(f"completion and {kind} must be strings")
-            decode = decode_target_voxels if kind == "target_voxels" else parse_pointcloud
-            target = decode(target_text, world)
-            wall = float(obj.get("wall_time_s", 0.0))
+            obj = read_record(line)
+            completion, voxels, points = read_pair(obj)
+            target = (decode_target_voxels(voxels, world) if voxels is not None
+                      else parse_pointcloud(points, world))
+            wall = obj.get("wall_time_s", 0.0)
+            if type(wall) not in (int, float):  # bool is neither
+                raise ValueError(f"wall_time_s must be a number, got {type(wall).__name__}")
+            wall = float(wall)
             if not 0.0 <= wall < math.inf:
                 raise ValueError(f"wall_time_s must be finite and non-negative, got {wall}")
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (OverflowError, ValueError) as exc:  # OverflowError: an integer past float range
             raise _DataError(f"{args.pairs}:{line_number}: bad pair record ({exc})")
         samples.append(sample_metrics(completion, target, world, wall))
     if not samples:

@@ -10,7 +10,9 @@ Records are newline-delimited JSON objects. An SFT record holds
 system/user/assistant strings (assistant is one brick token per line);
 a GRPO record replaces the assistant text with the encoded target
 occupancy under "target_voxels". Only feasible structures (non-empty,
-collision-free, fully in bounds) may become training records.
+collision-free, fully in bounds) may become training records. Every
+JSON line read from outside (service requests, eval pairs, convert
+corpora) goes through read_record, and every pair through read_pair.
 """
 
 from __future__ import annotations
@@ -55,6 +57,43 @@ class BadValue(CodecError):
 
 class InfeasibleStructure(ValueError):
     """Structure is empty, colliding, or out of bounds; unfit for training data."""
+
+
+class BadRecord(ValueError):
+    """A record line that is not one JSON object, or a pair without the fields it needs."""
+
+
+def read_record(line: str | bytes) -> dict:
+    """The JSON object on one record line; bytes are decoded as strict UTF-8.
+
+    Raises BadRecord for every failure: bad UTF-8 or JSON, an integer past
+    the interpreter's digit limit, nesting past the recursion limit, or a
+    value that is not an object.
+    """
+    try:
+        obj = json.loads(line.decode("utf-8") if isinstance(line, bytes) else line)
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        raise BadRecord(f"not a JSON record ({exc})") from None
+    if not isinstance(obj, dict):
+        raise BadRecord("not a JSON object")
+    return obj
+
+
+def read_pair(obj: dict) -> tuple[str, str | None, str | None]:
+    """(completion, target_voxels, target_points) of a pair record.
+
+    The completion and exactly one target are strings, the other target
+    is None; a null counts as absent. Raises BadRecord otherwise.
+    """
+    completion = obj.get("completion")
+    voxels, points = obj.get("target_voxels"), obj.get("target_points")
+    if not isinstance(completion, str):
+        raise BadRecord("completion must be a string")
+    if (voxels is None) == (points is None):
+        raise BadRecord("needs exactly one of target_voxels and target_points")
+    if not isinstance(voxels if points is None else points, str):
+        raise BadRecord("target_voxels or target_points must be a string")
+    return completion, voxels, points
 
 
 def encode_target_voxels(grid: np.ndarray) -> str:
@@ -155,9 +194,8 @@ def convert_corpus(
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
-                text = obj["bricks"]
-            except (json.JSONDecodeError, TypeError, KeyError) as exc:
+                text = read_record(line)["bricks"]
+            except (BadRecord, KeyError) as exc:
                 logger.warning("line %d: unreadable record (%s), skipped", line_number, exc)
                 continue
             structure, report = parse_structure(str(text))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .analysis import analyze_with_occupancy
 from .core import WorldConfig
-from .rewards import reward_shape
+from .rewards import check_target_shape, reward_shape
 from .tokens import parse_structure
 
 
@@ -62,7 +62,8 @@ def sample_metrics(
     world: WorldConfig,
     wall_time_s: float = 0.0,
 ) -> SampleMetrics:
-    """Evaluate one completion against its target grid."""
+    """Evaluate one completion against its target grid (of the world's shape)."""
+    check_target_shape(target, world)
     structure, report = parse_structure(completion)
     if not report.parsed_ok:
         return SampleMetrics(

@@ -74,22 +74,19 @@ def reward_shape(gen: np.ndarray, target: np.ndarray) -> tuple[float, float]:
     return 5.0 * iou, iou
 
 
-def reward_interlock(s_inter: float, feasible: bool) -> float:
-    return 3.0 * s_inter if feasible else 0.0
-
-
-def reward_connectivity(s_conn: float, feasible: bool) -> float:
-    return 2.0 * s_conn if feasible else 0.0
+def check_target_shape(target: np.ndarray, world: WorldConfig) -> None:
+    """Raise DimensionMismatch unless the target grid has the world's shape."""
+    if tuple(target.shape) != world.shape:
+        raise DimensionMismatch(
+            f"target shape {tuple(target.shape)} does not match world {world.shape}"
+        )
 
 
 def score_completion(
     completion_text: str, target: np.ndarray, world: WorldConfig
 ) -> RewardBreakdown:
     """Parse, rasterize, analyze, and compose the four reward terms."""
-    if tuple(target.shape) != world.shape:
-        raise DimensionMismatch(
-            f"target shape {tuple(target.shape)} does not match world {world.shape}"
-        )
+    check_target_shape(target, world)
     structure, report = parse_structure(completion_text)
     if not report.parsed_ok:
         return FAILED_CONSTRUCTION
@@ -97,8 +94,8 @@ def score_completion(
     feasible = a.n_col == 0 and a.fully_in_bounds
     r_col = reward_collision(a.n_col)
     r_shape, iou = reward_shape(occupied, target)
-    r_inter = reward_interlock(a.interlock_score, feasible)
-    r_conn = reward_connectivity(a.conn_score, feasible)
+    r_inter = 3.0 * a.interlock_score if feasible else 0.0
+    r_conn = 2.0 * a.conn_score if feasible else 0.0
     return RewardBreakdown(
         r_col=r_col,
         r_shape=r_shape,

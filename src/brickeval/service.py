@@ -42,7 +42,7 @@ import threading
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator
 
 from .core import WorldConfig, DEFAULT_WORLD
-from .dataset import CodecError, decode_target_voxels
+from .dataset import BadRecord, CodecError, decode_target_voxels, read_pair, read_record
 from .rewards import RewardBreakdown, score_completion
 from .tokens import MalformedPointToken, OutOfWorldCoordinate, parse_pointcloud
 
@@ -83,30 +83,19 @@ def _response(request_id: str, breakdown: RewardBreakdown) -> str:
 def handle_request_line(line: str | bytes, world: WorldConfig) -> str:
     """Score one request line, text or strict UTF-8 bytes; never raises."""
     try:
-        obj = json.loads(line.decode("utf-8") if isinstance(line, bytes) else line)
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        return _error(None, "bad_request")
-    if not isinstance(obj, dict):
+        obj = read_record(line)
+    except BadRecord:
         return _error(None, "bad_request")
     request_id = obj.get("id")
     if not isinstance(request_id, str):
         return _error(None, "bad_request")
-    completion = obj.get("completion")
-    voxels = obj.get("target_voxels")
-    points = obj.get("target_points")
-    if not isinstance(completion, str):
-        return _error(request_id, "bad_request")
-    if (voxels is None) == (points is None):
+    try:
+        completion, voxels, points = read_pair(obj)
+    except BadRecord:
         return _error(request_id, "bad_request")
     try:
-        if voxels is not None:
-            if not isinstance(voxels, str):
-                return _error(request_id, "bad_request")
-            target = decode_target_voxels(voxels, world)
-        else:
-            if not isinstance(points, str):
-                return _error(request_id, "bad_request")
-            target = parse_pointcloud(points, world)
+        target = (decode_target_voxels(voxels, world) if voxels is not None
+                  else parse_pointcloud(points, world))
     except (CodecError, MalformedPointToken, OutOfWorldCoordinate):
         return _error(request_id, "bad_target_encoding")
     try:

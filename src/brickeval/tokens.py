@@ -34,10 +34,6 @@ from .core import (
 )
 
 
-class MalformedLine(ValueError):
-    """Raised when a single token does not match the brick grammar."""
-
-
 class MalformedPointToken(ValueError):
     """Raised when a point-cloud string has residue outside (x,y,z) tokens."""
 
@@ -86,22 +82,6 @@ class ParseReport:
     brick_count: int
     malformed_lines: list[MalformedEntry] = field(default_factory=list)
     empty_response: bool = False
-
-
-def parse_brick_line(text: str) -> Brick:
-    """Parse a single brick token, e.g. ``"1x4 (5,6,0)"``.
-
-    Raises MalformedLine when the grammar does not match and
-    UnknownDimension when the footprint is not a library variant.
-    """
-    m = _BRICK_RE.fullmatch(text.strip())
-    if m is None:
-        raise MalformedLine(f"not a brick token: {text.strip()!r}")
-    try:
-        h, w, x, y, z = (int(g) for g in m.groups())
-    except ValueError as exc:  # oversized integer literal
-        raise MalformedLine(str(exc)) from None
-    return Brick(library_lookup(h, w), x, y, z)
 
 
 def _split_top_level(line: str) -> list[str]:
@@ -167,26 +147,21 @@ def parse_structure(text: str) -> tuple[BrickStructure, ParseReport]:
             saw_content = True
             continue
         saw_content = True
-        # Fast path: most lines are a single brick token.
-        m = _BRICK_RE.fullmatch(line)
-        if m is not None:
+        # Most lines are one brick token, which holds no top-level comma.
+        whole = _BRICK_RE.fullmatch(line)
+        if whole is not None:
+            tokens = [(line, whole)]
+        else:
+            tokens = [(t, _BRICK_RE.fullmatch(t)) for t in map(str.strip, _split_top_level(line))]
+        for token, m in tokens:
+            if m is None:
+                reason = f"not a brick token: {token!r}" if token else "empty brick token"
+                malformed.append(MalformedEntry(line_number, token, reason))
+                continue
             try:
-                h, w, x, y, z = (int(g) for g in m.groups())
+                h, w, x, y, z = map(int, m.groups())
                 bricks.append(Brick(library_lookup(h, w), x, y, z))
-                continue
-            except (UnknownDimension, ValueError) as exc:
-                malformed.append(MalformedEntry(line_number, line, str(exc)))
-                continue
-        for part in _split_top_level(line):
-            token = part.strip()
-            if not token:
-                malformed.append(
-                    MalformedEntry(line_number, token, "empty brick token")
-                )
-                continue
-            try:
-                bricks.append(parse_brick_line(token))
-            except (MalformedLine, UnknownDimension) as exc:
+            except (UnknownDimension, ValueError) as exc:  # ValueError: past the int digit limit
                 malformed.append(MalformedEntry(line_number, token, str(exc)))
 
     report = ParseReport(

@@ -165,9 +165,12 @@ def test_eval_bad_check_syntax(tmp_path, capsys, perfect_fixture):
 
 
 def test_eval_bad_pair_record(tmp_path, capsys, perfect_fixture):
-    f = pairs_file(tmp_path, perfect_fixture, extra_lines=["{\"completion\": 5}"])
-    code, _, err = run(capsys, "eval", "--pairs", str(f))
-    assert code == 2 and "bad pair record" in err
+    deep = '{"completion": ' + "[" * 5000 + "]" * 5000 + ', "target_points": "(0,0,0)"}'
+    for bad in ('{"completion": 5}', deep):
+        f = pairs_file(tmp_path, perfect_fixture, extra_lines=[bad])
+        code, _, err = run(capsys, "eval", "--pairs", str(f))
+        assert_data_error(code, err)
+        assert "bad pair record" in err
 
 
 def assert_data_error(code, err):
@@ -194,9 +197,12 @@ def test_eval_pair_fields_must_be_strings(tmp_path, capsys, field, value):
     assert "bad pair record" in err
 
 
-@pytest.mark.parametrize("wall", ['"nan"', '"inf"', "-1", "1e400"])
+@pytest.mark.parametrize("wall", ['"nan"', '"inf"', "-1", "1e400", '"1.5"', "true",
+                                  pytest.param("1" + "0" * 400, id="int-past-float")])
 def test_eval_rejects_non_finite_or_negative_wall_time(tmp_path, capsys, wall):
     # NaN would reach the records as "avg_time_s": NaN, which is not JSON.
+    # Only a JSON number is a number: not a string, not a boolean, and not
+    # an integer too large for a float.
     f = tmp_path / "pairs.jsonl"
     f.write_text('{"completion": "2x4 (0,0,0)", "target_points": "(0,0,0)", '
                  f'"wall_time_s": {wall}}}\n')

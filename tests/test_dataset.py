@@ -249,11 +249,15 @@ def test_convert_skips_and_logs(tmp_path, world, caplog):
         {"bricks": "garbage"},
         {"bricks": "2x2 (0,0,1)"},  # floating is fine, only feasibility gates
     ])
+    # Past the integer digit limit, and nested past the recursion limit.
+    with src.open("a", encoding="utf-8") as f:
+        f.write('{"bricks": "1x1 (0,0,0)", "n": ' + "7" * 5000 + "}\n")
+        f.write('{"bricks": ' + "[" * 5000 + "]" * 5000 + "}\n")
     with caplog.at_level(logging.WARNING, logger="brickeval.dataset"):
         count = convert_corpus(str(src), str(dst), "sft", world)
     assert count == 2
     assert len(dst.read_text().splitlines()) == 2
-    assert len(caplog.records) == 3
+    assert len(caplog.records) == 5
 
 
 def test_convert_grpo_mode(tmp_path, world):

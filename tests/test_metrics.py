@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from brickeval import (
+    DimensionMismatch,
     EmptyInput,
     SampleMetrics,
     aggregate,
@@ -45,6 +46,14 @@ def test_unparsed_sample_zeroed(world):
     assert m.n_col == 0 and m.brick_count == 0
     assert m.voxel_iou == m.conn_ratio == m.interlock == m.seam_cov == 0.0
     assert m.wall_time_s == 0.25
+
+
+def test_wrong_target_shape_raises_parsed_or_not(world):
+    # Whether the completion parses must not decide if a bad target is caught.
+    target = np.zeros((6, 6, 6), dtype=bool)
+    for completion in ("", "nonsense", "1x1 (0,0,0)"):
+        with pytest.raises(DimensionMismatch):
+            sample_metrics(completion, target, world)
 
 
 def test_floating_brick_sample(world):

@@ -1,0 +1,31 @@
+"""perfbench's traced runs still find every function they wrap by name.
+
+perfbench traces a layer by replacing a function in the module that calls
+it (say `cli.parse_pointcloud` or `rewards.parse_structure`). Between them
+these two workloads install every such wrapper, in the cli, dataset,
+metrics, service and rewards modules, so a call that moves out of the
+module where it is wrapped fails here rather than only under --trace 1.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("workload", ["offline_eval", "rollout_w1"])
+def test_traced_run_is_correct(workload):
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", "1", "--seconds", "0.3", "--trace", "1"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True

@@ -9,10 +9,10 @@ from brickeval import (
     FAILED_CONSTRUCTION,
     DimensionMismatch,
     WorldConfig,
+    analyze,
+    interlock_score,
     rasterize,
     reward_collision,
-    reward_connectivity,
-    reward_interlock,
     reward_shape,
     score_completion,
     serialize_structure,
@@ -91,19 +91,6 @@ def test_shape_matches_oracle():
         r, iou = reward_shape(a, b)
         assert iou == oracle_iou(a, b)
         assert r == 5.0 * iou
-
-
-# ------------------------------------------------------------------- gating
-
-
-@pytest.mark.parametrize("score,feasible,expected", [(1.0, True, 3.0), (0.8, False, 0.0), (0.5, True, 1.5)])
-def test_interlock_gate(score, feasible, expected):
-    assert reward_interlock(score, feasible) == expected
-
-
-@pytest.mark.parametrize("score,feasible,expected", [(1.0, True, 2.0), (1.0, False, 0.0), (0.8, True, 1.6)])
-def test_connectivity_gate(score, feasible, expected):
-    assert reward_connectivity(score, feasible) == expected
 
 
 # ------------------------------------------------------------ score_completion
@@ -200,15 +187,23 @@ def test_breakdown_fields_are_plain_python(world):
 
 
 def test_gating_soundness_fuzz(world):
+    # Collision-free builds in a small world stack, so their feasible
+    # scores are fractional as well as 0 and 1.
     rng = np.random.default_rng(35)
-    target = np.zeros(world.shape, dtype=bool)
+    small = WorldConfig(6, 6, 4)
+    fractional = 0
     for _ in range(60):
-        s = random_structure(rng, world, 10, in_bounds=False)
-        rb = score_completion(serialize_structure(s), target, world)
-        if rb.n_col > 0 or not rb.in_bounds:
-            assert rb.r_inter == 0.0 and rb.r_conn == 0.0
-        else:
-            assert rb.feasible
+        for w, s in ((world, random_structure(rng, world, 10, in_bounds=False)),
+                     (small, collision_free_structure(rng, small, 12))):
+            rb = score_completion(serialize_structure(s), np.zeros(w.shape, dtype=bool), w)
+            if rb.n_col > 0 or not rb.in_bounds:
+                assert rb.r_inter == 0.0 and rb.r_conn == 0.0
+            else:
+                assert rb.feasible
+                assert rb.r_inter == 3.0 * interlock_score(s, w)
+                assert rb.r_conn == 2.0 * analyze(s, w).conn_score
+                fractional += rb.r_inter % 3.0 != 0.0 and rb.r_conn % 2.0 != 0.0
+    assert fractional >= 10
 
 
 def test_small_world_scoring():

@@ -85,9 +85,17 @@ def test_target_points_transport(perfect_fixture):
     assert rec["total"] == 10.0 and rec["iou"] == 1.0
 
 
+# Lines json.loads fails on with other errors than JSONDecodeError: an
+# integer past the interpreter's digit limit (ValueError) and arrays nested
+# past the recursion limit (RecursionError).
+HUGE_INT_LINE = '{"id": "huge", "n": ' + "7" * 5000 + "}"
+DEEP_LINE = "[" * 5000 + "]" * 5000
+
+
 def test_not_json_is_bad_request():
-    rec = json.loads(handle_request_line("not json at all", WORLD))
-    assert rec == {"id": None, "error_code": "bad_request"}
+    for line in ("not json at all", HUGE_INT_LINE, DEEP_LINE):
+        rec = json.loads(handle_request_line(line, WORLD))
+        assert rec == {"id": None, "error_code": "bad_request"}
 
 
 def test_byte_lines_decode_as_utf8(perfect_fixture):
@@ -345,19 +353,24 @@ def test_stdio_subprocess_round_trip(perfect_fixture):
 
 
 def invalid_utf8_requests(perfect_fixture):
+    # Each unreadable line sits between requests that must still be answered.
     return b"".join((
         fixture_request(perfect_fixture, request_id="before").encode("utf-8") + b"\n",
         b'{"id": "bad", "completion": "\xff"}\n',
+        fixture_request(perfect_fixture, request_id="between").encode("utf-8") + b"\n",
+        HUGE_INT_LINE.encode("ascii") + b"\n",
+        DEEP_LINE.encode("ascii") + b"\n",
         fixture_request(perfect_fixture, request_id="after").encode("utf-8") + b"\n",
     ))
 
 
 def assert_invalid_utf8_answered(data):
     out = [json.loads(l) for l in data.decode("utf-8").splitlines()]
-    assert len(out) == 3
-    assert out[0]["id"] == "before" and out[0]["total"] == 10.0
-    assert out[1] == {"id": None, "error_code": "bad_request"}
-    assert out[2]["id"] == "after" and out[2]["total"] == 10.0
+    assert len(out) == 6
+    for i, request_id in ((0, "before"), (2, "between"), (5, "after")):
+        assert out[i]["id"] == request_id and out[i]["total"] == 10.0
+    for i in (1, 3, 4):
+        assert out[i] == {"id": None, "error_code": "bad_request"}
 
 
 def test_stdio_survives_invalid_utf8(perfect_fixture):

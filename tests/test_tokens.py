@@ -3,27 +3,31 @@ import pytest
 
 from brickeval import (
     BrickStructure,
-    MalformedLine,
     MalformedPointToken,
     OutOfWorldCoordinate,
     PROMPT_TEMPLATE,
-    UnknownDimension,
     WorldConfig,
     build_prompt,
     make_brick,
-    parse_brick_line,
     parse_pointcloud,
     parse_structure,
     serialize_pointcloud,
     serialize_structure,
 )
-from brickeval.tokens import OUTPUT_HEADER, _parse_plain
+from brickeval.tokens import OUTPUT_HEADER, MalformedEntry, _parse_plain
 from helpers import collision_free_structure, random_structure
 
 
+def one_token_parses(text):
+    # A "\r\n" ending fails the one-pass grammar, so the line-by-line path runs.
+    return [parse_structure(text), parse_structure(text + "\r\n")]
+
+
 def test_parse_brick_line_basic():
-    b = parse_brick_line("1x4 (5,6,0)")
-    assert (b.h, b.w, b.x, b.y, b.z) == (1, 4, 5, 6, 0)
+    for s, r in one_token_parses("1x4 (5,6,0)"):
+        assert r.parsed_ok and len(s) == 1
+        b = s[0]
+        assert (b.h, b.w, b.x, b.y, b.z) == (1, 4, 5, 6, 0)
 
 
 @pytest.mark.parametrize("text,expected", [
@@ -32,8 +36,10 @@ def test_parse_brick_line_basic():
     ("8x1 (12 , 0 , 3)", (8, 1, 12, 0, 3)),
 ])
 def test_parse_brick_line_whitespace_forms(text, expected):
-    b = parse_brick_line(text)
-    assert (b.h, b.w, b.x, b.y, b.z) == expected
+    for s, r in one_token_parses(text):
+        assert r.parsed_ok and len(s) == 1
+        b = s[0]
+        assert (b.h, b.w, b.x, b.y, b.z) == expected
 
 
 @pytest.mark.parametrize("text", [
@@ -41,23 +47,30 @@ def test_parse_brick_line_whitespace_forms(text, expected):
     "2×2 (0,0,0)",   # multiplication sign
     "1x4 (-1,0,0)",       # negative coordinate
     "1x4 (0.5,0,0)",      # non-integer
-    "1x4 5,6,0",          # missing parens
+    "1x4 5,6,0",          # missing parens: three tokens at top-level commas
     "1x4 ( 5,6,0)",       # space after opening paren
     "1x4 (5,6)",          # two coordinates
     "1x4 (5,6,0) extra",  # trailing junk
     "x4 (5,6,0)",
     "1x (5,6,0)",
     "١x٤ (5,6,0)",  # non-ASCII digits
-    "",
+    "",                   # no token at all: an empty response
 ])
 def test_parse_brick_line_rejects(text):
-    with pytest.raises(MalformedLine):
-        parse_brick_line(text)
+    tokens = {"1x4 5,6,0": ["1x4 5", "6", "0"], "": []}.get(text, [text])
+    expected = [MalformedEntry(1, t, f"not a brick token: {t!r}") for t in tokens]
+    for s, r in one_token_parses(text):
+        assert len(s) == 0 and not r.parsed_ok
+        assert r.malformed_lines == expected
+        assert r.empty_response == (text == "")
 
 
 def test_parse_brick_line_unknown_dimension():
-    with pytest.raises(UnknownDimension):
-        parse_brick_line("3x5 (0,0,0)")
+    for s, r in one_token_parses("3x5 (0,0,0)"):
+        assert len(s) == 0 and not r.parsed_ok
+        assert r.malformed_lines == [
+            MalformedEntry(1, "3x5 (0,0,0)", "3x5 is not an allowed brick dimension")
+        ]
 
 
 def test_parse_structure_one_per_line():
