@@ -31,7 +31,8 @@ cells (sorted by column and layer, the cells under a cell come just
 before it), components come from hooking and pointer jumping over the
 support edges, and seams from comparing the flat voxel-owner grid with
 itself shifted one step along x or y. The bricks come in as the
-structure's columns, so no pass loops over bricks in Python.
+structure's columns, its one stored form, so no pass loops over bricks
+in Python and none builds a Brick.
 """
 
 from __future__ import annotations
@@ -41,25 +42,24 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import BRICK_LIBRARY, BrickStructure, WorldConfig
+from .core import BRICK_LIBRARY, FOOTPRINT_SIDES, BrickStructure, WorldConfig
 
 _PAD = max(d.h * d.w for d in BRICK_LIBRARY)
-_GAP = max(d.h for d in BRICK_LIBRARY) + 1  # one more than the longest footprint side
+_GAP = FOOTPRINT_SIDES  # one more than the longest footprint side
 
 
 def _build_offset_table() -> tuple[np.ndarray, np.ndarray]:
-    """Footprint cell offsets per variant, indexed by (h << 4) | w.
+    """Footprint cell offsets per variant, indexed by footprint key.
 
     Unused slots hold an offset far past any world, so their cells
     always fall outside it.
     """
-    size = max(((d.h << 4) | d.w) for d in BRICK_LIBRARY) + 1
-    offx = np.full((size, _PAD), 1 << 40, dtype=np.int64)
-    offy = np.full((size, _PAD), 1 << 40, dtype=np.int64)
+    offx = np.full((FOOTPRINT_SIDES**2, _PAD), 1 << 40, dtype=np.int64)
+    offy = np.full((FOOTPRINT_SIDES**2, _PAD), 1 << 40, dtype=np.int64)
     for d in BRICK_LIBRARY:
-        code = (d.h << 4) | d.w
-        offx[code, : d.area] = np.repeat(np.arange(d.h, dtype=np.int64), d.w)
-        offy[code, : d.area] = np.tile(np.arange(d.w, dtype=np.int64), d.h)
+        key = d.h * FOOTPRINT_SIDES + d.w
+        offx[key, : d.area] = np.repeat(np.arange(d.h, dtype=np.int64), d.w)
+        offy[key, : d.area] = np.tile(np.arange(d.w, dtype=np.int64), d.h)
     return offx, offy
 
 
@@ -96,7 +96,7 @@ class StructureAnalysis:
 class _Geometry:
     """Per-structure arrays shared by the analysis passes.
 
-    They are built from the structure's columns alone. Anchors are
+    They are built from a structure's columns. Anchors are
     clamped to the world extent with np.minimum and then cast to int64:
     everything at or past the upper bound is outside the world either
     way, so clamping keeps clipped-footprint semantics, and it is exact
@@ -112,9 +112,9 @@ class _Geometry:
     are the voxels.
     """
 
-    def __init__(self, structure: BrickStructure, world: WorldConfig):
+    def __init__(self, columns: np.ndarray, world: WorldConfig):
         dim_x, dim_y, dim_z = world.shape
-        h, w, x, y, z = structure.columns.T
+        h, w, x, y, z = columns.T
         hs = h.astype(np.int64, copy=False)
         ws = w.astype(np.int64, copy=False)
         self.n = hs.size
@@ -136,9 +136,9 @@ class _Geometry:
         zc = np.where(in_world, layers, -1).astype(np.int64, copy=False)[inverse]
         self.ground = zc == 0
 
-        code = (hs << 4) | ws
-        gx = x0[:, None] + _OFFX[code]
-        gy = y0[:, None] + _OFFY[code]
+        key = hs * FOOTPRINT_SIDES + ws
+        gx = x0[:, None] + _OFFX[key]
+        gy = y0[:, None] + _OFFY[key]
         valid = (gx < x1[:, None]) & (gy < y1[:, None])
         brick = valid.nonzero()[0]
         column = (gx * dim_y + gy)[valid]
@@ -190,7 +190,7 @@ def rasterize(structure: BrickStructure, world: WorldConfig) -> OccupancyField:
     """Count, per voxel, how many bricks occupy it (clipped to the world)."""
     counts = np.zeros(world.n_voxels, dtype=np.int64)
     if len(structure):
-        counts = np.bincount(_Geometry(structure, world).lin, minlength=world.n_voxels)
+        counts = np.bincount(_Geometry(structure.columns, world).lin, minlength=world.n_voxels)
     return OccupancyField(counts.reshape(world.shape), world)
 
 
@@ -225,7 +225,7 @@ def analyze_with_occupancy(
     n = len(structure)
     if n == 0:
         return _EMPTY_ANALYSIS, np.zeros(world.shape, dtype=bool)
-    geom = _Geometry(structure, world)
+    geom = _Geometry(structure.columns, world)
     n_voxels = world.n_voxels
     lin = geom.lin
     counts = np.bincount(lin, minlength=n_voxels)
@@ -299,12 +299,13 @@ def interlock_score(
     """
     if not len(structure):
         return 0.0
+    columns = structure.columns
     if world is None:
-        h, w, x, y, z = structure.columns.T
+        h, w, x, y, z = columns.T
         x, y = _close_gaps(x), _close_gaps(y)
         world = WorldConfig(int((x + h).max()), int((y + w).max()), 1)
-        structure = BrickStructure._from_columns(np.stack((h, w, x, y, z), axis=1))
-    geom = _Geometry(structure, world)
+        columns = np.stack((h, w, x, y, z), axis=1)
+    geom = _Geometry(columns, world)
     return _interlock(geom, geom.support()[0])
 
 

@@ -32,7 +32,6 @@ from .service import serve_rewards
 from .tokens import (
     MalformedPointToken,
     OutOfWorldCoordinate,
-    brick_token,
     parse_pointcloud,
     parse_structure,
     serialize_structure,
@@ -171,7 +170,7 @@ def _cmd_parse(args, world: WorldConfig) -> int:
         "brick_count": report.brick_count,
         "empty_response": report.empty_response,
         "malformed_lines": [list(entry) for entry in report.malformed_lines],
-        "bricks": [brick_token(b) for b in structure],
+        "bricks": serialize_structure(structure).splitlines(),
     }
     print(json.dumps(record))
     return 0
@@ -239,6 +238,8 @@ def _cmd_construct(args, world: WorldConfig) -> int:
 
 
 def _cmd_gen_fixtures(args, world: WorldConfig) -> int:
+    if not math.isfinite(args.fill_prob):
+        raise _UsageError(f"--fill-prob must be finite, got {args.fill_prob}")
     lines = []
     opts = ConstructorOptions(stagger=args.stagger, seed=args.seed)
     for i in range(args.count):

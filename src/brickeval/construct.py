@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BRICK_LIBRARY, DEFAULT_WORLD, Brick, BrickStructure, OrientedDim, WorldConfig
+from .core import BRICK_LIBRARY, DEFAULT_WORLD, BrickStructure, OrientedDim, WorldConfig, brick_columns
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ def legalize(
         raise ValueError(
             f"target shape {tuple(target.shape)} does not match world {world.shape}"
         )
-    priority = [(d, d.w, (1 << d.w) - 1, d.h) for d in _dim_priority(opts)]
+    priority = [(d.h, d.w, (1 << d.w) - 1) for d in _dim_priority(opts)]
     dim_x, dim_y, dim_z = world.shape
     # Row x of layer z as an int: bit y set = cell (x, y) still uncovered,
     # assembled from 64-bit words so rows of any width stay exact.
@@ -71,7 +71,7 @@ def legalize(
     words[:, :, :dim_y] = target.transpose(2, 0, 1)
     words = np.packbits(words, axis=2, bitorder="little").view("<u8").astype(object)
     layers = (words << (64 * np.arange(words.shape[2], dtype=object))).sum(axis=2).tolist()
-    bricks: list[Brick] = []
+    placed: list[tuple[int, int, int, int, int]] = []
     for z, rows in enumerate(layers):
         if not any(rows):
             continue
@@ -90,7 +90,7 @@ def legalize(
                 y = (ahead & -ahead).bit_length() - 1
                 t = r >> y
                 run = (t ^ (t + 1)).bit_length() - 1
-                for dim, w, m, h in priority:
+                for h, w, m in priority:
                     if w > run:
                         continue
                     m <<= y
@@ -101,39 +101,24 @@ def legalize(
                     if i == end:
                         for i in range(x, end):
                             rows[i] &= ~m
-                        bricks.append(Brick(dim, x, y, z))
+                        placed.append((h, w, x, y, z))
                         break
                 r = rows[x]
-    return BrickStructure(tuple(bricks))
+    return BrickStructure._from_columns(brick_columns(placed))
 
 
-class _BatchedDraw:
-    """Scalar draws served from batched generator output."""
-
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        self._buf = np.empty(0)
-        self._i = 0
-
-    def uniform(self) -> float:
-        if self._i >= self._buf.size:
-            self._buf = self._rng.random(4096)
-            self._i = 0
-        v = float(self._buf[self._i])
-        self._i += 1
-        return v
-
-    def below(self, n: int) -> int:
-        return min(int(self.uniform() * n), n - 1)
+def _below(rng: np.random.Generator, n: int) -> int:
+    """A uniform draw from range(n)."""
+    return min(int(rng.random() * n), n - 1)
 
 
 _DIRS_3D = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
 _DIRS_2D = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 
-def _grow_blob(draw: _BatchedDraw, grid: np.ndarray, n_cells: int, world: WorldConfig) -> None:
+def _grow_blob(rng: np.random.Generator, grid: np.ndarray, n_cells: int, world: WorldConfig) -> None:
     dim_x, dim_y, dim_z = world.shape
-    x, y, z = draw.below(dim_x), draw.below(dim_y), draw.below(dim_z)
+    x, y, z = _below(rng, dim_x), _below(rng, dim_y), _below(rng, dim_z)
     cells = [(x, y, z)]
     added = 0
     if not grid[x, y, z]:
@@ -143,8 +128,8 @@ def _grow_blob(draw: _BatchedDraw, grid: np.ndarray, n_cells: int, world: WorldC
     limit = 20 * n_cells + 100
     while added < n_cells and attempts < limit:
         attempts += 1
-        cx, cy, cz = cells[draw.below(len(cells))]
-        dx, dy, dz = _DIRS_3D[draw.below(6)]
+        cx, cy, cz = cells[_below(rng, len(cells))]
+        dx, dy, dz = _DIRS_3D[_below(rng, 6)]
         nx, ny, nz = cx + dx, cy + dy, cz + dz
         if 0 <= nx < dim_x and 0 <= ny < dim_y and 0 <= nz < dim_z:
             if not grid[nx, ny, nz]:
@@ -153,15 +138,15 @@ def _grow_blob(draw: _BatchedDraw, grid: np.ndarray, n_cells: int, world: WorldC
             cells.append((nx, ny, nz))
 
 
-def _grow_grounded(draw: _BatchedDraw, grid: np.ndarray, n_cells: int, world: WorldConfig) -> None:
+def _grow_grounded(rng: np.random.Generator, grid: np.ndarray, n_cells: int, world: WorldConfig) -> None:
     """Grow a 2D footprint blob and fill each column upward from z = 0."""
     dim_x, dim_y, dim_z = world.shape
-    base_height = 1 + draw.below(dim_z)
+    base_height = 1 + _below(rng, dim_z)
 
     def column_height() -> int:
-        return min(max(base_height + draw.below(5) - 2, 1), dim_z)
+        return min(max(base_height + _below(rng, 5) - 2, 1), dim_z)
 
-    x, y = draw.below(dim_x), draw.below(dim_y)
+    x, y = _below(rng, dim_x), _below(rng, dim_y)
     columns = [(x, y)]
     seen = {(x, y)}
     h = column_height()
@@ -171,8 +156,8 @@ def _grow_grounded(draw: _BatchedDraw, grid: np.ndarray, n_cells: int, world: Wo
     limit = 20 * n_cells + 100
     while total < n_cells and attempts < limit:
         attempts += 1
-        cx, cy = columns[draw.below(len(columns))]
-        dx, dy = _DIRS_2D[draw.below(4)]
+        cx, cy = columns[_below(rng, len(columns))]
+        dx, dy = _DIRS_2D[_below(rng, 4)]
         nx, ny = cx + dx, cy + dy
         if 0 <= nx < dim_x and 0 <= ny < dim_y and (nx, ny) not in seen:
             seen.add((nx, ny))
@@ -198,13 +183,13 @@ def random_target(
     grid = np.zeros(world.shape, dtype=bool)
     if fill_prob <= 0:
         return grid
-    draw = _BatchedDraw(np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
     budget = max(1, round(fill_prob * world.n_voxels))
-    n_components = 1 + draw.below(max(max_components, 1))
+    n_components = 1 + _below(rng, max(max_components, 1))
     per_component = max(1, budget // n_components)
     for _ in range(n_components):
         if grounded:
-            _grow_grounded(draw, grid, per_component, world)
+            _grow_grounded(rng, grid, per_component, world)
         else:
-            _grow_blob(draw, grid, per_component, world)
+            _grow_blob(rng, grid, per_component, world)
     return grid

@@ -105,6 +105,12 @@ BRICK_LIBRARY: tuple[OrientedDim, ...] = tuple(OrientedDim(h, w) for h, w in PRO
 # paths (parsing) never pay for construction.
 _DIM_CACHE: dict[tuple[int, int], OrientedDim] = {(d.h, d.w): d for d in BRICK_LIBRARY}
 
+# The footprint key of h x w is h * FOOTPRINT_SIDES + w, which indexes
+# per-variant tables; IS_FOOTPRINT[key] says whether h x w is a variant.
+FOOTPRINT_SIDES = max(max(d.h, d.w) for d in BRICK_LIBRARY) + 1
+IS_FOOTPRINT = np.zeros(FOOTPRINT_SIDES**2, dtype=bool)
+IS_FOOTPRINT[[d.h * FOOTPRINT_SIDES + d.w for d in BRICK_LIBRARY]] = True
+
 
 def library_lookup(h: int, w: int) -> OrientedDim:
     """Return the library variant for (h, w), else raise UnknownDimension."""
@@ -143,54 +149,53 @@ def make_brick(h: int, w: int, x: int, y: int, z: int) -> Brick:
     return Brick(library_lookup(h, w), x, y, z)
 
 
+def brick_columns(rows: list[tuple[int, int, int, int, int]]) -> np.ndarray:
+    """The (n, 5) columns of rows h, w, x, y, z: int64 when every value fits, else Python ints."""
+    try:
+        columns = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        columns = np.array(rows, dtype=object)
+    return columns.reshape(-1, 5)
+
+
 class BrickStructure:
     """An ordered brick sequence. Order is significant for serialization.
 
-    The bricks are held in one of two forms, and the other is built on
-    first use: ``bricks``, a tuple of Brick, and ``columns``, a read-only
-    (n, 5) array whose columns are h, w, x, y and z. parse_structure
-    builds structures from columns, everything else from tuples. The
-    columns are int64 when every value fits, and otherwise an object
-    array of Python ints, so anchors of any size stay exact. Either way
-    a structure is immutable, and equality, hashing and repr go by
-    ``bricks`` as for a frozen dataclass with that one field.
+    The bricks are stored in one form only: ``columns``, a read-only
+    (n, 5) array whose columns are h, w, x, y and z. They are int64 when
+    every value fits, and otherwise an object array of Python ints, so
+    anchors of any size stay exact. ``BrickStructure(bricks)`` converts
+    a Brick tuple to columns; parsing and legalizing build the columns
+    directly. ``bricks``, the tuple of Brick, is derived from the
+    columns on first use and kept. A structure is immutable, and
+    equality, hashing and repr go by ``bricks`` as for a frozen
+    dataclass with that one field.
     """
 
-    __slots__ = ("_bricks", "_columns")
+    __slots__ = ("_bricks", "columns")
 
     def __init__(self, bricks: tuple[Brick, ...] = ()):
-        object.__setattr__(self, "_bricks", bricks)
-        object.__setattr__(self, "_columns", None)
+        self._take(brick_columns([(d.h, d.w, x, y, z) for d, x, y, z in bricks]))
 
     @classmethod
     def _from_columns(cls, columns: np.ndarray) -> BrickStructure:
         """A structure over validated (n, 5) columns, which it takes over."""
-        columns.flags.writeable = False
         self = cls.__new__(cls)
-        object.__setattr__(self, "_bricks", None)
-        object.__setattr__(self, "_columns", columns)
+        self._take(columns)
         return self
+
+    def _take(self, columns: np.ndarray) -> None:
+        columns.flags.writeable = False
+        object.__setattr__(self, "_bricks", None)
+        object.__setattr__(self, "columns", columns)
 
     @property
     def bricks(self) -> tuple[Brick, ...]:
         if self._bricks is None:
-            h, w, x, y, z = self._columns.T.tolist()
+            h, w, x, y, z = self.columns.T.tolist()
             dims = map(_DIM_CACHE.__getitem__, zip(h, w))
             object.__setattr__(self, "_bricks", tuple(map(Brick._make, zip(dims, x, y, z))))
         return self._bricks
-
-    @property
-    def columns(self) -> np.ndarray:
-        if self._columns is None:
-            rows = [(d.h, d.w, x, y, z) for d, x, y, z in self._bricks]
-            try:
-                columns = np.array(rows, dtype=np.int64)
-            except OverflowError:
-                columns = np.array(rows, dtype=object)
-            columns = columns.reshape(-1, 5)
-            columns.flags.writeable = False
-            object.__setattr__(self, "_columns", columns)
-        return self._columns
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -213,7 +218,7 @@ class BrickStructure:
         return f"{self.__class__.__qualname__}(bricks={self.bricks!r})"
 
     def __len__(self) -> int:
-        return len(self._columns if self._bricks is None else self._bricks)
+        return len(self.columns)
 
     def __iter__(self) -> Iterator[Brick]:
         return iter(self.bricks)

@@ -8,7 +8,9 @@ negative coordinates and unicode digits fail the grammar. A completion
 is one brick token per line, or several per line separated by commas
 that sit outside the parentheses; a single leading ``### Bricks:``
 header line is ignored. Parsing arbitrary text never raises: every
-oddity is recorded in the returned report instead.
+oddity is recorded in the returned report instead. Parsing fills a
+structure's columns, its one stored form, and serializing formats the
+tokens from them, so neither builds a Brick.
 
 A point token is ``"(" INT WS* "," WS* INT WS* "," WS* INT ")"`` and a
 point cloud is a comma-separated list of them.
@@ -23,13 +25,14 @@ from typing import Literal, NamedTuple
 import numpy as np
 
 from .core import (
-    BRICK_LIBRARY,
     DEFAULT_WORLD,
+    FOOTPRINT_SIDES,
+    IS_FOOTPRINT,
     PROMPT_DIM_ORDER,
-    Brick,
     BrickStructure,
     UnknownDimension,
     WorldConfig,
+    brick_columns,
     library_lookup,
 )
 
@@ -58,10 +61,6 @@ _PLAIN_RE = re.compile(
     rf"([ \t\n]*{re.escape(OUTPUT_HEADER)}[ \t]*\n)?(?:{_PLAIN_LINE}\n)*{_PLAIN_LINE}", re.ASCII
 )
 _PLAIN_SEPARATORS = str.maketrans("x(),\t\n", "      ")
-# Whether footprint h x w is a library variant, by h * _SIDES + w.
-_SIDES = max(max(d.h, d.w) for d in BRICK_LIBRARY) + 1
-_IS_DIM = np.zeros(_SIDES**2, dtype=bool)
-_IS_DIM[[d.h * _SIDES + d.w for d in BRICK_LIBRARY]] = True
 _POINT_RE = re.compile(r"\((\d+)\s*,\s*(\d+)\s*,\s*(\d+)\)", re.ASCII)
 _SEPARATOR_RE = re.compile(r"\s*,\s*", re.ASCII)
 
@@ -114,7 +113,8 @@ def _parse_plain(text: str) -> np.ndarray | None:
     if values.size != 5 * n:
         return None
     values = values.reshape(n, 5)
-    if values[:, :2].max() >= _SIDES or not _IS_DIM[values[:, 0] * _SIDES + values[:, 1]].all():
+    h, w = values[:, 0], values[:, 1]
+    if values[:, :2].max() >= FOOTPRINT_SIDES or not IS_FOOTPRINT[h * FOOTPRINT_SIDES + w].all():
         return None
     return values
 
@@ -136,7 +136,7 @@ def parse_structure(text: str) -> tuple[BrickStructure, ParseReport]:
         n = len(plain)
         return BrickStructure._from_columns(plain), ParseReport(parsed_ok=n > 0, brick_count=n)
 
-    bricks: list[Brick] = []
+    rows: list[tuple[int, int, int, int, int]] = []
     malformed: list[MalformedEntry] = []
     saw_content = False
     for line_number, raw in enumerate(text.splitlines(), start=1):
@@ -160,29 +160,26 @@ def parse_structure(text: str) -> tuple[BrickStructure, ParseReport]:
                 continue
             try:
                 h, w, x, y, z = map(int, m.groups())
-                bricks.append(Brick(library_lookup(h, w), x, y, z))
+                library_lookup(h, w)
+                rows.append((h, w, x, y, z))
             except (UnknownDimension, ValueError) as exc:  # ValueError: past the int digit limit
                 malformed.append(MalformedEntry(line_number, token, str(exc)))
 
     report = ParseReport(
-        parsed_ok=len(bricks) >= 1 and not malformed,
-        brick_count=len(bricks),
+        parsed_ok=len(rows) >= 1 and not malformed,
+        brick_count=len(rows),
         malformed_lines=malformed,
         empty_response=False,
     )
-    return BrickStructure(tuple(bricks)), report
+    return BrickStructure._from_columns(brick_columns(rows)), report
 
 
 Layout = Literal["one_per_line", "comma_inline"]
 
 
-def brick_token(brick: Brick) -> str:
-    return f"{brick.h}x{brick.w} ({brick.x},{brick.y},{brick.z})"
-
-
 def serialize_structure(structure: BrickStructure, layout: Layout = "one_per_line") -> str:
     """Render bricks in order; the result always reparses to the input."""
-    tokens = [brick_token(b) for b in structure]
+    tokens = [f"{h}x{w} ({x},{y},{z})" for h, w, x, y, z in structure.columns.tolist()]
     if layout == "one_per_line":
         return "\n".join(tokens)
     if layout == "comma_inline":

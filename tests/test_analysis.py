@@ -34,7 +34,7 @@ def struct(*specs):
 
 
 def support_edges(s, world):
-    upper, lower = _Geometry(s, world).support()
+    upper, lower = _Geometry(s.columns, world).support()
     return list(zip(upper.tolist(), lower.tolist()))
 
 

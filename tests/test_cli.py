@@ -48,6 +48,16 @@ def test_parse_malformed_lines_reported(tmp_path, capsys):
     assert entry[0] == 2 and entry[1] == "what"
 
 
+def test_parse_prints_exact_tokens_past_int64(tmp_path, capsys):
+    f = tmp_path / "c.txt"
+    f.write_text(f"1x2 ({2**63},0,0)\n2x2 (5,{10**30},{2**64 + 1})\n")
+    code, out, _ = run(capsys, "parse", "--completion", str(f))
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["parsed_ok"] is True
+    assert rec["bricks"] == [f"1x2 ({2**63},0,0)", f"2x2 (5,{10**30},{2**64 + 1})"]
+
+
 def test_parse_missing_file(tmp_path, capsys):
     code, _, err = run(capsys, "parse", "--completion", str(tmp_path / "nope.txt"))
     assert code == 2 and "error:" in err
@@ -312,6 +322,14 @@ def test_gen_fixtures_seed_determinism(tmp_path, capsys):
     assert run(capsys, "gen-fixtures", "--count", "2", "--seed", "9", "--out", str(a))[0] == 0
     assert run(capsys, "--seed", "9", "gen-fixtures", "--count", "2", "--out", str(b))[0] == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("fill", ["nan", "inf", "-inf"])
+def test_gen_fixtures_rejects_non_finite_fill_prob(tmp_path, capsys, fill):
+    code, out, err = run(capsys, "gen-fixtures", f"--fill-prob={fill}", "--out", str(tmp_path / "p.jsonl"))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and "--fill-prob" in err
+    assert not (tmp_path / "p.jsonl").exists()
 
 
 # --------------------------------------------------------------- global flags

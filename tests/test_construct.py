@@ -1,5 +1,7 @@
 """Greedy legalizer and random target generation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -174,6 +176,29 @@ def test_target_deterministic(world):
     assert np.array_equal(a, b)
     c = random_target(seed=124, grounded=True, world=world)
     assert not np.array_equal(a, c)
+
+
+# sha256 prefixes of random_target(seed, fill_prob, grounded, world).tobytes(),
+# so generated fixtures stay the same from one version to the next.
+PINNED_TARGETS = {
+    (0, False): ("388c8cb00329d890", "920232511c3ec6c3"),
+    (0, True): ("94773bf1d838bbbf", "b8ad40d97d6b7bea"),
+    (17, False): ("44b9ff105d821dd1", "7708e5dc38e43e6f"),
+    (17, True): ("823387e2d9040a0f", "bec61f8d3b0d71de"),
+    (901, False): ("2181c68dc529b9b5", "6179aa1e1e9e5d7f"),
+    (901, True): ("d8050c33f26adb2e", "80d6199f91e61c36"),
+}
+
+
+@pytest.mark.parametrize("seed, grounded", sorted(PINNED_TARGETS))
+def test_target_digests_are_pinned(seed, grounded):
+    cases = ((WorldConfig(), 0.15), (WorldConfig(7, 70, 3), 0.6))
+    digests = tuple(
+        hashlib.sha256(random_target(seed, fill_prob=fill, grounded=grounded, world=world).tobytes())
+        .hexdigest()[:16]
+        for world, fill in cases
+    )
+    assert digests == PINNED_TARGETS[seed, grounded]
 
 
 def test_target_shape_and_dtype(world):

@@ -12,9 +12,11 @@ from brickeval import (
     UnknownDimension,
     WorldConfig,
     analyze,
+    legalize,
     library_lookup,
     make_brick,
     parse_structure,
+    random_target,
     rasterize,
     serialize_structure,
 )
@@ -154,3 +156,25 @@ def test_columns_of_values_past_int64_are_exact_python_ints():
     assert report.parsed_ok and parsed == s and parsed.columns.dtype == object
     empty, _ = parse_structure("### Bricks:\n")
     assert empty == BrickStructure(()) and empty.columns.shape == BrickStructure(()).columns.shape == (0, 5)
+
+
+def test_producers_build_columns_and_no_bricks(world, monkeypatch):
+    def no_brick(*args):
+        raise AssertionError("a Brick was built")
+
+    monkeypatch.setattr(Brick, "__new__", no_brick)
+    built = legalize(random_target(seed=3, fill_prob=0.3, grounded=True, world=world), world=world)
+    crlf, report = parse_structure(serialize_structure(built).replace("\n", "\r\n"))
+    ten_digits, _ = parse_structure("1x2 (1234567890,0,0)\n2x2 (0,0,1)")
+    huge, _ = parse_structure(f"1x2 ({2**63},0,0)\n2x2 (0,0,1)")
+    assert report.parsed_ok and len(crlf) == len(built) > 100
+    for s, dtype in ((built, np.int64), (crlf, np.int64), (ten_digits, np.int64), (huge, object)):
+        assert s._bricks is None and s.columns.dtype == dtype and s.columns.shape == (len(s), 5)
+    assert np.array_equal(crlf.columns, built.columns) and crlf == built
+    assert ten_digits.columns.tolist() == [[1, 2, 1234567890, 0, 0], [2, 2, 0, 0, 1]]
+
+
+def test_bricks_tuple_is_built_once(world):
+    for s in (random_structure(np.random.default_rng(5), world, 10), parse_structure("1x2 (0,0,0)")[0]):
+        assert s._bricks is None
+        assert s.bricks is s.bricks and s[0] is s.bricks[0]
