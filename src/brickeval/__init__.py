@@ -16,6 +16,7 @@ from .core import (
     PROMPT_DIM_ORDER,
     Brick,
     BrickStructure,
+    DimensionMismatch,
     OrientedDim,
     UnknownDimension,
     WorldConfig,
@@ -41,7 +42,6 @@ from .dataset import (
 from .metrics import AggregateReport, EmptyInput, SampleMetrics, aggregate, emit_report, sample_metrics
 from .rewards import (
     FAILED_CONSTRUCTION,
-    DimensionMismatch,
     RewardBreakdown,
     reward_collision,
     reward_shape,

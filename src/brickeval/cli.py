@@ -12,7 +12,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .dataset import (
     read_pair,
     read_record,
 )
-from .metrics import aggregate, emit_report, sample_metrics
+from .metrics import AggregateReport, aggregate, emit_report, sample_metrics
 from .rewards import score_completion
 from .service import serve_rewards
 from .tokens import (
@@ -101,6 +101,17 @@ _CHECK_OPS = {
 }
 
 
+def _parse_check(text: str) -> tuple[str, str, float, str]:
+    """An --check constraint as (field, op, value, text); argparse reports a bad one."""
+    m = _CHECK_RE.match(text)
+    if m is None:
+        raise argparse.ArgumentTypeError(f"bad constraint {text!r}")
+    field = m.group(1)
+    if field not in {f.name for f in fields(AggregateReport)}:
+        raise argparse.ArgumentTypeError(f"unknown field {field!r} in {text!r}")
+    return field, m.group(2), float(m.group(3)), text
+
+
 def _add_global_flags(parser: argparse.ArgumentParser, top_level: bool) -> None:
     # Subparsers get SUPPRESS defaults so they never clobber a value the
     # top-level parser already set (the flags work in either position).
@@ -134,7 +145,7 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("--pairs", required=True, help="newline-delimited JSON pairs")
     p.add_argument("--out", default="-")
     p.add_argument("--format", choices=("tabular", "records"), default="records")
-    p.add_argument("--check", action="append", default=[], metavar="FIELD OP VALUE",
+    p.add_argument("--check", action="append", default=[], type=_parse_check, metavar="FIELD OP VALUE",
                    help="aggregate constraint, e.g. coll_free_rate>=0.99; exit 3 on failure")
 
     p = add_parser("convert", help="convert a brick-layout corpus to training records")
@@ -185,7 +196,7 @@ def _cmd_score(args, world: WorldConfig) -> int:
 
 def _cmd_eval(args, world: WorldConfig) -> int:
     samples = []
-    for line_number, line in enumerate(_read_text(args.pairs).splitlines(), start=1):
+    for line_number, line in enumerate(_read_text(args.pairs).split("\n"), start=1):
         if not line.strip():
             continue
         try:
@@ -207,13 +218,7 @@ def _cmd_eval(args, world: WorldConfig) -> int:
     report = aggregate(samples)
     fmt = "tabular_text" if args.format == "tabular" else "structured_records"
     _write_text(args.out, emit_report(report, samples, fmt).decode("utf-8"))
-    for constraint in args.check:
-        m = _CHECK_RE.match(constraint)
-        if m is None:
-            raise _UsageError(f"bad --check constraint {constraint!r}")
-        field, op, value = m.group(1), m.group(2), float(m.group(3))
-        if not hasattr(report, field):
-            raise _UsageError(f"--check references unknown field {field!r}")
+    for field, op, value, constraint in args.check:
         actual = getattr(report, field)
         if actual is None or not _CHECK_OPS[op](actual, value):
             print(f"check failed: {field}={actual} violates {constraint}", file=sys.stderr)
@@ -238,8 +243,8 @@ def _cmd_construct(args, world: WorldConfig) -> int:
 
 
 def _cmd_gen_fixtures(args, world: WorldConfig) -> int:
-    if not math.isfinite(args.fill_prob):
-        raise _UsageError(f"--fill-prob must be finite, got {args.fill_prob}")
+    if not 0 <= args.fill_prob <= 1:
+        raise _UsageError(f"--fill-prob must be in [0, 1], got {args.fill_prob}")
     lines = []
     opts = ConstructorOptions(stagger=args.stagger, seed=args.seed)
     for i in range(args.count):
@@ -260,8 +265,7 @@ def _cmd_gen_fixtures(args, world: WorldConfig) -> int:
 
 
 def _cmd_serve(args, world: WorldConfig) -> int:
-    return serve_rewards(args.transport, args.port, args.host, world,
-                         max(args.threads, 1))
+    return serve_rewards(args.transport, args.port, args.host, world, args.threads)
 
 
 _COMMANDS = {

@@ -20,10 +20,12 @@ by cell: same bricks, in the same order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
-from .core import BRICK_LIBRARY, DEFAULT_WORLD, BrickStructure, OrientedDim, WorldConfig, brick_columns
+from .core import (BRICK_LIBRARY, DEFAULT_WORLD, BrickStructure, OrientedDim, WorldConfig, brick_columns,
+                   check_target_shape)
 
 
 @dataclass(frozen=True)
@@ -35,18 +37,12 @@ class ConstructorOptions:
 
 def _dim_priority(opts: ConstructorOptions) -> list[OrientedDim]:
     rng = np.random.default_rng(opts.seed)
-    by_area = sorted(BRICK_LIBRARY, key=lambda d: -d.area)
     result: list[OrientedDim] = []
-    i = 0
-    while i < len(by_area):
-        j = i
-        while j < len(by_area) and by_area[j].area == by_area[i].area:
-            j += 1
-        group = by_area[i:j]
+    for _, group in groupby(sorted(BRICK_LIBRARY, key=lambda d: -d.area), key=lambda d: d.area):
+        group = list(group)
         if len(group) > 1:
             group = [group[k] for k in rng.permutation(len(group))]
         result.extend(group)
-        i = j
     if not opts.largest_first:
         result.reverse()
     return result
@@ -59,10 +55,7 @@ def legalize(
 ) -> BrickStructure:
     """Cover every target voxel exactly once with library bricks."""
     target = np.asarray(target, dtype=bool)
-    if target.shape != world.shape:
-        raise ValueError(
-            f"target shape {tuple(target.shape)} does not match world {world.shape}"
-        )
+    check_target_shape(target, world)
     priority = [(d.h, d.w, (1 << d.w) - 1) for d in _dim_priority(opts)]
     dim_x, dim_y, dim_z = world.shape
     # Row x of layer z as an int: bit y set = cell (x, y) still uncovered,

@@ -20,6 +20,10 @@ class UnknownDimension(ValueError):
     """Raised when an (h, w) pair is not one of the library variants."""
 
 
+class DimensionMismatch(ValueError):
+    """Raised when a grid's shape differs from another grid's or from the world's."""
+
+
 @dataclass(frozen=True)
 class WorldConfig:
     """Voxel grid extents. All bricks must fit inside to be in bounds."""
@@ -47,6 +51,12 @@ class WorldConfig:
 DEFAULT_WORLD = WorldConfig()
 
 
+def check_target_shape(target: np.ndarray, world: WorldConfig) -> None:
+    """Raise DimensionMismatch unless the target grid has the world's shape."""
+    if tuple(target.shape) != world.shape:
+        raise DimensionMismatch(f"target shape {tuple(target.shape)} does not match world {world.shape}")
+
+
 @dataclass(frozen=True)
 class OrientedDim:
     """A footprint (h, w). Only library variants can be constructed."""
@@ -55,7 +65,7 @@ class OrientedDim:
     w: int
 
     def __post_init__(self) -> None:
-        if (self.h, self.w) not in _LIBRARY_SET:
+        if (self.h, self.w) not in PROMPT_DIM_ORDER:
             raise UnknownDimension(f"{self.h}x{self.w} is not an allowed brick dimension")
 
     @property
@@ -63,21 +73,9 @@ class OrientedDim:
         return self.h * self.w
 
 
-# The base footprints are 1x1, 1x2, 1x4, 1x6, 1x8, 2x2, 2x4 and 2x6;
-# each non-square one appears in both orientations, giving 14 variants.
-_BASE_DIMS: tuple[tuple[int, int], ...] = (
-    (1, 1),
-    (1, 2),
-    (1, 4),
-    (1, 6),
-    (1, 8),
-    (2, 2),
-    (2, 4),
-    (2, 6),
-)
-
-# Order in which the allowed dimensions are listed in the instruction
-# prompt. Fixed verbatim; do not reorder.
+# The 14 library variants, in the order the instruction prompt lists
+# them: the base footprints 1x1, 1x2, 1x4, 1x6, 1x8, 2x2, 2x4 and 2x6,
+# each non-square one in both orientations. Fixed verbatim; do not reorder.
 PROMPT_DIM_ORDER: tuple[tuple[int, int], ...] = (
     (2, 4),
     (4, 2),
@@ -95,14 +93,10 @@ PROMPT_DIM_ORDER: tuple[tuple[int, int], ...] = (
     (2, 2),
 )
 
-_LIBRARY_SET: frozenset[tuple[int, int]] = frozenset(
-    pair for (h, w) in _BASE_DIMS for pair in {(h, w), (w, h)}
-)
-
 BRICK_LIBRARY: tuple[OrientedDim, ...] = tuple(OrientedDim(h, w) for h, w in PROMPT_DIM_ORDER)
 
-# Construction of OrientedDim validates; reuse the 14 instances so hot
-# paths (parsing) never pay for construction.
+# The 14 instances by (h, w), for library_lookup and for building the
+# Brick tuple of a structure without validating each dimension again.
 _DIM_CACHE: dict[tuple[int, int], OrientedDim] = {(d.h, d.w): d for d in BRICK_LIBRARY}
 
 # The footprint key of h x w is h * FOOTPRINT_SIDES + w, which indexes

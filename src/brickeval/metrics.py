@@ -16,8 +16,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .analysis import analyze_with_occupancy
-from .core import WorldConfig
-from .rewards import check_target_shape, reward_shape
+from .core import WorldConfig, check_target_shape
+from .rewards import reward_shape
 from .tokens import parse_structure
 
 

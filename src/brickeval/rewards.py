@@ -21,12 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import analyze_with_occupancy
-from .core import WorldConfig
+from .core import DimensionMismatch, WorldConfig, check_target_shape
 from .tokens import parse_structure
-
-
-class DimensionMismatch(ValueError):
-    """Raised when two occupancy grids have different shapes."""
 
 
 @dataclass(frozen=True)
@@ -72,14 +68,6 @@ def reward_shape(gen: np.ndarray, target: np.ndarray) -> tuple[float, float]:
     union = int(np.count_nonzero(np.logical_or(gen, target)))
     iou = inter / union if union else 0.0
     return 5.0 * iou, iou
-
-
-def check_target_shape(target: np.ndarray, world: WorldConfig) -> None:
-    """Raise DimensionMismatch unless the target grid has the world's shape."""
-    if tuple(target.shape) != world.shape:
-        raise DimensionMismatch(
-            f"target shape {tuple(target.shape)} does not match world {world.shape}"
-        )
 
 
 def score_completion(

@@ -304,7 +304,6 @@ class RewardTCPServer(socketserver.ThreadingTCPServer):
     def __init__(self, address: tuple[str, int], world: WorldConfig, threads: int):
         super().__init__(address, _TCPHandler)
         self.world = world
-        self.threads = threads
         count = _worker_count(threads)
         self.workers = start_workers(count) if count > 1 else None
 
@@ -323,7 +322,7 @@ class _TCPHandler(socketserver.StreamRequestHandler):
             self.wfile.write((text + "\n").encode("utf-8"))
 
         try:
-            serve_lines(read_lines(self.rfile, server.world), write_line, server.world, server.threads,
+            serve_lines(read_lines(self.rfile, server.world), write_line, server.world,
                         workers=server.workers)
         except (BrokenPipeError, ConnectionResetError):
             pass

@@ -167,11 +167,34 @@ def test_eval_check_on_absent_field_fails(tmp_path, capsys):
 
 
 def test_eval_bad_check_syntax(tmp_path, capsys, perfect_fixture):
+    # A bad constraint is a usage error found before any file is read or written.
     f = pairs_file(tmp_path, perfect_fixture)
-    code, _, _ = run(capsys, "eval", "--pairs", str(f), "--check", "mean_bricks !!! 3")
-    assert code == 1
+    out_path = tmp_path / "r.jsonl"
+    code, _, err = run(capsys, "eval", "--pairs", str(f), "--out", str(out_path),
+                       "--check", "mean_bricks !!! 3")
+    assert code == 1 and err.startswith("error:") and "mean_bricks !!! 3" in err
+    assert not out_path.exists()
     code, _, _ = run(capsys, "eval", "--pairs", str(f), "--check", "no_such_field > 0")
     assert code == 1
+    code, _, err = run(capsys, "eval", "--pairs", str(f), "--check", "mean_bricks > 100000",
+                       "--check", "bogus > 1")
+    assert code == 1 and "bogus" in err and "check failed" not in err
+    code, _, err = run(capsys, "eval", "--pairs", str(tmp_path / "missing.jsonl"),
+                       "--check", "bogus > 1")
+    assert code == 1 and "bogus" in err
+
+
+@pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\u0085"], ids=["U+2028", "U+2029", "U+0085"])
+def test_eval_frames_pairs_at_newline_only(tmp_path, capsys, perfect_fixture, sep):
+    # JSON allows these raw inside a string, so they must not end a record.
+    row = json.dumps({"completion": serialize_structure(perfect_fixture) + sep,
+                      "target_points": "(0,0,0)"}, ensure_ascii=False)
+    assert sep in row
+    f = tmp_path / "pairs.jsonl"
+    f.write_text(row + "\r\n" + row + "\n", encoding="utf-8", newline="")
+    code, out, err = run(capsys, "eval", "--pairs", str(f))
+    assert code == 0, err
+    assert json.loads(out.splitlines()[-1])["n_total"] == 2
 
 
 def test_eval_bad_pair_record(tmp_path, capsys, perfect_fixture):
@@ -324,7 +347,7 @@ def test_gen_fixtures_seed_determinism(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
-@pytest.mark.parametrize("fill", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("fill", ["nan", "inf", "-inf", "1.5", "1e308", "-0.5"])
 def test_gen_fixtures_rejects_non_finite_fill_prob(tmp_path, capsys, fill):
     code, out, err = run(capsys, "gen-fixtures", f"--fill-prob={fill}", "--out", str(tmp_path / "p.jsonl"))
     assert code == 1 and out == ""

@@ -7,6 +7,7 @@ import pytest
 
 from brickeval import (
     ConstructorOptions,
+    DimensionMismatch,
     WorldConfig,
     analyze,
     interlock_score,
@@ -15,7 +16,8 @@ from brickeval import (
     rasterize,
 )
 
-from helpers import oracle_legalize
+from brickeval.construct import _dim_priority
+from helpers import oracle_legalize, oracle_priority
 
 
 def assert_exact_cover(structure, target, world):
@@ -82,6 +84,15 @@ def test_legalize_deterministic(world):
 def test_legalize_rejects_wrong_shape(world):
     with pytest.raises(ValueError):
         legalize(np.zeros((6, 6, 6), dtype=bool), world=world)
+    with pytest.raises(DimensionMismatch, match=r"^target shape \(6, 6, 6\) does not match world"):
+        legalize(np.zeros((6, 6, 6), dtype=bool), world=world)
+
+
+@pytest.mark.parametrize("largest_first", [True, False])
+def test_dim_priority_matches_oracle(largest_first):
+    for seed in range(200):
+        opts = ConstructorOptions(seed=seed, largest_first=largest_first)
+        assert [(d.h, d.w) for d in _dim_priority(opts)] == oracle_priority(seed, largest_first)
 
 
 def test_full_layer_no_stagger_golden(world):

@@ -41,9 +41,10 @@ def test_library_lookup_valid():
 
 @pytest.mark.parametrize("h,w", [(3, 3), (3, 5), (0, 1), (2, 8), (8, 2), (16, 1)])
 def test_library_lookup_rejects_unknown(h, w):
-    with pytest.raises(UnknownDimension):
+    message = rf"^{h}x{w} is not an allowed brick dimension$"
+    with pytest.raises(UnknownDimension, match=message):
         library_lookup(h, w)
-    with pytest.raises(UnknownDimension):
+    with pytest.raises(UnknownDimension, match=message):
         OrientedDim(h, w)
 
 

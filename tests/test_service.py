@@ -337,19 +337,20 @@ def test_stdio_subprocess_round_trip(perfect_fixture):
         "junk",
         json.dumps({"id": "b", "completion": "", "target_points": "(0,0,0)"}),
     ]
-    proc = subprocess.run(
-        [sys.executable, "-m", "brickeval", "serve", "--transport", "stdio"],
-        input="\n".join(lines) + "\n",
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == 0
-    out = [json.loads(l) for l in proc.stdout.splitlines()]
-    assert len(out) == 3
-    assert out[0]["id"] == "a" and out[0]["total"] == 10.0
-    assert out[1] == {"id": None, "error_code": "bad_request"}
-    assert out[2]["id"] == "b" and out[2]["total"] == -10.0
+    for threads in ([], ["--threads", "0"]):  # a count below 1 serves inline
+        proc = subprocess.run(
+            [sys.executable, "-m", "brickeval", "serve", "--transport", "stdio", *threads],
+            input="\n".join(lines) + "\n",
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        out = [json.loads(l) for l in proc.stdout.splitlines()]
+        assert len(out) == 3
+        assert out[0]["id"] == "a" and out[0]["total"] == 10.0
+        assert out[1] == {"id": None, "error_code": "bad_request"}
+        assert out[2]["id"] == "b" and out[2]["total"] == -10.0
 
 
 def invalid_utf8_requests(perfect_fixture):
