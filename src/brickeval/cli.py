@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import re
 import sys
 from dataclasses import asdict, fields
@@ -52,21 +53,31 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _parse_world(text: str) -> WorldConfig:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise _UsageError(f"--world expects X,Y,Z, got {text!r}")
     try:
-        x, y, z = (int(p) for p in parts)
+        x, y, z = (int(p) for p in text.split(","))
         return WorldConfig(x, y, z)
-    except ValueError as exc:
-        raise _UsageError(f"bad --world value: {exc}") from None
+    except ValueError as exc:  # also a count of parts other than 3
+        raise argparse.ArgumentTypeError(f"expects X,Y,Z, got {text!r} ({exc})") from None
+
+
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expects a non-negative integer, got {text!r}")
+    return value
 
 
 def _read_text(path: str) -> str:
+    """The whole input, file or - (stdin), as strict UTF-8 with line ends kept."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as f:
-        return f.read()
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as f:
+            data = f.read()
+    return data.decode("utf-8")
 
 
 def _write_text(path: str, data: str) -> None:
@@ -91,14 +102,8 @@ def _load_grid(path: str, world: WorldConfig) -> np.ndarray:
 
 
 _CHECK_RE = re.compile(r"^\s*(\w+)\s*(>=|<=|==|!=|>|<)\s*(-?\d+(?:\.\d+)?)\s*$")
-_CHECK_OPS = {
-    ">=": lambda a, b: a >= b,
-    "<=": lambda a, b: a <= b,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    ">": lambda a, b: a > b,
-    "<": lambda a, b: a < b,
-}
+_CHECK_OPS = {">=": operator.ge, "<=": operator.le, "==": operator.eq,
+              "!=": operator.ne, ">": operator.gt, "<": operator.lt}
 
 
 def _parse_check(text: str) -> tuple[str, str, float, str]:
@@ -112,62 +117,58 @@ def _parse_check(text: str) -> tuple[str, str, float, str]:
     return field, m.group(2), float(m.group(3)), text
 
 
-def _add_global_flags(parser: argparse.ArgumentParser, top_level: bool) -> None:
-    # Subparsers get SUPPRESS defaults so they never clobber a value the
-    # top-level parser already set (the flags work in either position).
-    def default(value):
-        return value if top_level else argparse.SUPPRESS
-
-    parser.add_argument("--world", default=default("20,20,20"), metavar="X,Y,Z",
-                        help="world grid dimensions (default 20,20,20)")
-    parser.add_argument("--seed", type=int, default=default(0))
-    parser.add_argument("--threads", type=int, default=default(1))
-
-
 def build_parser() -> _ArgumentParser:
-    parser = _ArgumentParser(prog="brickeval")
-    _add_global_flags(parser, top_level=True)
+    # The global flags go on the top parser and on every subparser, so they
+    # work before or after the subcommand. Their defaults are the namespace
+    # cli_dispatch starts from, never an action default: parent actions are
+    # shared, and a subparser default would clobber a value given before it.
+    flags = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    flags.add_argument("--world", type=_parse_world, metavar="X,Y,Z",
+                       help="world grid dimensions (default 20,20,20)")
+    flags.add_argument("--seed", type=_non_negative_int)
+    flags.add_argument("--threads", type=int)
+    parser = _ArgumentParser(prog="brickeval", parents=[flags])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name: str, **kwargs) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, **kwargs)
-        _add_global_flags(p, top_level=False)
+    def add_parser(name: str, run, **kwargs) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[flags], **kwargs)
+        p.set_defaults(run=run)
         return p
 
-    p = add_parser("parse", help="parse a completion and print the report")
+    p = add_parser("parse", _cmd_parse, help="parse a completion and print the report")
     p.add_argument("--completion", required=True, help="path or - for stdin")
 
-    p = add_parser("score", help="score a completion against a target")
+    p = add_parser("score", _cmd_score, help="score a completion against a target")
     p.add_argument("--target", required=True)
     p.add_argument("--completion", required=True)
 
-    p = add_parser("eval", help="evaluate a corpus of completion/target pairs")
+    p = add_parser("eval", _cmd_eval, help="evaluate a corpus of completion/target pairs")
     p.add_argument("--pairs", required=True, help="newline-delimited JSON pairs")
     p.add_argument("--out", default="-")
     p.add_argument("--format", choices=("tabular", "records"), default="records")
     p.add_argument("--check", action="append", default=[], type=_parse_check, metavar="FIELD OP VALUE",
                    help="aggregate constraint, e.g. coll_free_rate>=0.99; exit 3 on failure")
 
-    p = add_parser("convert", help="convert a brick-layout corpus to training records")
+    p = add_parser("convert", _cmd_convert, help="convert a brick-layout corpus to training records")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--mode", choices=("sft", "grpo"), default="sft")
 
-    p = add_parser("construct", help="legalize a target grid into bricks")
+    p = add_parser("construct", _cmd_construct, help="legalize a target grid into bricks")
     p.add_argument("--grid", required=True)
     p.add_argument("--stagger", action="store_true")
     p.add_argument("--largest-first", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--out", default="-")
 
-    p = add_parser("gen-fixtures", help="generate evaluation pairs")
-    p.add_argument("--count", type=int, default=10)
+    p = add_parser("gen-fixtures", _cmd_gen_fixtures, help="generate evaluation pairs")
+    p.add_argument("--count", type=_non_negative_int, default=10)
     p.add_argument("--out", default="-")
     p.add_argument("--grounded", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--fill-prob", type=float, default=0.1)
     p.add_argument("--max-components", type=int, default=3)
     p.add_argument("--stagger", action="store_true")
 
-    p = add_parser("serve", help="run the streaming reward service")
+    p = add_parser("serve", _cmd_serve, help="run the streaming reward service")
     p.add_argument("--transport", choices=("stdio", "tcp"), default="stdio")
     p.add_argument("--port", type=int, default=0)
     p.add_argument("--host", default="127.0.0.1")
@@ -188,6 +189,8 @@ def _cmd_parse(args, world: WorldConfig) -> int:
 
 
 def _cmd_score(args, world: WorldConfig) -> int:
+    if args.target == args.completion == "-":
+        raise _UsageError("--target and --completion cannot both be - (stdin)")
     target = _load_grid(args.target, world)
     breakdown = score_completion(_read_text(args.completion), target, world)
     print(json.dumps(asdict(breakdown)))
@@ -227,6 +230,8 @@ def _cmd_eval(args, world: WorldConfig) -> int:
 
 
 def _cmd_convert(args, world: WorldConfig) -> int:
+    if "-" in (args.input, args.output):
+        raise _UsageError("convert reads and writes files only, not - (stdin or stdout)")
     count = convert_corpus(args.input, args.output, args.mode, world)
     print(count)
     return 0
@@ -268,23 +273,11 @@ def _cmd_serve(args, world: WorldConfig) -> int:
     return serve_rewards(args.transport, args.port, args.host, world, args.threads)
 
 
-_COMMANDS = {
-    "parse": _cmd_parse,
-    "score": _cmd_score,
-    "eval": _cmd_eval,
-    "convert": _cmd_convert,
-    "construct": _cmd_construct,
-    "gen-fixtures": _cmd_gen_fixtures,
-    "serve": _cmd_serve,
-}
-
-
 def cli_dispatch(argv: list[str]) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        world = _parse_world(args.world)
-        return _COMMANDS[args.command](args, world)
+        args = parser.parse_args(argv, argparse.Namespace(world=DEFAULT_WORLD, seed=0, threads=1))
+        return args.run(args, args.world)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -187,7 +187,7 @@ def convert_corpus(
         raise ValueError(f"unknown mode {mode!r}")
     build = build_sft_record if mode == "sft" else build_grpo_record
     count = 0
-    with open(input_path, "r", encoding="utf-8") as src, open(
+    with open(input_path, "r", encoding="utf-8", newline="\n") as src, open(
         output_path, "w", encoding="utf-8"
     ) as dst:
         for line_number, line in enumerate(src, start=1):

@@ -1,11 +1,15 @@
 """CLI subcommands: exit codes, I/O conventions, and global flags."""
 
+import io
 import json
+import os
+import sys
 
 import numpy as np
 import pytest
 
 from brickeval import (
+    DEFAULT_WORLD,
     WorldConfig,
     decode_target_voxels,
     encode_target_voxels,
@@ -14,6 +18,7 @@ from brickeval import (
     serialize_pointcloud,
     serialize_structure,
 )
+from brickeval import cli
 from brickeval.cli import cli_dispatch
 
 
@@ -21,6 +26,15 @@ def run(capsys, *argv):
     code = cli_dispatch(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def feed_stdin(monkeypatch, data: bytes):
+    # What Python gives on POSIX in the POSIX locale: lines split at "\n" only,
+    # and undecodable bytes become surrogates.
+    stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape",
+                             newline="\n")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    return stdin
 
 
 # ---------------------------------------------------------------------- parse
@@ -277,6 +291,36 @@ def test_non_utf8_input_is_data_error(tmp_path, capsys, command):
     assert "UTF-8" in err
 
 
+@pytest.mark.parametrize("command", ["parse", "score-completion", "eval", "construct"])
+def test_non_utf8_stdin_is_data_error(tmp_path, monkeypatch, capsys, command):
+    # The same bytes are the same error whether given by path or on stdin.
+    good = tmp_path / "good.txt"
+    good.write_text("(0,0,0)")
+    argv = {
+        "parse": ["parse", "--completion", "-"],
+        "score-completion": ["score", "--target", str(good), "--completion", "-"],
+        "eval": ["eval", "--pairs", "-"],
+        "construct": ["construct", "--grid", "-"],
+    }[command]
+    feed_stdin(monkeypatch, NOT_UTF8)
+    code, _, err = run(capsys, *argv)
+    assert_data_error(code, err)
+    assert "UTF-8" in err
+
+
+@pytest.mark.parametrize("source", ["path", "stdin"])
+def test_eval_cr_framed_pairs_are_one_bad_record(tmp_path, monkeypatch, capsys, source):
+    # Pairs are framed at "\n" only, so two records joined by a bare "\r" are one bad line.
+    row = json.dumps({"completion": "1x1 (0,0,0)", "target_points": "(0,0,0)"})
+    data = (row + "\r" + row + "\r").encode("utf-8")
+    f = tmp_path / "pairs.jsonl"
+    f.write_bytes(data)
+    feed_stdin(monkeypatch, data)
+    code, out, err = run(capsys, "eval", "--pairs", str(f) if source == "path" else "-")
+    assert_data_error(code, err)
+    assert "bad pair record" in err and out == ""
+
+
 def test_eval_empty_pairs(tmp_path, capsys):
     f = tmp_path / "pairs.jsonl"
     f.write_text("\n")
@@ -356,6 +400,74 @@ def test_gen_fixtures_rejects_non_finite_fill_prob(tmp_path, capsys, fill):
 
 
 # --------------------------------------------------------------- global flags
+
+
+@pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+@pytest.mark.parametrize("flag, value, expected", [
+    ("--world", "6,6,6", WorldConfig(6, 6, 6)),
+    ("--seed", "9", 9),
+    ("--threads", "3", 3),
+])
+def test_global_flag_reaches_command(tmp_path, monkeypatch, capsys, flag, value, expected, before):
+    # A flag given on one side of the subcommand is neither lost nor reset by
+    # the other side, and the flags not given keep their defaults.
+    seen = {}
+
+    def fake_serve(transport, port, host, world, threads):
+        seen.update(world=world, threads=threads)
+        return 0
+
+    def fake_target(seed, world, **kwargs):
+        seen.update(seed=seed)
+        return np.zeros(world.shape, dtype=bool)
+
+    monkeypatch.setattr(cli, "serve_rewards", fake_serve)
+    monkeypatch.setattr(cli, "random_target", fake_target)
+    for command in (["serve"], ["gen-fixtures", "--count", "1", "--out", str(tmp_path / "p.jsonl")]):
+        argv = [flag, value, *command] if before else [*command, flag, value]
+        assert run(capsys, *argv)[0] == 0
+    want = {"world": DEFAULT_WORLD, "seed": 0, "threads": 1}
+    want[flag[2:]] = expected
+    assert seen == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--seed", "-1"],
+    ["--seed", "-3", "gen-fixtures"],
+    ["gen-fixtures", "--seed", "-3"],
+    ["gen-fixtures", "--count", "-2"],
+    ["gen-fixtures", "--seed", "1.5"],
+    ["gen-fixtures", "--count", "ten"],
+], ids=["construct-seed", "seed-before", "seed", "count", "seed-not-int", "count-not-int"])
+def test_seed_and_count_must_be_non_negative_integers(tmp_path, capsys, argv):
+    grid = np.zeros(WorldConfig().shape, dtype=bool)
+    grid[0, 0, 0] = True
+    gfile = tmp_path / "grid.txt"
+    gfile.write_text(encode_target_voxels(grid))
+    out_path = tmp_path / "out.txt"
+    extra = ["--grid", str(gfile)] if "construct" in argv else []
+    code, out, err = run(capsys, *argv, *extra, "--out", str(out_path))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "invalid" not in err  # not argparse's "invalid <function> value"
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["convert", "--input", "in.jsonl", "--output", "-"],
+    ["convert", "--input", "-", "--output", "out.jsonl"],
+    ["score", "--target", "-", "--completion", "-"],
+], ids=["convert-output", "convert-input", "score-both-stdin"])
+def test_dash_a_command_cannot_honour_is_usage_error(tmp_path, monkeypatch, capsys, argv):
+    # Rejected before anything is read or written.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.jsonl").write_text(json.dumps({"bricks": "1x1 (0,0,0)"}) + "\n")
+    stdin = feed_stdin(monkeypatch, b"(0,0,0)\n")
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert os.listdir(tmp_path) == ["in.jsonl"]
+    assert stdin.buffer.tell() == 0
 
 
 def test_world_flag_both_positions(tmp_path, capsys):

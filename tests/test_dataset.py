@@ -260,6 +260,19 @@ def test_convert_skips_and_logs(tmp_path, world, caplog):
     assert len(caplog.records) == 5
 
 
+@pytest.mark.parametrize("end, count, skips", [("\r", 0, 1), ("\r\n", 2, 0)], ids=["CR", "CRLF"])
+def test_convert_frames_at_newline_only(tmp_path, world, caplog, end, count, skips):
+    # As in the service and eval, a bare "\r" does not end a record.
+    src = tmp_path / "in.jsonl"
+    rows = [json.dumps({"bricks": "1x1 (0,0,0)"}), json.dumps({"bricks": "2x2 (5,5,0)"})]
+    src.write_bytes("".join(row + end for row in rows).encode("utf-8"))
+    dst = tmp_path / "out.jsonl"
+    with caplog.at_level(logging.WARNING, logger="brickeval.dataset"):
+        assert convert_corpus(str(src), str(dst), "sft", world) == count
+    assert len(dst.read_text().splitlines()) == count
+    assert len(caplog.records) == skips
+
+
 def test_convert_grpo_mode(tmp_path, world):
     src = tmp_path / "in.jsonl"
     dst = tmp_path / "out.jsonl"
