@@ -104,6 +104,7 @@ def _load_grid(path: str, world: WorldConfig) -> np.ndarray:
 _CHECK_RE = re.compile(r"^\s*(\w+)\s*(>=|<=|==|!=|>|<)\s*(-?\d+(?:\.\d+)?)\s*$")
 _CHECK_OPS = {">=": operator.ge, "<=": operator.le, "==": operator.eq,
               "!=": operator.ne, ">": operator.gt, "<": operator.lt}
+_FLAG_DEFAULTS = {"world": DEFAULT_WORLD, "seed": 0, "threads": 1}
 
 
 def _parse_check(text: str) -> tuple[str, str, float, str]:
@@ -118,49 +119,48 @@ def _parse_check(text: str) -> tuple[str, str, float, str]:
 
 
 def build_parser() -> _ArgumentParser:
-    # The global flags go on the top parser and on every subparser, so they
-    # work before or after the subcommand. Their defaults are the namespace
-    # cli_dispatch starts from, never an action default: parent actions are
-    # shared, and a subparser default would clobber a value given before it.
-    flags = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    flags.add_argument("--world", type=_parse_world, metavar="X,Y,Z",
-                       help="world grid dimensions (default 20,20,20)")
-    flags.add_argument("--seed", type=_non_negative_int)
-    flags.add_argument("--threads", type=int)
-    parser = _ArgumentParser(prog="brickeval", parents=[flags])
+    # Each global flag goes on the top parser and on the subparsers of the commands
+    # that read it. cli_dispatch fills in _FLAG_DEFAULTS after parsing, never as
+    # action defaults: a subparser's default would clobber a value given before it.
+    flags = {"world": dict(type=_parse_world, metavar="X,Y,Z", help="world grid dimensions (default 20,20,20)"),
+             "seed": dict(type=_non_negative_int), "threads": dict(type=int)}
+    parser = _ArgumentParser(prog="brickeval")
+    for flag, keywords in flags.items():
+        parser.add_argument(f"--{flag}", default=argparse.SUPPRESS, **keywords)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name: str, run, **kwargs) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, parents=[flags], **kwargs)
-        p.set_defaults(run=run)
+    def add_parser(name: str, run, reads: tuple[str, ...], **kwargs) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, **kwargs)
+        for flag in reads:
+            p.add_argument(f"--{flag}", default=argparse.SUPPRESS, **flags[flag])
+        p.set_defaults(run=run, reads=reads)
         return p
 
-    p = add_parser("parse", _cmd_parse, help="parse a completion and print the report")
+    p = add_parser("parse", _cmd_parse, (), help="parse a completion and print the report")
     p.add_argument("--completion", required=True, help="path or - for stdin")
 
-    p = add_parser("score", _cmd_score, help="score a completion against a target")
+    p = add_parser("score", _cmd_score, ("world",), help="score a completion against a target")
     p.add_argument("--target", required=True)
     p.add_argument("--completion", required=True)
 
-    p = add_parser("eval", _cmd_eval, help="evaluate a corpus of completion/target pairs")
+    p = add_parser("eval", _cmd_eval, ("world",), help="evaluate a corpus of completion/target pairs")
     p.add_argument("--pairs", required=True, help="newline-delimited JSON pairs")
     p.add_argument("--out", default="-")
     p.add_argument("--format", choices=("tabular", "records"), default="records")
     p.add_argument("--check", action="append", default=[], type=_parse_check, metavar="FIELD OP VALUE",
                    help="aggregate constraint, e.g. coll_free_rate>=0.99; exit 3 on failure")
 
-    p = add_parser("convert", _cmd_convert, help="convert a brick-layout corpus to training records")
+    p = add_parser("convert", _cmd_convert, ("world",), help="convert a brick-layout corpus to training records")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--mode", choices=("sft", "grpo"), default="sft")
 
-    p = add_parser("construct", _cmd_construct, help="legalize a target grid into bricks")
+    p = add_parser("construct", _cmd_construct, ("world", "seed"), help="legalize a target grid into bricks")
     p.add_argument("--grid", required=True)
     p.add_argument("--stagger", action="store_true")
-    p.add_argument("--largest-first", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--out", default="-")
 
-    p = add_parser("gen-fixtures", _cmd_gen_fixtures, help="generate evaluation pairs")
+    p = add_parser("gen-fixtures", _cmd_gen_fixtures, ("world", "seed"), help="generate evaluation pairs")
     p.add_argument("--count", type=_non_negative_int, default=10)
     p.add_argument("--out", default="-")
     p.add_argument("--grounded", action=argparse.BooleanOptionalAction, default=True)
@@ -168,14 +168,14 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("--max-components", type=int, default=3)
     p.add_argument("--stagger", action="store_true")
 
-    p = add_parser("serve", _cmd_serve, help="run the streaming reward service")
+    p = add_parser("serve", _cmd_serve, ("world", "threads"), help="run the streaming reward service")
     p.add_argument("--transport", choices=("stdio", "tcp"), default="stdio")
     p.add_argument("--port", type=int, default=0)
     p.add_argument("--host", default="127.0.0.1")
     return parser
 
 
-def _cmd_parse(args, world: WorldConfig) -> int:
+def _cmd_parse(args) -> int:
     structure, report = parse_structure(_read_text(args.completion))
     record = {
         "parsed_ok": report.parsed_ok,
@@ -188,16 +188,16 @@ def _cmd_parse(args, world: WorldConfig) -> int:
     return 0
 
 
-def _cmd_score(args, world: WorldConfig) -> int:
+def _cmd_score(args) -> int:
     if args.target == args.completion == "-":
         raise _UsageError("--target and --completion cannot both be - (stdin)")
-    target = _load_grid(args.target, world)
-    breakdown = score_completion(_read_text(args.completion), target, world)
+    target = _load_grid(args.target, args.world)
+    breakdown = score_completion(_read_text(args.completion), target, args.world)
     print(json.dumps(asdict(breakdown)))
     return 0
 
 
-def _cmd_eval(args, world: WorldConfig) -> int:
+def _cmd_eval(args) -> int:
     samples = []
     for line_number, line in enumerate(_read_text(args.pairs).split("\n"), start=1):
         if not line.strip():
@@ -205,8 +205,8 @@ def _cmd_eval(args, world: WorldConfig) -> int:
         try:
             obj = read_record(line)
             completion, voxels, points = read_pair(obj)
-            target = (decode_target_voxels(voxels, world) if voxels is not None
-                      else parse_pointcloud(points, world))
+            target = (decode_target_voxels(voxels, args.world) if voxels is not None
+                      else parse_pointcloud(points, args.world))
             wall = obj.get("wall_time_s", 0.0)
             if type(wall) not in (int, float):  # bool is neither
                 raise ValueError(f"wall_time_s must be a number, got {type(wall).__name__}")
@@ -215,7 +215,7 @@ def _cmd_eval(args, world: WorldConfig) -> int:
                 raise ValueError(f"wall_time_s must be finite and non-negative, got {wall}")
         except (OverflowError, ValueError) as exc:  # OverflowError: an integer past float range
             raise _DataError(f"{args.pairs}:{line_number}: bad pair record ({exc})")
-        samples.append(sample_metrics(completion, target, world, wall))
+        samples.append(sample_metrics(completion, target, args.world, wall))
     if not samples:
         raise _DataError(f"{args.pairs}: no pairs found")
     report = aggregate(samples)
@@ -229,27 +229,27 @@ def _cmd_eval(args, world: WorldConfig) -> int:
     return 0
 
 
-def _cmd_convert(args, world: WorldConfig) -> int:
+def _cmd_convert(args) -> int:
     if "-" in (args.input, args.output):
         raise _UsageError("convert reads and writes files only, not - (stdin or stdout)")
-    count = convert_corpus(args.input, args.output, args.mode, world)
+    count = convert_corpus(args.input, args.output, args.mode, args.world)
     print(count)
     return 0
 
 
-def _cmd_construct(args, world: WorldConfig) -> int:
-    grid = _load_grid(args.grid, world)
-    opts = ConstructorOptions(stagger=args.stagger, seed=args.seed,
-                              largest_first=args.largest_first)
-    structure = legalize(grid, opts, world)
+def _cmd_construct(args) -> int:
+    grid = _load_grid(args.grid, args.world)
+    structure = legalize(grid, ConstructorOptions(stagger=args.stagger, seed=args.seed), args.world)
     text = serialize_structure(structure, "one_per_line")
     _write_text(args.out, text + "\n" if text else "")
     return 0
 
 
-def _cmd_gen_fixtures(args, world: WorldConfig) -> int:
+def _cmd_gen_fixtures(args) -> int:
     if not 0 <= args.fill_prob <= 1:
         raise _UsageError(f"--fill-prob must be in [0, 1], got {args.fill_prob}")
+    if args.max_components < 1:
+        raise _UsageError(f"--max-components must be at least 1, got {args.max_components}")
     lines = []
     opts = ConstructorOptions(stagger=args.stagger, seed=args.seed)
     for i in range(args.count):
@@ -258,9 +258,9 @@ def _cmd_gen_fixtures(args, world: WorldConfig) -> int:
             max_components=args.max_components,
             fill_prob=args.fill_prob,
             grounded=args.grounded,
-            world=world,
+            world=args.world,
         )
-        structure = legalize(target, opts, world)
+        structure = legalize(target, opts, args.world)
         lines.append(json.dumps({
             "completion": serialize_structure(structure, "one_per_line"),
             "target_voxels": encode_target_voxels(target),
@@ -269,15 +269,22 @@ def _cmd_gen_fixtures(args, world: WorldConfig) -> int:
     return 0
 
 
-def _cmd_serve(args, world: WorldConfig) -> int:
-    return serve_rewards(args.transport, args.port, args.host, world, args.threads)
+def _cmd_serve(args) -> int:
+    if not 0 <= args.port <= 65535:
+        raise _UsageError(f"--port must be in [0, 65535], got {args.port}")
+    return serve_rewards(args.transport, args.port, args.host, args.world, args.threads)
 
 
 def cli_dispatch(argv: list[str]) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv, argparse.Namespace(world=DEFAULT_WORLD, seed=0, threads=1))
-        return args.run(args, args.world)
+        args = parser.parse_args(argv)
+        for name, default in _FLAG_DEFAULTS.items():
+            if name in args.reads:
+                vars(args).setdefault(name, default)
+            elif name in args:  # given before a subcommand that does not read it
+                raise _UsageError(f"{args.command} does not take --{name}")
+        return args.run(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

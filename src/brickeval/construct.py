@@ -32,7 +32,6 @@ from .core import (BRICK_LIBRARY, DEFAULT_WORLD, BrickStructure, OrientedDim, Wo
 class ConstructorOptions:
     stagger: bool = False
     seed: int = 0
-    largest_first: bool = True
 
 
 def _dim_priority(opts: ConstructorOptions) -> list[OrientedDim]:
@@ -43,8 +42,6 @@ def _dim_priority(opts: ConstructorOptions) -> list[OrientedDim]:
         if len(group) > 1:
             group = [group[k] for k in rng.permutation(len(group))]
         result.extend(group)
-    if not opts.largest_first:
-        result.reverse()
     return result
 
 
@@ -173,12 +170,14 @@ def random_target(
     grounded=True every occupied voxel sits on a filled column down to
     z = 0, so a legalized build of the grid is fully grounded.
     """
+    if max_components < 1:
+        raise ValueError(f"max_components must be at least 1, got {max_components}")
     grid = np.zeros(world.shape, dtype=bool)
     if fill_prob <= 0:
         return grid
     rng = np.random.default_rng(seed)
     budget = max(1, round(fill_prob * world.n_voxels))
-    n_components = 1 + _below(rng, max(max_components, 1))
+    n_components = 1 + _below(rng, max_components)
     per_component = max(1, budget // n_components)
     for _ in range(n_components):
         if grounded:

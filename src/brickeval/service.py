@@ -302,10 +302,13 @@ class RewardTCPServer(socketserver.ThreadingTCPServer):
     daemon_threads = True
 
     def __init__(self, address: tuple[str, int], world: WorldConfig, threads: int):
+        # Set before the bind: a failed bind calls server_close, which reads it.
+        self.workers = None
         super().__init__(address, _TCPHandler)
         self.world = world
         count = _worker_count(threads)
-        self.workers = start_workers(count) if count > 1 else None
+        if count > 1:
+            self.workers = start_workers(count)
 
     def server_close(self) -> None:
         super().server_close()

@@ -127,7 +127,7 @@ def oracle_decode_voxels(s: str, world: WorldConfig) -> np.ndarray:
     return grid
 
 
-def oracle_priority(seed: int, largest_first: bool) -> list[tuple[int, int]]:
+def oracle_priority(seed: int) -> list[tuple[int, int]]:
     """Legalizer brick order: by area, each equal-area group in library
     order shuffled by one shared generator, largest group first."""
     rng = np.random.default_rng(seed)
@@ -140,18 +140,17 @@ def oracle_priority(seed: int, largest_first: bool) -> list[tuple[int, int]]:
         if len(group) > 1:
             group = [group[k] for k in rng.permutation(len(group))]
         order += group
-    return order if largest_first else order[::-1]
+    return order
 
 
 def oracle_legalize(
-    target: np.ndarray, world: WorldConfig, stagger: bool = False, seed: int = 0,
-    largest_first: bool = True,
+    target: np.ndarray, world: WorldConfig, stagger: bool = False, seed: int = 0
 ) -> BrickStructure:
     """Greedy cover, layer by layer: at each uncovered target cell in scan
     order, place the first brick in priority order whose cells all lie in
     the world and are still uncovered. Odd layers scan phase-shifted by
     one cell on both axes when staggered."""
-    priority = oracle_priority(seed, largest_first)
+    priority = oracle_priority(seed)
     bricks = []
     for z in range(world.dim_z):
         cells = [(x, y) for x in range(world.dim_x) for y in range(world.dim_y) if target[x, y, z]]

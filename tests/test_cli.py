@@ -3,6 +3,8 @@
 import io
 import json
 import os
+import socket
+import subprocess
 import sys
 
 import numpy as np
@@ -399,7 +401,70 @@ def test_gen_fixtures_rejects_non_finite_fill_prob(tmp_path, capsys, fill):
     assert not (tmp_path / "p.jsonl").exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_gen_fixtures_rejects_max_components_below_one(tmp_path, capsys, value):
+    code, out, err = run(capsys, "gen-fixtures", "--max-components", value, "--out", str(tmp_path / "p.jsonl"))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and "--max-components" in err
+    assert not (tmp_path / "p.jsonl").exists()
+
+
+# ---------------------------------------------------------------------- serve
+
+
+@pytest.mark.parametrize("port, code", [("busy", 2), ("70000", 1), ("-1", 1)])
+def test_serve_tcp_bad_port_is_one_error_line(port, code):
+    # A port in use is an I/O error and one out of range a usage error; neither a traceback.
+    with socket.socket() as busy:
+        busy.bind(("127.0.0.1", 0))
+        busy.listen()
+        if port == "busy":
+            port = str(busy.getsockname()[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "brickeval", "serve", "--transport", "tcp", "--port", port],
+            capture_output=True, text=True, timeout=60,
+        )
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == code and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+
+
 # --------------------------------------------------------------- global flags
+
+
+# The global flags each command reads; any other is a usage error.
+READS = {
+    "parse": (),
+    "score": ("--world",),
+    "eval": ("--world",),
+    "convert": ("--world",),
+    "construct": ("--world", "--seed"),
+    "gen-fixtures": ("--world", "--seed"),
+    "serve": ("--world", "--threads"),
+}
+FLAG_VALUES = {"--world": "6,6,6", "--seed": "9", "--threads": "3"}
+
+
+def command_argv(command, tmp_path):
+    """A run of command that reads and writes only under tmp_path."""
+    points = tmp_path / "points.txt"
+    points.write_text("(0,0,0)")
+    completion = tmp_path / "c.txt"
+    completion.write_text("1x1 (0,0,0)\n")
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text(json.dumps({"completion": "1x1 (0,0,0)", "target_points": "(0,0,0)"}) + "\n")
+    layouts = tmp_path / "layouts.jsonl"
+    layouts.write_text(json.dumps({"bricks": "1x1 (0,0,0)"}) + "\n")
+    out = str(tmp_path / "out.txt")
+    return {
+        "parse": ["parse", "--completion", str(completion)],
+        "score": ["score", "--target", str(points), "--completion", str(completion)],
+        "eval": ["eval", "--pairs", str(pairs), "--out", out],
+        "convert": ["convert", "--input", str(layouts), "--output", out],
+        "construct": ["construct", "--grid", str(points), "--out", out],
+        "gen-fixtures": ["gen-fixtures", "--count", "1", "--out", out],
+        "serve": ["serve"],
+    }[command]
 
 
 @pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
@@ -417,18 +482,60 @@ def test_global_flag_reaches_command(tmp_path, monkeypatch, capsys, flag, value,
         seen.update(world=world, threads=threads)
         return 0
 
-    def fake_target(seed, world, **kwargs):
-        seen.update(seed=seed)
-        return np.zeros(world.shape, dtype=bool)
+    def fake_convert(src, dst, mode, world):
+        seen.update(world=world)
+        return 0
+
+    real_points, real_legalize = cli.parse_pointcloud, cli.legalize
+
+    def spy_points(text, world):
+        seen.update(world=world)
+        return real_points(text, world)
+
+    def spy_legalize(grid, opts, world):
+        seen.update(seed=opts.seed, world=world)
+        return real_legalize(grid, opts, world)
 
     monkeypatch.setattr(cli, "serve_rewards", fake_serve)
-    monkeypatch.setattr(cli, "random_target", fake_target)
-    for command in (["serve"], ["gen-fixtures", "--count", "1", "--out", str(tmp_path / "p.jsonl")]):
-        argv = [flag, value, *command] if before else [*command, flag, value]
-        assert run(capsys, *argv)[0] == 0
-    want = {"world": DEFAULT_WORLD, "seed": 0, "threads": 1}
-    want[flag[2:]] = expected
-    assert seen == want
+    monkeypatch.setattr(cli, "convert_corpus", fake_convert)
+    monkeypatch.setattr(cli, "parse_pointcloud", spy_points)
+    monkeypatch.setattr(cli, "legalize", spy_legalize)
+    defaults = {"--world": DEFAULT_WORLD, "--seed": 0, "--threads": 1}
+    for command, reads in READS.items():
+        if flag not in reads:
+            continue
+        seen.clear()
+        argv = command_argv(command, tmp_path)
+        argv = [flag, value, *argv] if before else [*argv, flag, value]
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (command, err)
+        want = {name[2:]: expected if name == flag else defaults[name] for name in reads}
+        assert seen == want, command
+
+
+UNREAD = [(command, flag) for command, reads in READS.items() for flag in FLAG_VALUES if flag not in reads]
+
+
+@pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+@pytest.mark.parametrize("command, flag", UNREAD, ids=[f"{c}{f}" for c, f in UNREAD])
+def test_unread_global_flag_is_usage_error(tmp_path, monkeypatch, capsys, command, flag, before):
+    # A flag the command would ignore is refused, on either side, before anything runs.
+    argv = command_argv(command, tmp_path)
+    argv = [flag, FLAG_VALUES[flag], *argv] if before else [*argv, flag, FLAG_VALUES[flag]]
+    files = sorted(os.listdir(tmp_path))
+    stdin = feed_stdin(monkeypatch, b"")
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and flag in err, err
+    assert sorted(os.listdir(tmp_path)) == files
+    assert stdin.buffer.tell() == 0
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_help_lists_the_global_flags_read(capsys, command):
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0
+    assert [flag for flag in FLAG_VALUES if f"{flag} " in out] == list(READS[command])
 
 
 @pytest.mark.parametrize("argv", [
@@ -482,7 +589,7 @@ def test_world_flag_both_positions(tmp_path, capsys):
 
 
 def test_bad_world_flag(capsys):
-    code, _, err = run(capsys, "--world", "20,20", "parse", "--completion", "-")
+    code, _, err = run(capsys, "--world", "20,20", "construct", "--grid", "-")
     assert code == 1 and "error:" in err
 
 

@@ -51,15 +51,6 @@ def test_two_by_eight_slab(world):
     assert_exact_cover(s, grid, world)
 
 
-def test_smallest_first_uses_unit_bricks(world):
-    grid = np.zeros(world.shape, dtype=bool)
-    grid[0:2, 0:8, 0] = True
-    s = legalize(grid, ConstructorOptions(largest_first=False), world)
-    assert len(s) == 16
-    assert all((b.h, b.w) == (1, 1) for b in s)
-    assert_exact_cover(s, grid, world)
-
-
 def test_exact_cover_on_random_blobs(world):
     rng = np.random.default_rng(61)
     for _ in range(25):
@@ -88,11 +79,9 @@ def test_legalize_rejects_wrong_shape(world):
         legalize(np.zeros((6, 6, 6), dtype=bool), world=world)
 
 
-@pytest.mark.parametrize("largest_first", [True, False])
-def test_dim_priority_matches_oracle(largest_first):
+def test_dim_priority_matches_oracle():
     for seed in range(200):
-        opts = ConstructorOptions(seed=seed, largest_first=largest_first)
-        assert [(d.h, d.w) for d in _dim_priority(opts)] == oracle_priority(seed, largest_first)
+        assert [(d.h, d.w) for d in _dim_priority(ConstructorOptions(seed=seed))] == oracle_priority(seed)
 
 
 def test_full_layer_no_stagger_golden(world):
@@ -167,11 +156,10 @@ def test_legalize_matches_oracle():
                 else:
                     grid = rng.random(world.shape) < fill
                 for stagger in (False, True):
-                    for largest_first in (True, False):
-                        seed = int(rng.integers(6))
-                        opts = ConstructorOptions(stagger=stagger, seed=seed, largest_first=largest_first)
-                        expected = oracle_legalize(grid, world, stagger, seed, largest_first)
-                        assert legalize(grid, opts, world) == expected, (world, fill, grounded, opts)
+                    seed = int(rng.integers(6))
+                    opts = ConstructorOptions(stagger=stagger, seed=seed)
+                    expected = oracle_legalize(grid, world, stagger, seed)
+                    assert legalize(grid, opts, world) == expected, (world, fill, grounded, opts)
 
 
 # -------------------------------------------------------------- random_target
@@ -179,6 +167,12 @@ def test_legalize_matches_oracle():
 
 def test_zero_fill_is_empty(world):
     assert not random_target(seed=0, fill_prob=0.0, world=world).any()
+
+
+@pytest.mark.parametrize("max_components", [0, -5])
+def test_target_needs_a_component(world, max_components):
+    with pytest.raises(ValueError, match="max_components"):
+        random_target(seed=0, max_components=max_components, world=world)
 
 
 def test_target_deterministic(world):

@@ -2,9 +2,11 @@
 
 perfbench traces a layer by replacing a function in the module that calls
 it (say `cli.parse_pointcloud` or `rewards.parse_structure`). Between them
-these two workloads install every such wrapper, in the cli, dataset,
+offline_eval and rollout_w1 install every such wrapper, in the cli, dataset,
 metrics, service and rewards modules, so a call that moves out of the
 module where it is wrapped fails here rather than only under --trace 1.
+offline_construct runs `construct ... --seed N` through the CLI, so it also
+fails if the CLI stops taking a flag that perfbench passes.
 """
 
 import json
@@ -17,7 +19,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["offline_eval", "rollout_w1"])
+@pytest.mark.parametrize("workload", ["offline_construct", "offline_eval", "rollout_w1"])
 def test_traced_run_is_correct(workload):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,

@@ -14,6 +14,7 @@ import time
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from brickeval import (
     ConstructorOptions,
@@ -410,6 +411,15 @@ def tcp_exchange(server, payload):
 def test_tcp_survives_invalid_utf8(perfect_fixture):
     server = RewardTCPServer(("127.0.0.1", 0), WORLD, threads=1)
     assert_invalid_utf8_answered(tcp_exchange(server, invalid_utf8_requests(perfect_fixture)))
+
+
+def test_tcp_bind_failure_is_os_error():
+    # The failed-bind cleanup must not hide EADDRINUSE behind an AttributeError.
+    with socket.socket() as busy:
+        busy.bind(("127.0.0.1", 0))
+        busy.listen()
+        with pytest.raises(OSError):
+            RewardTCPServer(busy.getsockname(), WORLD, threads=2)
 
 
 def test_tcp_round_trip(perfect_fixture):
