@@ -33,6 +33,11 @@ support edges, and seams from comparing the flat voxel-owner grid with
 itself shifted one step along x or y. The bricks come in as the
 structure's columns, its one stored form, so no pass loops over bricks
 in Python and none builds a Brick.
+
+analyze_chunk runs the same passes once for many structures, on one set
+of cells whose keys carry a structure id. It works on the sorted cells
+alone instead of world grids, so its cost and memory follow the cells:
+it is the cheaper way for structures that fill little of the world.
 """
 
 from __future__ import annotations
@@ -110,9 +115,16 @@ class _Geometry:
     the flat cell arrays, in brick order, whatever the brick's layer:
     support is found between cells, and the cells on in-world layers
     are the voxels.
+
+    Several structures laid end to end share one geometry when each
+    brick's structure id (nondecreasing) is given. A cell's column then
+    counts whole worlds' columns for the structures before its own, so
+    cells of different structures never share a key or touch, and a
+    voxel's flat index lin runs over that many worlds laid end to end,
+    which are never allocated.
     """
 
-    def __init__(self, columns: np.ndarray, world: WorldConfig):
+    def __init__(self, columns: np.ndarray, world: WorldConfig, structure: np.ndarray | None = None):
         dim_x, dim_y, dim_z = world.shape
         h, w, x, y, z = columns.T
         hs = h.astype(np.int64, copy=False)
@@ -123,7 +135,7 @@ class _Geometry:
         y0 = np.minimum(y, dim_y).astype(np.int64, copy=False)
         x1 = np.minimum(x0 + hs, dim_x)
         y1 = np.minimum(y0 + ws, dim_y)
-        self.total_area = int(np.dot(hs, ws))
+        self.area = hs * ws
 
         layers, inverse = np.unique(z, return_inverse=True)
         keys = np.empty(layers.size, dtype=np.int64)
@@ -133,7 +145,8 @@ class _Geometry:
         self.layer = keys[inverse]
         self.layer_span = int(keys[-1]) + 1
         in_world = (0 <= layers) & (layers < dim_z)
-        zc = np.where(in_world, layers, -1).astype(np.int64, copy=False)[inverse]
+        # Each brick's layer in the world, or -1 outside it.
+        self.z = zc = np.where(in_world, layers, -1).astype(np.int64, copy=False)[inverse]
         self.ground = zc == 0
 
         key = hs * FOOTPRINT_SIDES + ws
@@ -142,34 +155,40 @@ class _Geometry:
         valid = (gx < x1[:, None]) & (gy < y1[:, None])
         brick = valid.nonzero()[0]
         column = (gx * dim_y + gy)[valid]
+        if structure is not None:
+            column += structure[brick] * (dim_x * dim_y)
         # A cell's +x (+y) neighbor lies in the same brick.
-        pair_x = (gx < (x1 - 1)[:, None])[valid]
-        pair_y = (gy < (y1 - 1)[:, None])[valid]
+        self.pair_x = (gx < (x1 - 1)[:, None])[valid]
+        self.pair_y = (gy < (y1 - 1)[:, None])[valid]
         self.brick, self.column = brick, column
-        voxel = zc[brick] >= 0
-        self.vbrick = brick[voxel]
-        self.lin = column[voxel] * dim_z + zc[self.vbrick]
-        self.pair_x, self.pair_y = pair_x[voxel], pair_y[voxel]
+        self.voxel = zc[brick] >= 0
+        self.vbrick = brick[self.voxel]
+        self.lin = column[self.voxel] * dim_z + zc[self.vbrick]
 
-    def support(self) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct support edges (upper brick, lower brick), sorted.
+    def runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Cells sorted by key (column, layer key), as runs of equal keys.
 
-        Cells are sorted by (column, layer key). Equal keys form a run
-        (longer than one cell only where bricks collide), and the cells
+        Returns the cell order, the sorted keys, each sorted cell's run,
+        and each run's first position in that order and its size. A run
+        is longer than one cell only where bricks collide, and the cells
         one layer below a run are exactly the run before it when the two
         keys differ by one.
         """
-        if not self.brick.size:
-            return self.brick, self.brick
         key = self.column * self.layer_span + self.layer[self.brick]
         order = np.argsort(key)
-        key, brick = key[order], self.brick[order]
+        key = key[order]
         starts = np.empty(key.size, dtype=bool)
-        starts[0] = True
+        starts[:1] = True
         np.not_equal(key[1:], key[:-1], out=starts[1:])
         run = np.cumsum(starts) - 1
-        first = np.flatnonzero(starts)
-        size = np.bincount(run)
+        return order, key, run, np.flatnonzero(starts), np.bincount(run)
+
+    def support(self, runs: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct support edges (upper brick, lower brick), sorted, from runs() if given."""
+        if not self.brick.size:
+            return self.brick, self.brick
+        order, key, run, first, size = runs or self.runs()
+        brick = self.brick[order]
         stacked = np.zeros(first.size, dtype=bool)
         stacked[1:] = key[first[1:]] - key[first[:-1]] == 1
         below = run - 1
@@ -232,7 +251,7 @@ def analyze_with_occupancy(
     n_col = int(np.count_nonzero(counts > 1))
     occupied = counts > 0
     occupied_count = int(np.count_nonzero(occupied))
-    fully_in_bounds = lin.size == geom.total_area
+    fully_in_bounds = lin.size == int(geom.area.sum())
 
     upper, lower = geom.support()
     interlock = _interlock(geom, upper)
@@ -263,6 +282,102 @@ def analyze_with_occupancy(
         brick_count=n,
     )
     return result, occupied.reshape(world.shape)
+
+
+def analyze_chunk(
+    structures: list[BrickStructure], targets: list[np.ndarray], world: WorldConfig
+) -> list[tuple[StructureAnalysis, float]]:
+    """analyze() of each structure and the IoU of its occupancy with its target, in one pass.
+
+    Equal bit for bit to analyze_with_occupancy and reward_shape run on
+    each structure, but the structures share one geometry, whose cell
+    keys carry a structure id, so every pass runs once for the chunk and
+    nothing the size of the world is allocated. Voxels are the runs of
+    equal cell keys on in-world layers. A seam's neighbor is found by a
+    binary search of the voxel keys, and its cover in the next run, the
+    layer above. IoU looks each structure's voxels up in its own target
+    grid, and per-structure totals are bincounts on the structure id.
+    """
+    k = len(structures)
+    sizes = np.array([len(s) for s in structures], dtype=np.int64)
+    n = int(sizes.sum())
+    if n == 0:
+        return [(_EMPTY_ANALYSIS, 0.0)] * k
+    sid = np.repeat(np.arange(k), sizes)
+    geom = _Geometry(np.concatenate([s.columns for s in structures]), world, sid)
+    dim_x, dim_y, dim_z = world.shape
+
+    runs = geom.runs()
+    upper, lower = geom.support(runs)
+    nonground = ~geom.ground
+    interlocked = (np.bincount(upper, minlength=n) >= 2) & nonground
+    label = _components(n, upper, lower)
+    grounded_root = np.zeros(n, dtype=bool)
+    grounded_root[label[geom.ground]] = True
+    grounded = grounded_root[label]
+    first_brick = np.cumsum(sizes) - sizes
+    # A brick that is ungrounded or apart from its structure's first brick.
+    apart = ~grounded | (label != label[first_brick[sid]])
+
+    order, key, _, first, size = runs
+    brick = geom.brick[order]
+    z = geom.z[brick[first]]
+    voxel = z >= 0
+    vkey, z, size = key[first][voxel], z[voxel], size[voxel]
+    vfirst = first[voxel]
+    owner = np.minimum.reduceat(brick, first)[voxel]
+    vsid = sid[owner]
+
+    def any_in_run(flags: np.ndarray) -> np.ndarray:
+        return np.logical_or.reduceat(flags, first)[voxel]
+
+    occupied = np.bincount(vsid, minlength=k)
+    n_col = np.bincount(vsid[size > 1], minlength=k)
+    disconnected = occupied - np.bincount(vsid[any_in_run(grounded[brick])], minlength=k)
+    in_cells = np.bincount(vsid, weights=size, minlength=k)
+    fully_in_bounds = in_cells == np.bincount(sid, weights=geom.area, minlength=k)
+
+    # The voxel's column within its own world, for the edges and the target lookup.
+    column = geom.column[order[vfirst]] - vsid * (dim_x * dim_y)
+    below_top = z < dim_z - 1
+    total = np.zeros(k, dtype=np.int64)
+    covered = np.zeros(k, dtype=np.int64)
+    for pair, has_next, step in (
+        (geom.pair_x, column < (dim_x - 1) * dim_y, dim_y),
+        (geom.pair_y, column % dim_y < dim_y - 1, 1),
+    ):
+        nxt = vkey + step * geom.layer_span
+        at = np.minimum(np.searchsorted(vkey, nxt), vkey.size - 1)
+        seam = below_top & has_next & (vkey[at] == nxt) & (owner[at] != owner)
+        # Covered by a pair cell in the voxel above, which is the next run.
+        cover = np.zeros(vkey.size, dtype=bool)
+        cover[:-1] = (vkey[1:] - vkey[:-1] == 1) & any_in_run(pair[order])[1:]
+        total += np.bincount(vsid[seam], minlength=k)
+        covered += np.bincount(vsid[seam & cover], minlength=k)
+
+    nonground_count = np.bincount(sid[nonground], minlength=k)
+    fields = zip(
+        n_col.tolist(),
+        fully_in_bounds.tolist(),
+        occupied.tolist(),
+        disconnected.tolist(),
+        (1.0 - disconnected / np.maximum(occupied, 1)).tolist(),
+        ((sizes > 0) & (np.bincount(sid[apart], minlength=k) == 0)).tolist(),
+        (np.bincount(sid[interlocked], minlength=k) / np.maximum(nonground_count, 1)).tolist(),
+        np.where(total == 0, 1.0, covered / np.maximum(total, 1)).tolist(),
+        sizes.tolist(),
+    )
+    flat = column * dim_z + z
+    bounds = np.cumsum(occupied).tolist()
+    results = []
+    lo = 0
+    for fields_s, target, hi, occupied_s in zip(fields, targets, bounds, occupied.tolist()):
+        grid = target.reshape(-1)
+        inter = int(np.count_nonzero(grid[flat[lo:hi]]))
+        union = occupied_s + int(np.count_nonzero(grid)) - inter
+        results.append((StructureAnalysis(*fields_s), inter / union if union else 0.0))
+        lo = hi
+    return results
 
 
 def _interlock(geom: _Geometry, upper: np.ndarray) -> float:
@@ -360,7 +475,7 @@ def _seam_score(geom: _Geometry) -> float:
     ):
         # A seam between voxel v and v + step is covered by a pair cell at v + 1.
         pair_at = np.zeros(world.n_voxels, dtype=bool)
-        pair_at[geom.lin[pair]] = True
+        pair_at[geom.lin[pair[geom.voxel]]] = True
         a, b = owner[:-step], owner[step:]
         seams = (a != b) & (np.maximum(a, b) < n) & rows
         total += int(np.count_nonzero(seams))

@@ -264,8 +264,8 @@ def _cmd_gen_fixtures(args) -> int:
         lines.append(json.dumps({
             "completion": serialize_structure(structure, "one_per_line"),
             "target_voxels": encode_target_voxels(target),
-        }))
-    _write_text(args.out, "\n".join(lines) + "\n")
+        }) + "\n")
+    _write_text(args.out, "".join(lines))
     return 0
 
 

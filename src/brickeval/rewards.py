@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import analyze_with_occupancy
-from .core import DimensionMismatch, WorldConfig, check_target_shape
+from .analysis import StructureAnalysis, analyze_chunk, analyze_with_occupancy
+from .core import BrickStructure, DimensionMismatch, WorldConfig, check_target_shape
 from .tokens import parse_structure
 
 
@@ -70,18 +70,11 @@ def reward_shape(gen: np.ndarray, target: np.ndarray) -> tuple[float, float]:
     return 5.0 * iou, iou
 
 
-def score_completion(
-    completion_text: str, target: np.ndarray, world: WorldConfig
-) -> RewardBreakdown:
-    """Parse, rasterize, analyze, and compose the four reward terms."""
-    check_target_shape(target, world)
-    structure, report = parse_structure(completion_text)
-    if not report.parsed_ok:
-        return FAILED_CONSTRUCTION
-    a, occupied = analyze_with_occupancy(structure, world)
+def reward_breakdown(a: StructureAnalysis, iou: float) -> RewardBreakdown:
+    """The four reward terms of a parsed structure from its analysis and its IoU with the target."""
     feasible = a.n_col == 0 and a.fully_in_bounds
     r_col = reward_collision(a.n_col)
-    r_shape, iou = reward_shape(occupied, target)
+    r_shape = 5.0 * iou
     r_inter = 3.0 * a.interlock_score if feasible else 0.0
     r_conn = 2.0 * a.conn_score if feasible else 0.0
     return RewardBreakdown(
@@ -97,3 +90,47 @@ def score_completion(
         in_bounds=a.fully_in_bounds,
         brick_count=a.brick_count,
     )
+
+
+def score_completion(
+    completion_text: str, target: np.ndarray, world: WorldConfig
+) -> RewardBreakdown:
+    """Parse, rasterize, analyze, and compose the four reward terms."""
+    check_target_shape(target, world)
+    structure, report = parse_structure(completion_text)
+    if not report.parsed_ok:
+        return FAILED_CONSTRUCTION
+    return _score_alone(structure, target, world)
+
+
+def _score_alone(structure: BrickStructure, target: np.ndarray, world: WorldConfig) -> RewardBreakdown:
+    a, occupied = analyze_with_occupancy(structure, world)
+    return reward_breakdown(a, reward_shape(occupied, target)[1])
+
+
+def score_structures(
+    structures: list[BrickStructure | None], targets: list[np.ndarray], world: WorldConfig
+) -> list[RewardBreakdown]:
+    """score_completion's breakdown of each parsed structure (None: failed to parse) against its target.
+
+    Light structures, whose brick area is at most 1/16 of the world's
+    voxels, are analyzed together in one pass (analyze_chunk) when there
+    are two or more; every other one on its own, with
+    analyze_with_occupancy's passes over the world grid. Both give the
+    same reward bit for bit. The batched pass costs about the cells, the
+    grid passes about the world's voxels, and per structure the two cost
+    the same near an area of 1/16 in a 32x32x32 world (measured with 32
+    structures); smaller worlds put the crossing higher.
+    """
+    for target in targets:
+        check_target_shape(target, world)
+    light = [i for i, s in enumerate(structures)
+             if s is not None and 16 * int(np.dot(s.columns[:, 0], s.columns[:, 1])) <= world.n_voxels]
+    batched = {}
+    if len(light) > 1:
+        analyses = analyze_chunk([structures[i] for i in light], [targets[i] for i in light], world)
+        batched = {i: reward_breakdown(a, iou) for i, (a, iou) in zip(light, analyses)}
+    return [batched[i] if i in batched
+            else FAILED_CONSTRUCTION if structure is None
+            else _score_alone(structure, target, world)
+            for i, (structure, target) in enumerate(zip(structures, targets))]

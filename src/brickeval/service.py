@@ -18,7 +18,12 @@ serving thread. With N > 1 (capped at the usable CPU cores, since
 scoring is CPU-bound), a pool of that many spawned processes scores
 them: request lines go to a free worker in chunks of whatever has
 arrived (at most 32 lines), so nothing waits for a chunk to fill and a
-burst is sent in few messages. A lone request while none of its
+burst is sent in few messages. A worker reads and parses each line of a
+chunk on its own, then analyzes the chunk's light structures (brick
+area at most 1/16 of the world's voxels) in one batched pass when there
+are two or more; a lone line, a lone light structure and every denser
+structure are scored alone, as with one worker, and every response is
+the one handle_request_line gives. A lone request while none of its
 stream's requests is at a worker is scored in the serving process
 instead. Responses may then leave in a different order than the
 requests arrived; ids are the correlation key. A TCP server shares one
@@ -43,11 +48,13 @@ from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator
 
 from .core import WorldConfig, DEFAULT_WORLD
 from .dataset import BadRecord, CodecError, decode_target_voxels, read_pair, read_record
-from .rewards import RewardBreakdown, score_completion
-from .tokens import MalformedPointToken, OutOfWorldCoordinate, parse_pointcloud
+from .rewards import RewardBreakdown, score_completion, score_structures
+from .tokens import MalformedPointToken, OutOfWorldCoordinate, parse_pointcloud, parse_structure
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
+
+    import numpy as np
 
 _CHUNK_LINES = 32
 _MAX_PENDING = 128  # requests in flight before intake stalls
@@ -80,8 +87,8 @@ def _response(request_id: str, breakdown: RewardBreakdown) -> str:
     return json.dumps(record)
 
 
-def handle_request_line(line: str | bytes, world: WorldConfig) -> str:
-    """Score one request line, text or strict UTF-8 bytes; never raises."""
+def _read_request(line: str | bytes, world: WorldConfig) -> str | tuple[str, str, np.ndarray]:
+    """A request line's error response, or its id, completion and decoded target."""
     try:
         obj = read_record(line)
     except BadRecord:
@@ -98,6 +105,15 @@ def handle_request_line(line: str | bytes, world: WorldConfig) -> str:
                   else parse_pointcloud(points, world))
     except (CodecError, MalformedPointToken, OutOfWorldCoordinate):
         return _error(request_id, "bad_target_encoding")
+    return request_id, completion, target
+
+
+def handle_request_line(line: str | bytes, world: WorldConfig) -> str:
+    """Score one request line, text or strict UTF-8 bytes; never raises."""
+    request = _read_request(line, world)
+    if isinstance(request, str):
+        return request
+    request_id, completion, target = request
     try:
         return _response(request_id, score_completion(completion, target, world))
     except Exception:
@@ -130,7 +146,27 @@ def read_lines(stream: BinaryIO, world: WorldConfig) -> Iterator[bytes]:
 
 
 def _handle_chunk(world: WorldConfig, lines: list[str | bytes]) -> list[str]:
-    return [handle_request_line(line, world) for line in lines]
+    """handle_request_line's response to each line, with the lines' structures scored together.
+
+    Each line is read and its completion parsed as handle_request_line
+    does; score_structures then scores every parsed completion in one
+    call, which analyzes the light ones in one pass. If that call
+    raises, each of its lines is answered by handle_request_line.
+    """
+    responses = [_read_request(line, world) for line in lines]
+    scored = [i for i, request in enumerate(responses) if not isinstance(request, str)]
+    try:
+        structures = []
+        for i in scored:
+            structure, report = parse_structure(responses[i][1])
+            structures.append(structure if report.parsed_ok else None)
+        breakdowns = score_structures(structures, [responses[i][2] for i in scored], world)
+    except Exception:
+        breakdowns = None
+    for k, i in enumerate(scored):
+        responses[i] = (handle_request_line(lines[i], world) if breakdowns is None
+                        else _response(responses[i][0], breakdowns[k]))
+    return responses
 
 
 def _worker_init() -> None:

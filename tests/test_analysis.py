@@ -1,5 +1,7 @@
 """Rasterization, collisions, connectivity, interlock, and seam coverage."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,12 @@ from brickeval import (
     interlock_score,
     make_brick,
     parse_structure,
+    random_target,
     rasterize,
+    reward_shape,
     serialize_structure,
 )
-from brickeval.analysis import _Geometry
+from brickeval.analysis import _Geometry, analyze_chunk
 
 from helpers import (
     collision_free_structure,
@@ -446,3 +450,63 @@ def test_columns_and_tuples_analyze_alike():
         free = oracle_interlock(s, None)
         assert interlock_score(parsed) == interlock_score(twin) == free
     assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+
+
+# -------------------------------------------------------------------- chunks
+
+
+def chunk_builds(rng, world, k, first_kind):
+    # Light and dense builds of every awkward kind, mixed in one chunk.
+    builds = []
+    for i in range(k):
+        kind = (first_kind + i) % 6
+        s = random_structure(rng, world, 300 if kind == 5 else 12, in_bounds=kind % 2 == 0)
+        if kind == 1:  # parsed back, so its columns are an object array
+            s = parse_structure(serialize_structure(huge_values(rng, s)))[0]
+        elif kind == 2:  # colliding
+            s = BrickStructure(s.bricks + s.bricks[: int(rng.integers(1, 4))])
+        elif kind == 3:  # wholly outside the world's x or y extent
+            dx, dy = (world.dim_x, 0) if i % 2 else (0, world.dim_y)
+            s = BrickStructure(tuple(Brick(b.dim, b.x + dx, b.y + dy, b.z) for b in s))
+        builds.append(s)
+    return builds
+
+
+def assert_chunk_pass_equals_single_passes(builds, targets, world):
+    for s, target, (a, iou) in zip(builds, targets, analyze_chunk(builds, targets, world), strict=True):
+        b, occupied = analyze_with_occupancy(s, world)
+        want = (*vars(b).values(), reward_shape(occupied, target)[1])
+        assert (*vars(a).values(), iou) == want
+        assert [type(v) for v in (*vars(a).values(), iou)] == [type(v) for v in want]
+
+
+@pytest.mark.parametrize("world", [WorldConfig(20, 20, 20), WorldConfig(7, 70, 3), WorldConfig(5, 7, 3),
+                                   WorldConfig(1, 1, 1)], ids=str)
+@pytest.mark.parametrize("k", [2, 7, 32])
+def test_chunk_pass_equals_single_passes(world, k):
+    rng = np.random.default_rng([k, world.n_voxels])
+    grids = [random_target(seed, grounded=bool(seed % 2), world=world) for seed in range(4)]
+    dtypes = set()
+    for chunk in range(6):
+        builds = chunk_builds(rng, world, k, chunk * k)
+        dtypes.update(s.columns.dtype for s in builds)
+        assert_chunk_pass_equals_single_passes(builds, [grids[int(rng.integers(4))] for _ in builds], world)
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+    # No cell of the chunk inside the world's x/y extent, and no brick at all.
+    outside = [struct((1, 1, world.dim_x, 0, 0), (2, 2, 0, world.dim_y, 0)), struct((1, 1, 0, world.dim_y, 0))]
+    assert_chunk_pass_equals_single_passes(outside, grids[:2], world)
+    assert_chunk_pass_equals_single_passes([BrickStructure(())] * 2, grids[:2], world)
+
+
+def test_chunk_pass_memory_grows_with_cells_not_world():
+    world = WorldConfig(64, 64, 64)
+    builds = [struct((1, 1, i, i, i)) for i in range(32)]
+    targets = [np.zeros(world.shape, dtype=bool) for _ in builds]
+    analyze_chunk(builds, targets, world)  # warm caches
+    tracemalloc.start()
+    try:
+        analyze_chunk(builds, targets, world)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -393,6 +393,13 @@ def test_gen_fixtures_seed_determinism(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_gen_fixtures_count_zero_writes_empty_corpus(tmp_path, capsys):
+    assert run(capsys, "gen-fixtures", "--count", "0") == (0, "", "")
+    out_path = tmp_path / "pairs.jsonl"
+    assert run(capsys, "gen-fixtures", "--count", "0", "--out", str(out_path)) == (0, "", "")
+    assert out_path.read_bytes() == b""
+
+
 @pytest.mark.parametrize("fill", ["nan", "inf", "-inf", "1.5", "1e308", "-0.5"])
 def test_gen_fixtures_rejects_non_finite_fill_prob(tmp_path, capsys, fill):
     code, out, err = run(capsys, "gen-fixtures", f"--fill-prob={fill}", "--out", str(tmp_path / "p.jsonl"))

@@ -6,7 +6,11 @@ offline_eval and rollout_w1 install every such wrapper, in the cli, dataset,
 metrics, service and rewards modules, so a call that moves out of the
 module where it is wrapped fails here rather than only under --trace 1.
 offline_construct runs `construct ... --seed N` through the CLI, so it also
-fails if the CLI stops taking a flag that perfbench passes.
+fails if the CLI stops taking a flag that perfbench passes. rollout_w2 runs
+`serve --threads 2` on the mixed rollout traffic, so the workers' chunk
+scoring, which analyzes a chunk's light structures in one pass, runs end
+to end under perfbench's checks of ids, expected error codes and the
+oracle subset.
 """
 
 import json
@@ -19,7 +23,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["offline_construct", "offline_eval", "rollout_w1"])
+@pytest.mark.parametrize("workload", ["offline_construct", "offline_eval", "rollout_w1", "rollout_w2"])
 def test_traced_run_is_correct(workload):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,

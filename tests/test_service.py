@@ -12,14 +12,17 @@ import sys
 import threading
 import time
 import tracemalloc
+from functools import cache
 
 import numpy as np
 import pytest
 
 from brickeval import (
+    BrickStructure,
     ConstructorOptions,
     encode_target_voxels,
     legalize,
+    make_brick,
     random_target,
     rasterize,
     serialize_pointcloud,
@@ -35,6 +38,7 @@ from brickeval.service import (
     serve_lines,
     start_workers,
 )
+from test_golden import _requests as golden_requests
 
 WORLD = DEFAULT_WORLD
 
@@ -145,6 +149,67 @@ def test_bad_point_text():
         line = json.dumps({"id": "p", "completion": "", "target_points": points})
         rec = json.loads(handle_request_line(line, WORLD))
         assert rec["error_code"] == "bad_target_encoding"
+
+
+# ------------------------------------------------------------------- chunks
+
+ROLLOUT_KINDS = ("valid", "comma_inline", "points_target", "colliding", "out_of_bounds",
+                 "malformed", "empty", "bad_json", "wrong_world", "dense")
+
+
+@cache
+def rollout_requests() -> tuple[str, ...]:
+    """Requests of every kind in perfbench's rollout mix, plus dense builds (fill 0.5; the rest fill 0.01)."""
+    rng = np.random.default_rng(12)
+    lines = []
+    for i in range(80):
+        kind = ROLLOUT_KINDS[i % len(ROLLOUT_KINDS)]
+        fill = 0.5 if kind == "dense" else 0.01
+        target = random_target(int(rng.integers(1 << 31)), fill_prob=fill, grounded=True, world=WORLD)
+        bricks = legalize(target, ConstructorOptions(stagger=bool(i % 3)), WORLD).bricks
+        if kind == "colliding":
+            bricks += bricks[-1:]
+        elif kind == "out_of_bounds":
+            bricks += (make_brick(8, 1, WORLD.dim_x - 3, i % WORLD.dim_y, WORLD.dim_z - 1),)
+        text = serialize_structure(BrickStructure(bricks), "comma_inline" if kind == "comma_inline" else "one_per_line")
+        if kind == "malformed":
+            text = "3x3 (1,1,0)\n" + text
+        elif kind == "empty":
+            text = ""
+        request = {"id": f"m{i}", "completion": text}
+        if kind == "points_target":
+            request["target_points"] = serialize_pointcloud(target)
+        elif kind == "wrong_world":
+            request["target_voxels"] = encode_target_voxels(rng.random((10, 10, 10)) < 0.1)
+        else:
+            request["target_voxels"] = encode_target_voxels(target)
+        line = json.dumps(request)
+        lines.append(line[: len(line) // 2] if kind == "bad_json" else line)
+    return tuple(lines)
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 32])
+def test_chunk_responses_equal_single_line_responses(size):
+    # The golden digest serves one line at a time, so it never sees a chunk.
+    lines = list(golden_requests()) + list(rollout_requests())
+    lines = [lines[i] for i in np.random.default_rng(size).permutation(len(lines))]
+    for lo in range(0, len(lines), size):
+        chunk = lines[lo:lo + size]
+        assert service._handle_chunk(WORLD, chunk) == [handle_request_line(line, WORLD) for line in chunk]
+
+
+def test_chunk_whose_batch_raises_is_answered_line_by_line(monkeypatch):
+    calls = []
+
+    def fail(*args):
+        calls.append(args)
+        raise RuntimeError("batch failed")
+
+    lines = list(rollout_requests()[:32])
+    want = [handle_request_line(line, WORLD) for line in lines]
+    monkeypatch.setattr(service, "score_structures", fail)
+    assert service._handle_chunk(WORLD, lines) == want
+    assert len(calls) == 1
 
 
 # ------------------------------------------------------------------ serve_lines
