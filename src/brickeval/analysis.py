@@ -24,13 +24,13 @@ Definitions used throughout:
   layer above occupies both cells directly over the pair. The topmost
   layer has no layer above and is excluded from the seam total.
 
-The passes are vectorized and share one set of footprint cells: every
-library variant's offsets sit in a padded lookup table, so all cell
-coordinates come from one broadcast add. Support is a join on those
-cells (sorted by column and layer, the cells under a cell come just
-before it), components come from hooking and pointer jumping over the
-support edges, and seams from comparing the flat voxel-owner grid with
-itself shifted one step along x or y. The bricks come in as the
+The passes are vectorized and share one set of footprint cells: each
+brick's clipped footprint is enumerated exactly, its cells numbered by
+one repeat of the brick index and one arange, with no padding. Support
+is a join on those cells (sorted by column and layer, the cells under a
+cell come just before it), components come from hooking and pointer
+jumping over the support edges, and seams from comparing the flat
+voxel-owner grid with itself shifted one step along x or y. The bricks come in as the
 structure's columns, its one stored form, so no pass loops over bricks
 in Python and none builds a Brick.
 
@@ -47,28 +47,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import BRICK_LIBRARY, FOOTPRINT_SIDES, BrickStructure, WorldConfig
+from .core import FOOTPRINT_SIDES, BrickStructure, WorldConfig
 
-_PAD = max(d.h * d.w for d in BRICK_LIBRARY)
 _GAP = FOOTPRINT_SIDES  # one more than the longest footprint side
-
-
-def _build_offset_table() -> tuple[np.ndarray, np.ndarray]:
-    """Footprint cell offsets per variant, indexed by footprint key.
-
-    Unused slots hold an offset far past any world, so their cells
-    always fall outside it.
-    """
-    offx = np.full((FOOTPRINT_SIDES**2, _PAD), 1 << 40, dtype=np.int64)
-    offy = np.full((FOOTPRINT_SIDES**2, _PAD), 1 << 40, dtype=np.int64)
-    for d in BRICK_LIBRARY:
-        key = d.h * FOOTPRINT_SIDES + d.w
-        offx[key, : d.area] = np.repeat(np.arange(d.h, dtype=np.int64), d.w)
-        offy[key, : d.area] = np.tile(np.arange(d.w, dtype=np.int64), d.h)
-    return offx, offy
-
-
-_OFFX, _OFFY = _build_offset_table()
 
 
 @dataclass
@@ -149,17 +130,20 @@ class _Geometry:
         self.z = zc = np.where(in_world, layers, -1).astype(np.int64, copy=False)[inverse]
         self.ground = zc == 0
 
-        key = hs * FOOTPRINT_SIDES + ws
-        gx = x0[:, None] + _OFFX[key]
-        gy = y0[:, None] + _OFFY[key]
-        valid = (gx < x1[:, None]) & (gy < y1[:, None])
-        brick = valid.nonzero()[0]
-        column = (gx * dim_y + gy)[valid]
+        # Cell i of a brick's clipped ch x cw footprint is (x0 + i // cw, y0 + i % cw).
+        ch, cw = x1 - x0, y1 - y0
+        count = ch * cw
+        brick = np.repeat(np.arange(self.n), count)
+        i = np.arange(brick.size) - np.repeat(np.cumsum(count) - count, count)
+        cw = cw[brick]
+        dx = i // cw
+        dy = i - dx * cw
+        column = (x0[brick] + dx) * dim_y + y0[brick] + dy
         if structure is not None:
             column += structure[brick] * (dim_x * dim_y)
         # A cell's +x (+y) neighbor lies in the same brick.
-        self.pair_x = (gx < (x1 - 1)[:, None])[valid]
-        self.pair_y = (gy < (y1 - 1)[:, None])[valid]
+        self.pair_x = dx < ch[brick] - 1
+        self.pair_y = dy < cw - 1
         self.brick, self.column = brick, column
         self.voxel = zc[brick] >= 0
         self.vbrick = brick[self.voxel]

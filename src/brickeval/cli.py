@@ -27,8 +27,9 @@ from .dataset import (
     read_pair,
     read_record,
 )
-from .metrics import AggregateReport, aggregate, emit_report, sample_metrics
-from .rewards import score_completion
+from .metrics import AggregateReport, aggregate, emit_report, sample_metrics_batch
+from .metrics import sample_metrics  # not called here; perfbench wraps it by name until ROADMAP direction 3
+from .rewards import CHUNK_SIZE, score_completion
 from .service import serve_rewards
 from .tokens import (
     MalformedPointToken,
@@ -199,6 +200,13 @@ def _cmd_score(args) -> int:
 
 def _cmd_eval(args) -> int:
     samples = []
+    pending = []  # (completion, target, wall_time_s) of pairs read but not yet scored
+
+    def score_pending() -> None:
+        completions, targets, walls = zip(*pending)
+        samples.extend(sample_metrics_batch(completions, targets, args.world, walls))
+        pending.clear()
+
     for line_number, line in enumerate(_read_text(args.pairs).split("\n"), start=1):
         if not line.strip():
             continue
@@ -215,7 +223,11 @@ def _cmd_eval(args) -> int:
                 raise ValueError(f"wall_time_s must be finite and non-negative, got {wall}")
         except (OverflowError, ValueError) as exc:  # OverflowError: an integer past float range
             raise _DataError(f"{args.pairs}:{line_number}: bad pair record ({exc})")
-        samples.append(sample_metrics(completion, target, args.world, wall))
+        pending.append((completion, target, wall))
+        if len(pending) == CHUNK_SIZE:
+            score_pending()
+    if pending:
+        score_pending()
     if not samples:
         raise _DataError(f"{args.pairs}: no pairs found")
     report = aggregate(samples)

@@ -11,14 +11,19 @@ reported as absent when nothing parsed. Average wall time is over N.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .analysis import analyze_with_occupancy
-from .core import WorldConfig, check_target_shape
-from .rewards import reward_shape
+from .analysis import StructureAnalysis
+from .core import WorldConfig
+from .rewards import evaluate
 from .tokens import parse_structure
+
+# Not called here; perfbench wraps these by name until ROADMAP direction 3.
+from .analysis import analyze_with_occupancy
+from .rewards import reward_shape
 
 
 class EmptyInput(ValueError):
@@ -63,9 +68,26 @@ def sample_metrics(
     wall_time_s: float = 0.0,
 ) -> SampleMetrics:
     """Evaluate one completion against its target grid (of the world's shape)."""
-    check_target_shape(target, world)
-    structure, report = parse_structure(completion)
-    if not report.parsed_ok:
+    return sample_metrics_batch([completion], [target], world, [wall_time_s])[0]
+
+
+def sample_metrics_batch(
+    completions: Sequence[str],
+    targets: Sequence[np.ndarray],
+    world: WorldConfig,
+    wall_times_s: Sequence[float],
+) -> list[SampleMetrics]:
+    """sample_metrics of each completion, evaluated together (rewards.evaluate)."""
+    structures = []
+    for completion in completions:
+        structure, report = parse_structure(completion)
+        structures.append(structure if report.parsed_ok else None)
+    return [_sample(result, wall_time_s)
+            for result, wall_time_s in zip(evaluate(structures, targets, world), wall_times_s, strict=True)]
+
+
+def _sample(result: tuple[StructureAnalysis, float] | None, wall_time_s: float) -> SampleMetrics:
+    if result is None:
         return SampleMetrics(
             parsed=False,
             collision_free=False,
@@ -79,8 +101,7 @@ def sample_metrics(
             brick_count=0,
             wall_time_s=wall_time_s,
         )
-    a, occupied = analyze_with_occupancy(structure, world)
-    _, iou = reward_shape(occupied, target)
+    a, iou = result
     return SampleMetrics(
         parsed=True,
         collision_free=a.n_col == 0,
@@ -145,10 +166,10 @@ def emit_report(
     table of the headline columns, absent values shown as "-".
     """
     if format == "structured_records":
-        lines = [
-            json.dumps({"record": "sample", **asdict(s)}) for s in samples
-        ]
-        lines.append(json.dumps({"record": "aggregate", **asdict(report)}))
+        # vars(), not asdict(): the fields are plain numbers and flags, so
+        # asdict's deep copy is wasted work.
+        lines = [json.dumps({"record": "sample", **vars(s)}) for s in samples]
+        lines.append(json.dumps({"record": "aggregate", **vars(report)}))
         return ("\n".join(lines) + "\n").encode("utf-8")
     if format == "tabular_text":
         cells = []

@@ -100,24 +100,24 @@ def score_completion(
     structure, report = parse_structure(completion_text)
     if not report.parsed_ok:
         return FAILED_CONSTRUCTION
-    return _score_alone(structure, target, world)
+    return reward_breakdown(*_evaluate_alone(structure, target, world))
 
 
-def _score_alone(structure: BrickStructure, target: np.ndarray, world: WorldConfig) -> RewardBreakdown:
-    a, occupied = analyze_with_occupancy(structure, world)
-    return reward_breakdown(a, reward_shape(occupied, target)[1])
+# Structures evaluated together at most: a service worker's chunk of
+# request lines, and eval's chunk of pairs.
+CHUNK_SIZE = 32
 
 
-def score_structures(
+def evaluate(
     structures: list[BrickStructure | None], targets: list[np.ndarray], world: WorldConfig
-) -> list[RewardBreakdown]:
-    """score_completion's breakdown of each parsed structure (None: failed to parse) against its target.
+) -> list[tuple[StructureAnalysis, float] | None]:
+    """The analysis of each parsed structure (None: failed to parse) and its IoU with its target.
 
     Light structures, whose brick area is at most 1/16 of the world's
     voxels, are analyzed together in one pass (analyze_chunk) when there
     are two or more; every other one on its own, with
     analyze_with_occupancy's passes over the world grid. Both give the
-    same reward bit for bit. The batched pass costs about the cells, the
+    same results bit for bit. The batched pass costs about the cells, the
     grid passes about the world's voxels, and per structure the two cost
     the same near an area of 1/16 in a 32x32x32 world (measured with 32
     structures); smaller worlds put the crossing higher.
@@ -129,8 +129,23 @@ def score_structures(
     batched = {}
     if len(light) > 1:
         analyses = analyze_chunk([structures[i] for i in light], [targets[i] for i in light], world)
-        batched = {i: reward_breakdown(a, iou) for i, (a, iou) in zip(light, analyses)}
+        batched = dict(zip(light, analyses))
     return [batched[i] if i in batched
-            else FAILED_CONSTRUCTION if structure is None
-            else _score_alone(structure, target, world)
+            else None if structure is None
+            else _evaluate_alone(structure, target, world)
             for i, (structure, target) in enumerate(zip(structures, targets))]
+
+
+def _evaluate_alone(
+    structure: BrickStructure, target: np.ndarray, world: WorldConfig
+) -> tuple[StructureAnalysis, float]:
+    a, occupied = analyze_with_occupancy(structure, world)
+    return a, reward_shape(occupied, target)[1]
+
+
+def score_structures(
+    structures: list[BrickStructure | None], targets: list[np.ndarray], world: WorldConfig
+) -> list[RewardBreakdown]:
+    """score_completion's breakdown of each parsed structure (None: failed to parse) against its target."""
+    return [FAILED_CONSTRUCTION if result is None else reward_breakdown(*result)
+            for result in evaluate(structures, targets, world)]

@@ -48,7 +48,7 @@ from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator
 
 from .core import WorldConfig, DEFAULT_WORLD
 from .dataset import BadRecord, CodecError, decode_target_voxels, read_pair, read_record
-from .rewards import RewardBreakdown, score_completion, score_structures
+from .rewards import CHUNK_SIZE, RewardBreakdown, score_completion, score_structures
 from .tokens import MalformedPointToken, OutOfWorldCoordinate, parse_pointcloud, parse_structure
 
 if TYPE_CHECKING:
@@ -56,7 +56,6 @@ if TYPE_CHECKING:
 
     import numpy as np
 
-_CHUNK_LINES = 32
 _MAX_PENDING = 128  # requests in flight before intake stalls
 # Stands in for a line over the length bound: it is not UTF-8, so it is
 # answered as any undecodable line is, with bad_request and a null id.
@@ -245,7 +244,7 @@ def _pump(
     A reader thread takes one unit of the in-flight budget per line, so
     it stalls once _MAX_PENDING lines await a response. This thread owns
     every write: it collects arriving lines and finished chunks from
-    one queue, and sends the collected lines on whenever _CHUNK_LINES
+    one queue, and sends the collected lines on whenever CHUNK_SIZE
     have gathered or nothing else is waiting. Once a worker has died the
     pool is broken, and this thread scores every chunk itself.
     """
@@ -293,7 +292,7 @@ def _pump(
                 write(responses)
             else:
                 ended, error = True, item
-            if pending and (len(pending) >= _CHUNK_LINES or events.empty()):
+            if pending and (len(pending) >= CHUNK_SIZE or events.empty()):
                 # A lone line with none of this stream at the workers is
                 # scored here, which saves its two trips between processes.
                 if in_flight or len(pending) > 1:

@@ -498,6 +498,54 @@ def test_chunk_pass_equals_single_passes(world, k):
     assert_chunk_pass_equals_single_passes([BrickStructure(())] * 2, grids[:2], world)
 
 
+def oracle_cells(builds, world, with_ids):
+    # Every clipped footprint cell, brick by brick, then x, then y, by a
+    # double loop over the whole footprint; a pair flag is set when the
+    # cell's +x (+y) neighbor is a cell of the same brick.
+    dim_x, dim_y, dim_z = world.shape
+    cells = {name: [] for name in ("brick", "column", "pair_x", "pair_y", "voxel", "vbrick", "lin")}
+    index = 0
+    for sid, s in enumerate(builds):
+        for b in s:
+            x1, y1 = min(b.x + b.h, dim_x), min(b.y + b.w, dim_y)
+            for u in range(b.x, b.x + b.h):
+                for v in range(b.y, b.y + b.w):
+                    if u >= dim_x or v >= dim_y:
+                        continue
+                    column = u * dim_y + v + (sid * dim_x * dim_y if with_ids else 0)
+                    voxel = 0 <= b.z < dim_z
+                    cells["brick"].append(index)
+                    cells["column"].append(column)
+                    cells["pair_x"].append(u + 1 < x1)
+                    cells["pair_y"].append(v + 1 < y1)
+                    cells["voxel"].append(voxel)
+                    if voxel:
+                        cells["vbrick"].append(index)
+                        cells["lin"].append(column * dim_z + b.z)
+            index += 1
+    return cells
+
+
+@pytest.mark.parametrize("world", [WorldConfig(20, 20, 20), WorldConfig(7, 70, 3), WorldConfig(5, 7, 3),
+                                   WorldConfig(1, 1, 1)], ids=str)
+def test_cell_builder_enumerates_clipped_footprints(world):
+    rng = np.random.default_rng([5, world.n_voxels])
+    dtypes = set()
+    for chunk in range(4):
+        builds = chunk_builds(rng, world, 6, chunk * 6)
+        dtypes.update(s.columns.dtype for s in builds)
+        cases = [([s], None) for s in builds]
+        sid = np.repeat(np.arange(len(builds)), [len(s) for s in builds])
+        cases.append((builds, sid))
+        for group, structure in cases:
+            geom = _Geometry(np.concatenate([s.columns for s in group]), world, structure)
+            for name, want in oracle_cells(group, world, structure is not None).items():
+                got = getattr(geom, name)
+                assert got.tolist() == want, name
+                assert got.dtype == (bool if name in ("pair_x", "pair_y", "voxel") else np.int64), name
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+
+
 def test_chunk_pass_memory_grows_with_cells_not_world():
     world = WorldConfig(64, 64, 64)
     builds = [struct((1, 1, i, i, i)) for i in range(32)]

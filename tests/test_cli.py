@@ -6,17 +6,26 @@ import os
 import socket
 import subprocess
 import sys
+from dataclasses import asdict
+from functools import cache
 
 import numpy as np
 import pytest
 
 from brickeval import (
     DEFAULT_WORLD,
+    BrickStructure,
+    ConstructorOptions,
     WorldConfig,
+    aggregate,
     decode_target_voxels,
     encode_target_voxels,
+    legalize,
+    make_brick,
     parse_structure,
+    random_target,
     rasterize,
+    sample_metrics,
     serialize_pointcloud,
     serialize_structure,
 )
@@ -328,6 +337,72 @@ def test_eval_empty_pairs(tmp_path, capsys):
     f.write_text("\n")
     code, _, err = run(capsys, "eval", "--pairs", str(f))
     assert code == 2 and "no pairs" in err
+
+
+# The kinds of perfbench's eval mix, plus dense builds (over 1/16 of the
+# world's voxels in brick area) and anchors past int64.
+EVAL_KINDS = ("valid", "points_target", "colliding", "malformed", "empty", "out_of_bounds", "dense", "huge")
+
+
+@cache
+def eval_corpus(world: WorldConfig) -> tuple[tuple[str, np.ndarray, float], ...]:
+    """65 pairs as (JSON line, target grid, wall time), every kind in every run of 8."""
+    rng = np.random.default_rng([3, world.n_voxels])
+    pairs = []
+    for i in range(65):
+        kind = EVAL_KINDS[i % len(EVAL_KINDS)]
+        fill = 0.5 if kind == "dense" else 0.02
+        target = random_target(int(rng.integers(1 << 31)), fill_prob=fill, grounded=True, world=world)
+        bricks = legalize(target, ConstructorOptions(stagger=bool(i % 3)), world).bricks
+        if kind == "colliding":
+            bricks += bricks[-1:]
+        elif kind == "out_of_bounds":
+            bricks += (make_brick(8, 1, world.dim_x - 3, i % world.dim_y, world.dim_z - 1),)
+        elif kind == "huge":
+            bricks += (make_brick(1, 2, 2**64 + i, 0, 0),)
+        text = serialize_structure(BrickStructure(bricks))
+        if kind == "malformed":
+            text = "3x3 (1,1,0)\n" + text
+        elif kind == "empty":
+            text = ""
+        wall = float(rng.uniform(0.0, 3.0))
+        pair = {"completion": text, "wall_time_s": wall}
+        if kind == "points_target":
+            pair["target_points"] = serialize_pointcloud(target)
+        else:
+            pair["target_voxels"] = encode_target_voxels(target)
+        pairs.append((json.dumps(pair), target, wall))
+    return tuple(pairs)
+
+
+@pytest.mark.parametrize("world", [WorldConfig(20, 20, 20), WorldConfig(7, 70, 3)], ids=str)
+@pytest.mark.parametrize("size", [1, 2, 31, 32, 33, 65])
+def test_eval_records_equal_one_pair_metrics(tmp_path, capsys, world, size):
+    # eval scores its pairs in chunks; the records must be those of one
+    # sample_metrics call per pair, byte for byte.
+    pairs = eval_corpus(world)[:size]
+    samples = [sample_metrics(json.loads(line)["completion"], target, world, wall) for line, target, wall in pairs]
+    want = [json.dumps({"record": "sample", **asdict(m)}) for m in samples]
+    want.append(json.dumps({"record": "aggregate", **asdict(aggregate(samples))}))
+    f = tmp_path / "pairs.jsonl"
+    f.write_text("".join(line + "\n" for line, _, _ in pairs))
+    out = tmp_path / "records.jsonl"
+    code, _, err = run(capsys, "--world", ",".join(map(str, world.shape)), "eval", "--pairs", str(f),
+                       "--out", str(out))
+    assert code == 0, err
+    assert out.read_bytes() == ("\n".join(want) + "\n").encode("utf-8")
+
+
+def test_eval_bad_pair_in_second_chunk_writes_nothing(tmp_path, capsys):
+    lines = [line for line, _, _ in eval_corpus(WorldConfig(20, 20, 20))]
+    lines[39] = '{"completion": 5}'
+    f = tmp_path / "pairs.jsonl"
+    f.write_text("".join(line + "\n" for line in lines))
+    out = tmp_path / "records.jsonl"
+    code, stdout, err = run(capsys, "eval", "--pairs", str(f), "--out", str(out))
+    assert_data_error(code, err)
+    assert f"{f}:40: bad pair record" in err and stdout == ""
+    assert not out.exists()
 
 
 # -------------------------------------------------------------------- convert

@@ -1,20 +1,27 @@
 """Per-sample metrics, corpus aggregation, and report emission."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from brickeval import (
+    AggregateReport,
+    BrickStructure,
     DimensionMismatch,
     EmptyInput,
     SampleMetrics,
+    WorldConfig,
     aggregate,
     emit_report,
+    make_brick,
+    random_target,
     rasterize,
     sample_metrics,
     serialize_structure,
 )
+from brickeval.metrics import sample_metrics_batch
 
 from helpers import random_structure
 
@@ -54,6 +61,9 @@ def test_wrong_target_shape_raises_parsed_or_not(world):
     for completion in ("", "nonsense", "1x1 (0,0,0)"):
         with pytest.raises(DimensionMismatch):
             sample_metrics(completion, target, world)
+        with pytest.raises(DimensionMismatch):
+            sample_metrics_batch(["1x1 (0,0,0)", completion], [np.zeros(world.shape, dtype=bool), target],
+                                 world, [0.0, 0.0])
 
 
 def test_floating_brick_sample(world):
@@ -72,6 +82,31 @@ def test_collision_free_flag_tracks_n_col(world):
         s = random_structure(rng, world, 10, in_bounds=False)
         m = sample_metrics(serialize_structure(s), target, world, 0.0)
         assert m.collision_free == (m.n_col == 0)
+
+
+@pytest.mark.parametrize("world", [WorldConfig(20, 20, 20), WorldConfig(7, 70, 3)], ids=str)
+@pytest.mark.parametrize("size", [1, 2, 7, 33])
+def test_list_form_equals_one_pair_calls(world, size):
+    # Light and dense builds, in and out of bounds, with anchors past
+    # int64, and completions that do not parse.
+    rng = np.random.default_rng([size, world.n_voxels])
+    grids = [random_target(seed, grounded=bool(seed % 2), world=world) for seed in range(3)]
+    completions = []
+    for i in range(size):
+        kind = i % 6
+        s = random_structure(rng, world, 300 if kind == 5 else 12, in_bounds=kind % 2 == 0)
+        if kind == 1:
+            s = BrickStructure(s.bricks + (make_brick(1, 2, 2**64 + i, 0, 0),))
+        text = serialize_structure(s)
+        if kind == 3:
+            text = ("3x3 (1,1,0)\n" + text) if i % 4 else ""
+        completions.append(text)
+    targets = [grids[int(rng.integers(len(grids)))] for _ in range(size)]
+    walls = rng.uniform(0.0, 3.0, size).tolist()
+    got = sample_metrics_batch(completions, targets, world, walls)
+    want = [sample_metrics(c, t, world, w) for c, t, w in zip(completions, targets, walls)]
+    assert got == want
+    assert [[type(v) for v in vars(m).values()] for m in got] == [[type(v) for v in vars(m).values()] for m in want]
 
 
 # ------------------------------------------------------------------ aggregate
@@ -185,6 +220,17 @@ def test_structured_records_round_trip(world, perfect_fixture):
     first, last = json.loads(lines[0]), json.loads(lines[1])
     assert first["record"] == "sample" and first["brick_count"] == 3
     assert last["record"] == "aggregate" and last["mean_bricks"] == 3.0
+
+
+def test_records_equal_dumps_of_asdict(world, perfect_fixture):
+    unparsed = sample_metrics("", np.zeros(world.shape, dtype=bool), world, 1.5)
+    samples = [metrics_for(perfect_fixture, world, 0.5), unparsed,
+               SampleMetrics(True, False, 3, 1 / 3, 0.2, False, 0.1, 2 / 3, True, 7, 1e-9)]
+    for report in (aggregate(samples), aggregate([unparsed]),
+                   AggregateReport(2, 0.5, 0.0, None, 0.25, None, None, None, None, None, None, 0.0)):
+        want = [json.dumps({"record": "sample", **asdict(s)}) for s in samples]
+        want.append(json.dumps({"record": "aggregate", **asdict(report)}))
+        assert emit_report(report, samples, "structured_records") == ("\n".join(want) + "\n").encode("utf-8")
 
 
 def test_tabular_column_order(world, perfect_fixture):

@@ -5,6 +5,12 @@ it (say `cli.parse_pointcloud` or `rewards.parse_structure`). Between them
 offline_eval and rollout_w1 install every such wrapper, in the cli, dataset,
 metrics, service and rewards modules, so a call that moves out of the
 module where it is wrapped fails here rather than only under --trace 1.
+Three imports are kept only for this wrapping, with no call left behind
+them: `cli.sample_metrics`, `metrics.analyze_with_occupancy` and
+`metrics.reward_shape`. This test is what fails if one is dropped.
+offline_eval drives eval's chunked scoring, which evaluates each chunk
+of pairs through the evaluation core shared with the service, end to
+end under perfbench's output and oracle checks.
 offline_construct runs `construct ... --seed N` through the CLI, so it also
 fails if the CLI stops taking a flag that perfbench passes. rollout_w2 runs
 `serve --threads 2` on the mixed rollout traffic, so the workers' chunk
