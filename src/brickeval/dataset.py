@@ -19,14 +19,18 @@ from __future__ import annotations
 
 import base64
 import binascii
+import contextlib
 import json
 import logging
+import os
 import zlib
 from dataclasses import asdict, dataclass
+from typing import Iterator, TextIO
 
 import numpy as np
 
-from .analysis import analyze_with_occupancy
+from .analysis import rasterize
+from .analysis import analyze_with_occupancy  # not called here; perfbench wraps it by name until ROADMAP direction 3
 from .core import DEFAULT_WORLD, BrickStructure, WorldConfig
 from .tokens import build_prompt, parse_structure, serialize_structure
 
@@ -144,12 +148,13 @@ class GrpoRecord:
 def _feasible_occupancy(structure: BrickStructure, world: WorldConfig) -> np.ndarray:
     if len(structure) == 0:
         raise InfeasibleStructure("empty structure")
-    a, occupied = analyze_with_occupancy(structure, world)
-    if a.n_col > 0:
-        raise InfeasibleStructure(f"{a.n_col} colliding voxels")
-    if not a.fully_in_bounds:
+    counts = rasterize(structure, world).counts
+    n_col = int(np.count_nonzero(counts > 1))
+    if n_col > 0:
+        raise InfeasibleStructure(f"{n_col} colliding voxels")
+    if int(counts.sum()) != int(np.dot(structure.columns[:, 0], structure.columns[:, 1])):
         raise InfeasibleStructure("brick out of world bounds")
-    return occupied
+    return counts > 0
 
 
 def build_sft_record(structure: BrickStructure, world: WorldConfig) -> SftRecord:
@@ -170,6 +175,29 @@ def build_grpo_record(structure: BrickStructure, world: WorldConfig) -> GrpoReco
     )
 
 
+@contextlib.contextmanager
+def _replacing(path: str) -> Iterator[TextIO]:
+    """A new text file beside path that replaces it when the block completes, and is removed if it fails.
+
+    Through a symlink the file goes beside, and replaces, the symlink's
+    target. An existing path that is not a regular file (a device or a
+    pipe) cannot be replaced, and is written in place.
+    """
+    path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as f:
+            yield f
+        return
+    temporary = f"{path}.{os.urandom(8).hex()}.tmp"
+    try:
+        with open(temporary, "x", encoding="utf-8") as f:
+            yield f
+        os.replace(temporary, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(temporary)
+
+
 def convert_corpus(
     input_path: str,
     output_path: str,
@@ -181,15 +209,14 @@ def convert_corpus(
     Input: newline-delimited JSON objects with a "bricks" field holding
     brick-sequence text. Streams line by line; records that fail to
     parse or are infeasible are logged and skipped. Returns the number
-    of records written.
+    of records written. The output takes its path only once the whole
+    input is converted, so an error leaves an existing file as it was.
     """
     if mode not in ("sft", "grpo"):
         raise ValueError(f"unknown mode {mode!r}")
     build = build_sft_record if mode == "sft" else build_grpo_record
     count = 0
-    with open(input_path, "r", encoding="utf-8", newline="\n") as src, open(
-        output_path, "w", encoding="utf-8"
-    ) as dst:
+    with open(input_path, "r", encoding="utf-8", newline="\n") as src, _replacing(output_path) as dst:
         for line_number, line in enumerate(src, start=1):
             if not line.strip():
                 continue

@@ -11,6 +11,7 @@ reported as absent when nothing parsed. Average wall time is over N.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -139,8 +140,18 @@ def aggregate(samples: list[SampleMetrics]) -> AggregateReport:
         seam_cov=over_parsed([s.seam_cov for s in parsed]),
         in_bounds_rate=over_parsed([1.0 if s.in_bounds else 0.0 for s in parsed]),
         mean_bricks=over_parsed([float(s.brick_count) for s in parsed]),
-        avg_time_s=sum(s.wall_time_s for s in samples) / n,
+        avg_time_s=_mean([s.wall_time_s for s in samples]),
     )
+
+
+def _mean(values: list[float]) -> float:
+    """sum / n, unless finite values overflow the sum: then their exact mean, rounded once."""
+    total = sum(values)
+    if math.isfinite(total) or not all(map(math.isfinite, values)):
+        return total / len(values)
+    from fractions import Fraction  # only an overflowing sum pays for the import
+
+    return float(sum(map(Fraction, values)) / len(values))
 
 
 _TABULAR_COLUMNS: tuple[tuple[str, str], ...] = (

@@ -143,9 +143,14 @@ def _evaluate_alone(
     return a, reward_shape(occupied, target)[1]
 
 
-def score_structures(
-    structures: list[BrickStructure | None], targets: list[np.ndarray], world: WorldConfig
+def score_completions(
+    completions: list[str], targets: list[np.ndarray], world: WorldConfig
 ) -> list[RewardBreakdown]:
-    """score_completion's breakdown of each parsed structure (None: failed to parse) against its target."""
+    """score_completion's breakdown of each completion against its target.
+
+    A completion that fails to parse scores FAILED_CONSTRUCTION; the
+    parsed ones are scored together in one evaluate call.
+    """
+    structures = [s if report.parsed_ok else None for s, report in map(parse_structure, completions)]
     return [FAILED_CONSTRUCTION if result is None else reward_breakdown(*result)
             for result in evaluate(structures, targets, world)]

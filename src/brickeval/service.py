@@ -18,8 +18,9 @@ serving thread. With N > 1 (capped at the usable CPU cores, since
 scoring is CPU-bound), a pool of that many spawned processes scores
 them: request lines go to a free worker in chunks of whatever has
 arrived (at most 32 lines), so nothing waits for a chunk to fill and a
-burst is sent in few messages. A worker reads and parses each line of a
-chunk on its own, then analyzes the chunk's light structures (brick
+burst is sent in few messages. A worker reads each line of a chunk on
+its own and hands the completions to rewards.score_completions, which
+parses each of them and analyzes the chunk's light structures (brick
 area at most 1/16 of the world's voxels) in one batched pass when there
 are two or more; a lone line, a lone light structure and every denser
 structure are scored alone, as with one worker, and every response is
@@ -48,8 +49,8 @@ from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator
 
 from .core import WorldConfig, DEFAULT_WORLD
 from .dataset import BadRecord, CodecError, decode_target_voxels, read_pair, read_record
-from .rewards import CHUNK_SIZE, RewardBreakdown, score_completion, score_structures
-from .tokens import MalformedPointToken, OutOfWorldCoordinate, parse_pointcloud, parse_structure
+from .rewards import CHUNK_SIZE, RewardBreakdown, score_completion, score_completions
+from .tokens import MalformedPointToken, OutOfWorldCoordinate, parse_pointcloud
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
@@ -145,21 +146,18 @@ def read_lines(stream: BinaryIO, world: WorldConfig) -> Iterator[bytes]:
 
 
 def _handle_chunk(world: WorldConfig, lines: list[str | bytes]) -> list[str]:
-    """handle_request_line's response to each line, with the lines' structures scored together.
+    """handle_request_line's response to each line, with the lines' completions scored together.
 
-    Each line is read and its completion parsed as handle_request_line
-    does; score_structures then scores every parsed completion in one
-    call, which analyzes the light ones in one pass. If that call
-    raises, each of its lines is answered by handle_request_line.
+    Each line is read as handle_request_line reads it; score_completions
+    then parses and scores the completions of all readable lines in one
+    call, which analyzes the light ones in one pass. If that call raises,
+    each of its lines is answered by handle_request_line.
     """
     responses = [_read_request(line, world) for line in lines]
     scored = [i for i, request in enumerate(responses) if not isinstance(request, str)]
     try:
-        structures = []
-        for i in scored:
-            structure, report = parse_structure(responses[i][1])
-            structures.append(structure if report.parsed_ok else None)
-        breakdowns = score_structures(structures, [responses[i][2] for i in scored], world)
+        breakdowns = score_completions([responses[i][1] for i in scored],
+                                       [responses[i][2] for i in scored], world)
     except Exception:
         breakdowns = None
     for k, i in enumerate(scored):

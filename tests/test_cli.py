@@ -6,6 +6,7 @@ import os
 import socket
 import subprocess
 import sys
+import threading
 from dataclasses import asdict
 from functools import cache
 
@@ -269,6 +270,23 @@ def test_eval_rejects_non_finite_or_negative_wall_time(tmp_path, capsys, wall):
     assert "bad pair record" in err and out == ""
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_eval_mean_wall_time_stays_finite(tmp_path, capsys):
+    # Two finite wall times whose sum overflows: their mean is finite, and
+    # the records stay JSON.
+    row = json.dumps({"completion": "1x1 (0,0,0)", "target_points": "(0,0,0)", "wall_time_s": 1e308})
+    f = tmp_path / "pairs.jsonl"
+    f.write_text(row + "\n" + row + "\n")
+    code, out, _ = run(capsys, "eval", "--pairs", str(f), "--format", "records")
+    assert code == 0
+    assert json.loads(out.splitlines()[-1], parse_constant=_reject_constant)["avg_time_s"] == 1e308
+    code, _, err = run(capsys, "eval", "--pairs", str(f), "--check", "avg_time_s < 10")
+    assert code == 3 and "avg_time_s=1e+308" in err
+
+
 def test_eval_rejects_pair_with_both_targets(tmp_path, capsys):
     # The service answers bad_request for this record; eval must not score it.
     row = {"completion": "2x4 (0,0,0)", "target_points": "(0,0,0)",
@@ -415,6 +433,55 @@ def test_convert_counts(tmp_path, capsys):
     code, out, _ = run(capsys, "convert", "--input", str(src), "--output", str(dst))
     assert code == 0 and out.strip() == "1"
     assert json.loads(dst.read_text())["assistant"] == "1x1 (0,0,0)"
+
+
+@pytest.mark.parametrize("bad_line", [1, 5001])
+def test_convert_data_error_keeps_existing_output(tmp_path, capsys, bad_line):
+    # A corpus that fails part way leaves --output as it was, not truncated
+    # to the records before the bad line, and leaves no temporary file.
+    lines = [json.dumps({"bricks": f"1x1 ({i % 20},0,0)"}).encode() for i in range(5010)]
+    lines[bad_line - 1] = b'{"bricks": "\xff"}'
+    src = tmp_path / "in.jsonl"
+    src.write_bytes(b"\n".join(lines) + b"\n")
+    dst = tmp_path / "out.jsonl"
+    dst.write_bytes(b"earlier records\n")
+    code, out, err = run(capsys, "convert", "--input", str(src), "--output", str(dst))
+    assert_data_error(code, err)
+    assert "UTF-8" in err and out == ""
+    assert dst.read_bytes() == b"earlier records\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl", "out.jsonl"]
+
+
+def test_convert_replaces_existing_output(tmp_path, capsys):
+    src = tmp_path / "in.jsonl"
+    src.write_text(json.dumps({"bricks": "1x1 (0,0,0)"}) + "\n")
+    dst = tmp_path / "out.jsonl"
+    dst.write_text("a much longer earlier file\n" * 100)
+    code, out, _ = run(capsys, "convert", "--input", str(src), "--output", str(dst))
+    assert code == 0 and out.strip() == "1"
+    assert [json.loads(line)["assistant"] for line in dst.read_text().splitlines()] == ["1x1 (0,0,0)"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl", "out.jsonl"]
+
+
+def test_convert_writes_through_symlink_and_into_pipe(tmp_path, capsys):
+    # A symlinked output keeps its link and its target gets the records; a
+    # pipe cannot be replaced, so it is written in place.
+    src = tmp_path / "in.jsonl"
+    src.write_text(json.dumps({"bricks": "1x1 (0,0,0)"}) + "\n")
+    target, link = tmp_path / "records.jsonl", tmp_path / "link.jsonl"
+    target.write_text("old\n")
+    link.symlink_to(target)
+    code, _, _ = run(capsys, "convert", "--input", str(src), "--output", str(link))
+    assert code == 0 and link.is_symlink() and json.loads(target.read_text())["assistant"] == "1x1 (0,0,0)"
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(pipe.read_text()), daemon=True)
+    reader.start()
+    code, _, _ = run(capsys, "convert", "--input", str(src), "--output", str(pipe))
+    reader.join(timeout=30)
+    assert code == 0 and received == [target.read_text()]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl", "link.jsonl", "pipe", "records.jsonl"]
 
 
 # ------------------------------------------------------------------ construct

@@ -16,20 +16,33 @@ holds, one line per item:
   float.hex;
 - serve_lines output, one worker, on a fixed stream of 200 requests.
 
-Rule: a change that moves GOLDEN_SHA256 says in CHANGES.md which output
-changed and why. A refactor never changes it.
+CONVERT_SHA256 pins `convert --mode sft` and `--mode grpo` on a seeded
+layout corpus in two worlds: the printed count, the records written and
+the warning logged for each skipped line. The corpus holds feasible and
+colliding builds, bricks past x/y and past the top layer, huge-integer
+anchors, brick text that does not parse and lines that are not records.
+
+The metamorphic checks need no pinned value: every score_completion
+term stays the same when a completion's lines are reordered, when it
+and its target are shifted together in x/y inside the world, and when
+its line ends are \\r\\n.
+
+Rule: a change that moves GOLDEN_SHA256 or CONVERT_SHA256 says in
+CHANGES.md which output changed and why. A refactor never changes them.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import logging
 from dataclasses import fields
 
 import numpy as np
 
 from brickeval import (
     DEFAULT_WORLD,
+    BrickStructure,
     ConstructorOptions,
     WorldConfig,
     analyze,
@@ -43,9 +56,10 @@ from brickeval import (
 )
 from brickeval.cli import cli_dispatch
 from brickeval.service import serve_lines
-from helpers import random_structure
+from helpers import collision_free_structure, random_structure
 
 GOLDEN_SHA256 = "d57de0963abcbb4bed8dac3b0bfacc6f4d762073e3fdaa1b482118c9276729b6"
+CONVERT_SHA256 = "3b35cb65588de58c2eb4dad20a20ac3152744e521813f5650dd0b5ee91e175cb"
 
 WORLDS = (DEFAULT_WORLD, WorldConfig(7, 70, 3), WorldConfig(5, 7, 3))
 MUTATION_CHARS = "0123456789x(), \n\t-#Bab"
@@ -159,3 +173,86 @@ def test_outputs_match_golden_digest(tmp_path):
         for line in part:
             digest.update(line.encode() + b"\n")
     assert digest.hexdigest() == GOLDEN_SHA256
+
+
+def _layout_line(rng: np.random.Generator, kind: int, world: WorldConfig) -> str:
+    """One line of a convert corpus; kinds 5 and 6 hold no brick text that parses."""
+    dim_x, dim_y, dim_z = world.shape
+    text = serialize_structure(collision_free_structure(rng, world, 30))
+    h, w = ((1, 2), (2, 2), (1, 4), (6, 1))[int(rng.integers(4))]
+    x, y, z = (int(rng.integers(0, max(dim, 1))) for dim in (dim_x - h + 1, dim_y - w + 1, dim_z))
+    if kind == 1 or kind == 2 and rng.integers(3) == 0:  # colliding: a brick laid twice
+        text += "\n" + text.split("\n", 1)[0]
+    if kind == 2:  # past x or y, and a third of them colliding as well
+        if rng.integers(2):
+            x = dim_x - h + int(rng.integers(1, 4))
+        else:
+            y = dim_y - w + int(rng.integers(1, 4))
+        text += f"\n{h}x{w} ({x},{y},{z})"
+    elif kind == 3:  # past the top layer
+        text += f"\n{h}x{w} ({x},{y},{dim_z + int(rng.integers(3))})"
+    elif kind == 4:  # a huge-integer anchor, past int64 from 10**19 on
+        huge = [x, y, z]
+        huge[int(rng.integers(3))] = 10 ** int(rng.integers(15, 40))
+        text += "\n{}x{} ({},{},{})".format(h, w, *huge)
+    elif kind == 5:  # brick text that does not parse
+        bad = ("", "hello", text + "\n2x3 (0,0,0)", text.replace("(", "[", 1))
+        return json.dumps({"bricks": bad[int(rng.integers(4))]})
+    elif kind == 6:  # lines that are not a record with bricks
+        return ("{not json", "[1, 2]", json.dumps({"brick": text}), "   ")[int(rng.integers(4))]
+    if rng.integers(3) == 0:
+        text = text.replace("\n", ", ")
+    return json.dumps({"bricks": text})
+
+
+def test_convert_outputs_match_pinned_digest(tmp_path, caplog):
+    caplog.set_level(logging.WARNING, logger="brickeval.dataset")
+    digest = hashlib.sha256()
+    for world in (DEFAULT_WORLD, WorldConfig(7, 70, 3)):
+        rng = np.random.default_rng(world.n_voxels)
+        src = tmp_path / "layouts.jsonl"
+        src.write_text("".join(_layout_line(rng, i % 8, world) + "\n" for i in range(160)))
+        for mode in ("sft", "grpo"):
+            dst = tmp_path / f"{mode}.jsonl"
+            caplog.clear()
+            printed = _cli("convert", "--input", str(src), "--output", str(dst), "--mode", mode,
+                           "--world", ",".join(map(str, world.shape)))
+            for line in (printed, dst.read_text(), *(r.getMessage() for r in caplog.records)):
+                digest.update(f"convert {world.shape} {mode} {line}\n".encode())
+    assert digest.hexdigest() == CONVERT_SHA256
+
+
+def _metamorphic_cases():
+    """(world, box, structure, target): every brick and target voxel lies in the box, a corner of the world."""
+    rng = np.random.default_rng(2026)
+    for world, box in ((DEFAULT_WORLD, WorldConfig(12, 12, 20)), (WorldConfig(7, 70, 3), WorldConfig(7, 40, 3))):
+        for i in range(60):
+            bricks = tuple(b for b in random_structure(rng, box, int(rng.integers(1, 30)))
+                           if b.x + b.h <= box.dim_x and b.y + b.w <= box.dim_y)
+            if i % 3 == 0:  # colliding
+                bricks += bricks[:2]
+            structure = BrickStructure(bricks)
+            target = np.zeros(world.shape, dtype=bool)
+            target[:box.dim_x, :box.dim_y] = random_target(i, grounded=bool(i % 2), world=box)
+            yield world, box, structure, target
+
+
+def _shifted(structure: BrickStructure, dx: int, dy: int) -> BrickStructure:
+    return BrickStructure(tuple(b._replace(x=b.x + dx, y=b.y + dy) for b in structure))
+
+
+def test_reward_terms_survive_reordering_shifts_and_crlf():
+    # Terms only: seam_coverage is not one, and a colliding voxel's owner is its
+    # lowest brick index, so reordering may legitimately move its seams.
+    rng = np.random.default_rng(14)
+    for world, box, structure, target in _metamorphic_cases():
+        text = serialize_structure(structure)
+        want = score_completion(text, target, world)
+        lines = text.split("\n")
+        reordered = "\n".join(lines[i] for i in rng.permutation(len(lines)))
+        assert score_completion(reordered, target, world) == want, text
+        assert score_completion(text.replace("\n", "\r\n"), target, world) == want, text
+        dx = int(rng.integers(0, world.dim_x - box.dim_x + 1))
+        dy = int(rng.integers(0, world.dim_y - box.dim_y + 1))
+        moved = np.roll(target, (dx, dy), axis=(0, 1))
+        assert score_completion(serialize_structure(_shifted(structure, dx, dy)), moved, world) == want, text

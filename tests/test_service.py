@@ -207,7 +207,7 @@ def test_chunk_whose_batch_raises_is_answered_line_by_line(monkeypatch):
 
     lines = list(rollout_requests()[:32])
     want = [handle_request_line(line, WORLD) for line in lines]
-    monkeypatch.setattr(service, "score_structures", fail)
+    monkeypatch.setattr(service, "score_completions", fail)
     assert service._handle_chunk(WORLD, lines) == want
     assert len(calls) == 1
 
