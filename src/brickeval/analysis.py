@@ -42,7 +42,7 @@ it is the cheaper way for structures that fill little of the world.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -66,7 +66,10 @@ class OccupancyField:
 
 @dataclass(frozen=True)
 class StructureAnalysis:
-    """All structural predicates of one brick structure."""
+    """All structural predicates of one brick structure.
+
+    seam_coverage is None only when the caller asked for no seams.
+    """
 
     n_col: int
     fully_in_bounds: bool
@@ -75,7 +78,7 @@ class StructureAnalysis:
     conn_score: float
     is_connected: bool
     interlock_score: float
-    seam_coverage: float
+    seam_coverage: float | None
     brick_count: int
 
 
@@ -214,6 +217,7 @@ _EMPTY_ANALYSIS = StructureAnalysis(
     seam_coverage=1.0,
     brick_count=0,
 )
+_EMPTY_NO_SEAMS = replace(_EMPTY_ANALYSIS, seam_coverage=None)
 
 
 def analyze(structure: BrickStructure, world: WorldConfig) -> StructureAnalysis:
@@ -222,12 +226,18 @@ def analyze(structure: BrickStructure, world: WorldConfig) -> StructureAnalysis:
 
 
 def analyze_with_occupancy(
-    structure: BrickStructure, world: WorldConfig
+    structure: BrickStructure, world: WorldConfig, *, seams: bool = True
 ) -> tuple[StructureAnalysis, np.ndarray]:
-    """analyze() plus the occupied grid, sharing a single rasterization."""
+    """analyze() plus the occupied grid, sharing a single rasterization.
+
+    With seams=False the seam pass, a pass over the whole world grid, is
+    skipped and seam_coverage is None; every other field is unchanged. The
+    reward reads no seam term, so its path asks for none; analyze, eval
+    and every other caller report seam coverage, hence the default.
+    """
     n = len(structure)
     if n == 0:
-        return _EMPTY_ANALYSIS, np.zeros(world.shape, dtype=bool)
+        return _EMPTY_ANALYSIS if seams else _EMPTY_NO_SEAMS, np.zeros(world.shape, dtype=bool)
     geom = _Geometry(structure.columns, world)
     n_voxels = world.n_voxels
     lin = geom.lin
@@ -262,14 +272,14 @@ def analyze_with_occupancy(
         conn_score=conn_score,
         is_connected=is_connected,
         interlock_score=interlock,
-        seam_coverage=_seam_score(geom),
+        seam_coverage=_seam_score(geom) if seams else None,
         brick_count=n,
     )
     return result, occupied.reshape(world.shape)
 
 
 def analyze_chunk(
-    structures: list[BrickStructure], targets: list[np.ndarray], world: WorldConfig
+    structures: list[BrickStructure], targets: list[np.ndarray], world: WorldConfig, *, seams: bool = True
 ) -> list[tuple[StructureAnalysis, float]]:
     """analyze() of each structure and the IoU of its occupancy with its target, in one pass.
 
@@ -281,12 +291,15 @@ def analyze_chunk(
     binary search of the voxel keys, and its cover in the next run, the
     layer above. IoU looks each structure's voxels up in its own target
     grid, and per-structure totals are bincounts on the structure id.
+
+    With seams=False the seam search is skipped and seam_coverage is None,
+    as in analyze_with_occupancy; the default is True for the same reason.
     """
     k = len(structures)
     sizes = np.array([len(s) for s in structures], dtype=np.int64)
     n = int(sizes.sum())
     if n == 0:
-        return [(_EMPTY_ANALYSIS, 0.0)] * k
+        return [(_EMPTY_ANALYSIS if seams else _EMPTY_NO_SEAMS, 0.0)] * k
     sid = np.repeat(np.arange(k), sizes)
     geom = _Geometry(np.concatenate([s.columns for s in structures]), world, sid)
     dim_x, dim_y, dim_z = world.shape
@@ -305,12 +318,12 @@ def analyze_chunk(
 
     order, key, _, first, size = runs
     brick = geom.brick[order]
-    z = geom.z[brick[first]]
+    head = brick[first]
+    z = geom.z[head]
     voxel = z >= 0
     vkey, z, size = key[first][voxel], z[voxel], size[voxel]
     vfirst = first[voxel]
-    owner = np.minimum.reduceat(brick, first)[voxel]
-    vsid = sid[owner]
+    vsid = sid[head[voxel]]  # the key holds the structure id, so a run has one
 
     def any_in_run(flags: np.ndarray) -> np.ndarray:
         return np.logical_or.reduceat(flags, first)[voxel]
@@ -323,21 +336,25 @@ def analyze_chunk(
 
     # The voxel's column within its own world, for the edges and the target lookup.
     column = geom.column[order[vfirst]] - vsid * (dim_x * dim_y)
-    below_top = z < dim_z - 1
-    total = np.zeros(k, dtype=np.int64)
-    covered = np.zeros(k, dtype=np.int64)
-    for pair, has_next, step in (
-        (geom.pair_x, column < (dim_x - 1) * dim_y, dim_y),
-        (geom.pair_y, column % dim_y < dim_y - 1, 1),
-    ):
-        nxt = vkey + step * geom.layer_span
-        at = np.minimum(np.searchsorted(vkey, nxt), vkey.size - 1)
-        seam = below_top & has_next & (vkey[at] == nxt) & (owner[at] != owner)
-        # Covered by a pair cell in the voxel above, which is the next run.
-        cover = np.zeros(vkey.size, dtype=bool)
-        cover[:-1] = (vkey[1:] - vkey[:-1] == 1) & any_in_run(pair[order])[1:]
-        total += np.bincount(vsid[seam], minlength=k)
-        covered += np.bincount(vsid[seam & cover], minlength=k)
+    coverage = [None] * k
+    if seams:
+        owner = np.minimum.reduceat(brick, first)[voxel]
+        below_top = z < dim_z - 1
+        total = np.zeros(k, dtype=np.int64)
+        covered = np.zeros(k, dtype=np.int64)
+        for pair, has_next, step in (
+            (geom.pair_x, column < (dim_x - 1) * dim_y, dim_y),
+            (geom.pair_y, column % dim_y < dim_y - 1, 1),
+        ):
+            nxt = vkey + step * geom.layer_span
+            at = np.minimum(np.searchsorted(vkey, nxt), vkey.size - 1)
+            seam = below_top & has_next & (vkey[at] == nxt) & (owner[at] != owner)
+            # Covered by a pair cell in the voxel above, which is the next run.
+            cover = np.zeros(vkey.size, dtype=bool)
+            cover[:-1] = (vkey[1:] - vkey[:-1] == 1) & any_in_run(pair[order])[1:]
+            total += np.bincount(vsid[seam], minlength=k)
+            covered += np.bincount(vsid[seam & cover], minlength=k)
+        coverage = np.where(total == 0, 1.0, covered / np.maximum(total, 1)).tolist()
 
     nonground_count = np.bincount(sid[nonground], minlength=k)
     fields = zip(
@@ -348,7 +365,7 @@ def analyze_chunk(
         (1.0 - disconnected / np.maximum(occupied, 1)).tolist(),
         ((sizes > 0) & (np.bincount(sid[apart], minlength=k) == 0)).tolist(),
         (np.bincount(sid[interlocked], minlength=k) / np.maximum(nonground_count, 1)).tolist(),
-        np.where(total == 0, 1.0, covered / np.maximum(total, 1)).tolist(),
+        coverage,
         sizes.tolist(),
     )
     flat = column * dim_z + z

@@ -95,12 +95,15 @@ def reward_breakdown(a: StructureAnalysis, iou: float) -> RewardBreakdown:
 def score_completion(
     completion_text: str, target: np.ndarray, world: WorldConfig
 ) -> RewardBreakdown:
-    """Parse, rasterize, analyze, and compose the four reward terms."""
+    """Parse, rasterize, analyze, and compose the four reward terms.
+
+    No term reads seam coverage, so the analysis skips the seam pass.
+    """
     check_target_shape(target, world)
     structure, report = parse_structure(completion_text)
     if not report.parsed_ok:
         return FAILED_CONSTRUCTION
-    return reward_breakdown(*_evaluate_alone(structure, target, world))
+    return reward_breakdown(*_evaluate_alone(structure, target, world, seams=False))
 
 
 # Structures evaluated together at most: a service worker's chunk of
@@ -109,7 +112,8 @@ CHUNK_SIZE = 32
 
 
 def evaluate(
-    structures: list[BrickStructure | None], targets: list[np.ndarray], world: WorldConfig
+    structures: list[BrickStructure | None], targets: list[np.ndarray], world: WorldConfig,
+    *, seams: bool = True,
 ) -> list[tuple[StructureAnalysis, float] | None]:
     """The analysis of each parsed structure (None: failed to parse) and its IoU with its target.
 
@@ -121,6 +125,10 @@ def evaluate(
     grid passes about the world's voxels, and per structure the two cost
     the same near an area of 1/16 in a 32x32x32 world (measured with 32
     structures); smaller worlds put the crossing higher.
+
+    With seams=False neither path runs its seam pass, and every analysis
+    has seam_coverage None. The rewards ask for that; eval reports seam
+    coverage, so the default is True.
     """
     for target in targets:
         check_target_shape(target, world)
@@ -128,18 +136,19 @@ def evaluate(
              if s is not None and 16 * int(np.dot(s.columns[:, 0], s.columns[:, 1])) <= world.n_voxels]
     batched = {}
     if len(light) > 1:
-        analyses = analyze_chunk([structures[i] for i in light], [targets[i] for i in light], world)
+        analyses = analyze_chunk([structures[i] for i in light], [targets[i] for i in light], world,
+                                 seams=seams)
         batched = dict(zip(light, analyses))
     return [batched[i] if i in batched
             else None if structure is None
-            else _evaluate_alone(structure, target, world)
+            else _evaluate_alone(structure, target, world, seams=seams)
             for i, (structure, target) in enumerate(zip(structures, targets))]
 
 
 def _evaluate_alone(
-    structure: BrickStructure, target: np.ndarray, world: WorldConfig
+    structure: BrickStructure, target: np.ndarray, world: WorldConfig, *, seams: bool = True
 ) -> tuple[StructureAnalysis, float]:
-    a, occupied = analyze_with_occupancy(structure, world)
+    a, occupied = analyze_with_occupancy(structure, world, seams=seams)
     return a, reward_shape(occupied, target)[1]
 
 
@@ -149,8 +158,8 @@ def score_completions(
     """score_completion's breakdown of each completion against its target.
 
     A completion that fails to parse scores FAILED_CONSTRUCTION; the
-    parsed ones are scored together in one evaluate call.
+    parsed ones are scored together in one evaluate call, without seams.
     """
     structures = [s if report.parsed_ok else None for s, report in map(parse_structure, completions)]
     return [FAILED_CONSTRUCTION if result is None else reward_breakdown(*result)
-            for result in evaluate(structures, targets, world)]
+            for result in evaluate(structures, targets, world, seams=False)]

@@ -11,7 +11,9 @@ one bad line costs only its own response. A line longer than
 max_line_bytes(world) is answered {"id": null, "error_code":
 "bad_request"}; it is read and dropped in bounded pieces, never held
 whole. Scoring is pure, so responses are byte-identical for identical
-request lines.
+request lines. A request is scored for its reward terms only: no term
+reads seam coverage, so the service never computes it (analyze and
+eval still do).
 
 With one worker (the default) requests are scored in order in the
 serving thread. With N > 1 (capped at the usable CPU cores, since
@@ -31,9 +33,13 @@ requests arrived; ids are the correlation key. A TCP server shares one
 pool among all its connections. If a worker dies, the pool is broken
 for good: the serving process scores the chunks it lost and every
 later one itself, so the stream is still answered in full, at the
-speed of one worker. In either mode at most 128 requests are in
-flight, so a slow reader throttles intake. End of input flushes pending
-responses and exits cleanly.
+speed of one worker, and says so once per stream in a line on stderr.
+An exception raised while scoring is a program bug, not a bad request:
+its traceback goes to stderr, and the request is still answered
+bad_request with its id. Nothing but responses goes to stdout. In
+either mode at most 128 requests are in flight, so a slow reader
+throttles intake. End of input flushes pending responses and exits
+cleanly.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ import signal
 import socketserver
 import sys
 import threading
+import traceback
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator
 
 from .core import WorldConfig, DEFAULT_WORLD
@@ -116,7 +123,8 @@ def handle_request_line(line: str | bytes, world: WorldConfig) -> str:
     request_id, completion, target = request
     try:
         return _response(request_id, score_completion(completion, target, world))
-    except Exception:
+    except Exception:  # a program bug, not a bad request: the traceback says which
+        traceback.print_exc()
         return _error(request_id, "bad_request")
 
 
@@ -151,7 +159,8 @@ def _handle_chunk(world: WorldConfig, lines: list[str | bytes]) -> list[str]:
     Each line is read as handle_request_line reads it; score_completions
     then parses and scores the completions of all readable lines in one
     call, which analyzes the light ones in one pass. If that call raises,
-    each of its lines is answered by handle_request_line.
+    its traceback goes to stderr and each of its lines is answered by
+    handle_request_line.
     """
     responses = [_read_request(line, world) for line in lines]
     scored = [i for i, request in enumerate(responses) if not isinstance(request, str)]
@@ -159,6 +168,7 @@ def _handle_chunk(world: WorldConfig, lines: list[str | bytes]) -> list[str]:
         breakdowns = score_completions([responses[i][1] for i in scored],
                                        [responses[i][2] for i in scored], world)
     except Exception:
+        traceback.print_exc()
         breakdowns = None
     for k, i in enumerate(scored):
         responses[i] = (handle_request_line(lines[i], world) if breakdowns is None
@@ -244,13 +254,22 @@ def _pump(
     every write: it collects arriving lines and finished chunks from
     one queue, and sends the collected lines on whenever CHUNK_SIZE
     have gathered or nothing else is waiting. Once a worker has died the
-    pool is broken, and this thread scores every chunk itself.
+    pool is broken, and this thread scores every chunk itself; the first
+    time a stream finds the pool broken, it says so in one stderr line.
     """
     from concurrent.futures.process import BrokenProcessPool
 
     events: queue.SimpleQueue = queue.SimpleQueue()
     budget = threading.Semaphore(_MAX_PENDING)
     stopping = threading.Event()
+    broken = False
+
+    def score_here(chunk: list[str | bytes]) -> list[str]:
+        nonlocal broken
+        if not broken:
+            broken = True
+            print("worker pool broken: the serving process now scores the chunks", file=sys.stderr, flush=True)
+        return _handle_chunk(world, chunk)
 
     def read() -> None:
         try:
@@ -286,7 +305,7 @@ def _pump(
                 try:
                     responses = future.result()
                 except BrokenProcessPool:  # its worker died: score the chunk here
-                    responses = _handle_chunk(world, chunk)
+                    responses = score_here(chunk)
                 write(responses)
             else:
                 ended, error = True, item
@@ -297,7 +316,7 @@ def _pump(
                     try:
                         future = workers.submit(_handle_chunk, world, pending)
                     except BrokenProcessPool:
-                        write(_handle_chunk(world, pending))
+                        write(score_here(pending))
                     else:
                         future.add_done_callback(
                             lambda f, chunk=pending: events.put(("done", (chunk, f))))

@@ -1,10 +1,12 @@
 """Rasterization, collisions, connectivity, interlock, and seam coverage."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from brickeval import analysis, rewards
 from brickeval import (
     BrickStructure,
     WorldConfig,
@@ -18,9 +20,11 @@ from brickeval import (
     random_target,
     rasterize,
     reward_shape,
+    score_completion,
     serialize_structure,
 )
 from brickeval.analysis import _Geometry, analyze_chunk
+from brickeval.rewards import score_completions
 
 from helpers import (
     collision_free_structure,
@@ -496,6 +500,46 @@ def test_chunk_pass_equals_single_passes(world, k):
     outside = [struct((1, 1, world.dim_x, 0, 0), (2, 2, 0, world.dim_y, 0)), struct((1, 1, 0, world.dim_y, 0))]
     assert_chunk_pass_equals_single_passes(outside, grids[:2], world)
     assert_chunk_pass_equals_single_passes([BrickStructure(())] * 2, grids[:2], world)
+
+
+@pytest.mark.parametrize("world", [WorldConfig(20, 20, 20), WorldConfig(7, 70, 3), WorldConfig(5, 7, 3)], ids=str)
+def test_reward_path_skips_only_the_seam_pass(world, monkeypatch):
+    # Light, dense (300 bricks), huge-integer, colliding, out-of-bounds and
+    # empty builds, scored alone and as one chunk.
+    rng = np.random.default_rng([15, world.n_voxels])
+    grids = [random_target(seed, grounded=bool(seed % 2), world=world) for seed in range(4)]
+    builds = chunk_builds(rng, world, 24, 0) + [BrickStructure(())]
+    texts = [serialize_structure(s) for s in builds]
+    targets = [grids[i % 4] for i in range(len(builds))]
+    alone = [score_completion(text, target, world) for text, target in zip(texts, targets)]
+    chunked = score_completions(texts, targets, world)
+    with_seams = analyze_chunk(builds, targets, world)
+    grids_with_seams = [analyze_with_occupancy(s, world)[0] for s in builds]
+
+    def no_seam_pass(*args):
+        raise AssertionError("seam pass called")
+
+    chunk_calls = []
+
+    def chunk(*args, **kwargs):
+        chunk_calls.append(kwargs)
+        return analyze_chunk(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "_seam_score", no_seam_pass)
+    monkeypatch.setattr(rewards, "analyze_chunk", chunk)
+    assert [score_completion(text, target, world) for text, target in zip(texts, targets)] == alone
+    assert score_completions(texts, targets, world) == chunked == alone
+    assert chunk_calls == [{"seams": False}] * len(chunk_calls)
+    with pytest.raises(AssertionError, match="seam pass called"):
+        analyze(builds[0], world)
+
+    results = analyze_chunk(builds, targets, world, seams=False)
+    for (a, iou), (b, iou_b) in zip(results, with_seams, strict=True):
+        assert a.seam_coverage is None and b.seam_coverage is not None
+        assert (replace(a, seam_coverage=b.seam_coverage), iou) == (b, iou_b)
+    for s, b in zip(builds, grids_with_seams):
+        a = analyze_with_occupancy(s, world, seams=False)[0]
+        assert a.seam_coverage is None and replace(a, seam_coverage=b.seam_coverage) == b
 
 
 def oracle_cells(builds, world, with_ids):

@@ -25,7 +25,9 @@ anchors, brick text that does not parse and lines that are not records.
 The metamorphic checks need no pinned value: every score_completion
 term stays the same when a completion's lines are reordered, when it
 and its target are shifted together in x/y inside the world, and when
-its line ends are \\r\\n.
+its line ends are \\r\\n. Nor does the chunk check: the same fuzzed
+completions, scored per world in chunks of rewards.CHUNK_SIZE by
+score_completions, give score_completion's terms bit for bit.
 
 Rule: a change that moves GOLDEN_SHA256 or CONVERT_SHA256 says in
 CHANGES.md which output changed and why. A refactor never changes them.
@@ -55,6 +57,7 @@ from brickeval import (
     serialize_structure,
 )
 from brickeval.cli import cli_dispatch
+from brickeval.rewards import CHUNK_SIZE, score_completions
 from brickeval.service import serve_lines
 from helpers import collision_free_structure, random_structure
 
@@ -123,18 +126,23 @@ def _completion(rng: np.random.Generator, kind: int, world: WorldConfig) -> str:
     return text
 
 
-def _completion_lines():
+def _completions():
+    """(world, completion, target) for the 2,100 fuzzed completions, cycling through WORLDS."""
     rng = np.random.default_rng(20261018)
     targets = {world: [random_target(seed, grounded=bool(seed % 2), world=world) for seed in range(4)]
                for world in WORLDS}
     for i in range(2100):
         world = WORLDS[i % len(WORLDS)]
-        text = _completion(rng, i % 7, world)
+        yield world, _completion(rng, i % 7, world), targets[world][i % 4]
+
+
+def _completion_lines():
+    for i, (world, text, target) in enumerate(_completions()):
         structure, report = parse_structure(text)
         yield f"parse {i} {structure!r} {report!r}"
         if report.parsed_ok:
             yield f"analyze {i} {_fields(analyze(structure, world))}"
-        yield f"score {i} {_fields(score_completion(text, targets[world][i % 4], world))}"
+        yield f"score {i} {_fields(score_completion(text, target, world))}"
 
 
 def _requests():
@@ -173,6 +181,20 @@ def test_outputs_match_golden_digest(tmp_path):
         for line in part:
             digest.update(line.encode() + b"\n")
     assert digest.hexdigest() == GOLDEN_SHA256
+
+
+def test_chunked_scores_equal_single_scores():
+    # The digest scores one completion at a time; the service's workers and
+    # eval score chunks, whose light structures share one batched pass.
+    by_world: dict = {}
+    for world, text, target in _completions():
+        by_world.setdefault(world, []).append((text, target))
+    for world, items in by_world.items():
+        for lo in range(0, len(items), CHUNK_SIZE):
+            texts, targets = zip(*items[lo:lo + CHUNK_SIZE])
+            got = score_completions(list(texts), list(targets), world)
+            want = [score_completion(text, target, world) for text, target in zip(texts, targets)]
+            assert [_fields(b) for b in got] == [_fields(b) for b in want], (world, lo)
 
 
 def _layout_line(rng: np.random.Generator, kind: int, world: WorldConfig) -> str:

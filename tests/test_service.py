@@ -198,7 +198,7 @@ def test_chunk_responses_equal_single_line_responses(size):
         assert service._handle_chunk(WORLD, chunk) == [handle_request_line(line, WORLD) for line in chunk]
 
 
-def test_chunk_whose_batch_raises_is_answered_line_by_line(monkeypatch):
+def test_chunk_whose_batch_raises_is_answered_line_by_line(monkeypatch, capsys):
     calls = []
 
     def fail(*args):
@@ -210,6 +210,31 @@ def test_chunk_whose_batch_raises_is_answered_line_by_line(monkeypatch):
     monkeypatch.setattr(service, "score_completions", fail)
     assert service._handle_chunk(WORLD, lines) == want
     assert len(calls) == 1
+    captured = capsys.readouterr()
+    assert captured.err.count("RuntimeError: batch failed") == 1 and captured.out == ""
+
+
+def test_internal_error_is_logged_and_answered_bad_request(perfect_fixture, monkeypatch, capsys):
+    # A raise inside scoring is a program bug: its traceback goes to stderr,
+    # and the wire answer is still bad_request with the id.
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    line = fixture_request(perfect_fixture, request_id="x")
+    monkeypatch.setattr(service, "score_completion", boom)
+    assert handle_request_line(line, WORLD) == json.dumps({"id": "x", "error_code": "bad_request"})
+    captured = capsys.readouterr()
+    assert "RuntimeError: boom" in captured.err and captured.out == ""
+
+
+def test_bad_requests_log_nothing(capsys):
+    # Bad requests are the client's fault, so none of the golden stream's
+    # malformed, mistyped or undecodable lines writes to stderr.
+    out = []
+    serve_lines(golden_requests(), out.append, WORLD, threads=1)
+    assert len(out) == 200
+    assert any('"bad_request"' in r for r in out) and any('"bad_target_encoding"' in r for r in out)
+    assert capsys.readouterr().err == ""
 
 
 # ------------------------------------------------------------------ serve_lines
@@ -359,10 +384,14 @@ def serve_in_thread(lines, workers):
     return server, out
 
 
-def test_dead_workers_do_not_hang_the_stream():
+BROKEN_POOL_LINE = "worker pool broken: the serving process now scores the chunks\n"
+
+
+def test_dead_workers_do_not_hang_the_stream(capsys):
     # Kill every worker with chunks in flight: the lost chunks and all
     # later ones are scored in the serving process, on this stream and on
-    # the next one that uses the broken pool.
+    # the next one that uses the broken pool. Each stream says so once on
+    # stderr and nothing else on either output.
     lines = dense_requests(80, "d")
     seq = []
     serve_lines(iter(lines), seq.append, WORLD)
@@ -386,10 +415,12 @@ def test_dead_workers_do_not_hang_the_stream():
         assert not server.is_alive(), f"hung at {len(out)} of {len(lines)} responses"
         assert sorted(json.loads(r)["id"] for r in out) == sorted(f"d-{i}" for i in range(80))
         assert sorted(out) == sorted(seq)
+        assert capsys.readouterr() == ("", BROKEN_POOL_LINE)
         server, again = serve_in_thread(iter(lines[:40]), workers)
         server.join(timeout=30)
         assert not server.is_alive()
         assert sorted(again) == sorted(seq[:40])
+        assert capsys.readouterr() == ("", BROKEN_POOL_LINE)
     finally:
         workers.shutdown(wait=False, cancel_futures=True)
 
