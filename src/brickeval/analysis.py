@@ -29,21 +29,21 @@ brick's clipped footprint is enumerated exactly, its cells numbered by
 one repeat of the brick index and one arange, with no padding. Support
 is a join on those cells (sorted by column and layer, the cells under a
 cell come just before it), components come from hooking and pointer
-jumping over the support edges, and seams from comparing the flat
-voxel-owner grid with itself shifted one step along x or y. The bricks come in as the
-structure's columns, its one stored form, so no pass loops over bricks
-in Python and none builds a Brick.
+jumping over the support edges, voxels are the runs of equal keys among
+the sorted cells, and a seam's neighbor is found by a binary search of
+the voxel keys. The bricks come in as the structure's columns, its one
+stored form, so no pass loops over bricks in Python and none builds a
+Brick.
 
-analyze_chunk runs the same passes once for many structures, on one set
-of cells whose keys carry a structure id. It works on the sorted cells
-alone instead of world grids, so its cost and memory follow the cells:
-it is the cheaper way for structures that fill little of the world.
+One pass computes every analysis: analyze and analyze_with_occupancy
+run it on one structure, analyze_chunk on many at once, whose cell keys
+then carry a structure id. It works on the sorted cells alone, never on
+a world grid, so its cost and memory follow the cells, not the world.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -117,9 +117,8 @@ class _Geometry:
         self.world = world
         x0 = np.minimum(x, dim_x).astype(np.int64, copy=False)
         y0 = np.minimum(y, dim_y).astype(np.int64, copy=False)
-        x1 = np.minimum(x0 + hs, dim_x)
-        y1 = np.minimum(y0 + ws, dim_y)
-        self.area = hs * ws
+        ch = np.minimum(x0 + hs, dim_x) - x0
+        cw = np.minimum(y0 + ws, dim_y) - y0
 
         layers, inverse = np.unique(z, return_inverse=True)
         keys = np.empty(layers.size, dtype=np.int64)
@@ -134,8 +133,9 @@ class _Geometry:
         self.ground = zc == 0
 
         # Cell i of a brick's clipped ch x cw footprint is (x0 + i // cw, y0 + i % cw).
-        ch, cw = x1 - x0, y1 - y0
         count = ch * cw
+        # A brick is in bounds when nothing of it is clipped: all its cells are voxels.
+        self.in_bounds = (count == hs * ws) & (zc >= 0)
         brick = np.repeat(np.arange(self.n), count)
         i = np.arange(brick.size) - np.repeat(np.cumsum(count) - count, count)
         cw = cw[brick]
@@ -144,47 +144,53 @@ class _Geometry:
         column = (x0[brick] + dx) * dim_y + y0[brick] + dy
         if structure is not None:
             column += structure[brick] * (dim_x * dim_y)
-        # A cell's +x (+y) neighbor lies in the same brick.
-        self.pair_x = dx < ch[brick] - 1
-        self.pair_y = dy < cw - 1
         self.brick, self.column = brick, column
-        self.voxel = zc[brick] >= 0
-        self.vbrick = brick[self.voxel]
-        self.lin = column[self.voxel] * dim_z + zc[self.vbrick]
+        self._offsets = dx, dy, ch, cw
 
-    def runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Cells sorted by key (column, layer key), as runs of equal keys.
+    @property
+    def pair_x(self) -> np.ndarray:
+        """Per cell: its +x neighbor is a cell of the same brick."""
+        dx, _, ch, _ = self._offsets
+        return dx < ch[self.brick] - 1
 
-        Returns the cell order, the sorted keys, each sorted cell's run,
-        and each run's first position in that order and its size. A run
-        is longer than one cell only where bricks collide, and the cells
-        one layer below a run are exactly the run before it when the two
-        keys differ by one.
+    @property
+    def pair_y(self) -> np.ndarray:
+        """Per cell: its +y neighbor is a cell of the same brick."""
+        _, dy, _, cw = self._offsets
+        return dy < cw - 1
+
+    @property
+    def lin(self) -> np.ndarray:
+        """The flat voxel index of each cell on an in-world layer, in cell order."""
+        z = self.z[self.brick]
+        voxel = z >= 0
+        return self.column[voxel] * self.world.dim_z + z[voxel]
+
+    def sorted_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The cells' keys (column, then layer key) in ascending order, their bricks, and that order.
+
+        Equal keys are bricks colliding on one cell, and the cells one
+        layer below a cell are those whose key is one less, just before
+        its own.
         """
         key = self.column * self.layer_span + self.layer[self.brick]
         order = np.argsort(key)
-        key = key[order]
-        starts = np.empty(key.size, dtype=bool)
-        starts[:1] = True
-        np.not_equal(key[1:], key[:-1], out=starts[1:])
-        run = np.cumsum(starts) - 1
-        return order, key, run, np.flatnonzero(starts), np.bincount(run)
+        return key[order], self.brick[order], order
 
-    def support(self, runs: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct support edges (upper brick, lower brick), sorted, from runs() if given."""
-        if not self.brick.size:
-            return self.brick, self.brick
-        order, key, run, first, size = runs or self.runs()
-        brick = self.brick[order]
-        stacked = np.zeros(first.size, dtype=bool)
-        stacked[1:] = key[first[1:]] - key[first[:-1]] == 1
-        below = run - 1
-        take = np.where(stacked[run], size[below], 0)
-        offset = np.repeat(first[below] - (np.cumsum(take) - take), take)
-        upper = np.repeat(brick, take)
-        lower = brick[offset + np.arange(offset.size)]
+    def support(self, cells: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct support edges (upper brick, lower brick), sorted, from sorted_cells() if given."""
+        key, brick, _ = cells or self.sorted_cells()
+        gap = key[1:] - key[:-1]
+        # With at most m bricks on a cell, the cells below a cell lie at
+        # most 2m - 1 places before it.
+        most = 1 if gap.all() else int(np.diff(np.flatnonzero(np.r_[True, gap != 0, True])).max())
+        upper, lower = [], []
+        for j in range(1, 2 * most):
+            stacked = key[j:] - key[:-j] == 1
+            upper.append(brick[j:][stacked])
+            lower.append(brick[:-j][stacked])
         bits = max(self.n - 1, 1).bit_length()
-        edge = np.sort((upper << bits) | lower)
+        edge = np.sort((np.concatenate(upper) << bits) | np.concatenate(lower))
         distinct = np.empty(edge.size, dtype=bool)
         distinct[:1] = True
         np.not_equal(edge[1:], edge[:-1], out=distinct[1:])
@@ -221,172 +227,182 @@ _EMPTY_NO_SEAMS = replace(_EMPTY_ANALYSIS, seam_coverage=None)
 
 
 def analyze(structure: BrickStructure, world: WorldConfig) -> StructureAnalysis:
-    """Run every analysis pass once over shared geometry."""
-    return analyze_with_occupancy(structure, world)[0]
+    """Every structural predicate of one structure, seam coverage included."""
+    return _cell_pass([structure], world, seams=True)[0][0]
 
 
 def analyze_with_occupancy(
     structure: BrickStructure, world: WorldConfig, *, seams: bool = True
 ) -> tuple[StructureAnalysis, np.ndarray]:
-    """analyze() plus the occupied grid, sharing a single rasterization.
+    """analyze() plus the occupied grid, from the same pass.
 
-    With seams=False the seam pass, a pass over the whole world grid, is
-    skipped and seam_coverage is None; every other field is unchanged. The
-    reward reads no seam term, so its path asks for none; analyze, eval
-    and every other caller report seam coverage, hence the default.
+    With seams=False the seam search is skipped and seam_coverage is
+    None; every other field is unchanged. The reward reads no seam term,
+    so its path asks for none; analyze, eval and every other caller
+    report seam coverage, hence the default.
     """
-    n = len(structure)
-    if n == 0:
-        return _EMPTY_ANALYSIS if seams else _EMPTY_NO_SEAMS, np.zeros(world.shape, dtype=bool)
-    geom = _Geometry(structure.columns, world)
-    n_voxels = world.n_voxels
-    lin = geom.lin
-    counts = np.bincount(lin, minlength=n_voxels)
-    n_col = int(np.count_nonzero(counts > 1))
-    occupied = counts > 0
-    occupied_count = int(np.count_nonzero(occupied))
-    fully_in_bounds = lin.size == int(geom.area.sum())
-
-    upper, lower = geom.support()
-    interlock = _interlock(geom, upper)
-
-    label = _components(n, upper, lower)
-    grounded_root = np.zeros(n, dtype=bool)
-    grounded_root[label[geom.ground]] = True
-    grounded = grounded_root[label]
-    all_grounded = bool(grounded.all())
-    if all_grounded:
-        disconnected = 0
-    else:
-        grounded_occ = np.zeros(n_voxels, dtype=bool)
-        grounded_occ[lin[grounded[geom.vbrick]]] = True
-        disconnected = occupied_count - int(np.count_nonzero(grounded_occ))
-    conn_score = 1.0 - disconnected / max(occupied_count, 1)
-    is_connected = all_grounded and bool((label == label[0]).all())
-
-    result = StructureAnalysis(
-        n_col=n_col,
-        fully_in_bounds=fully_in_bounds,
-        occupied_count=occupied_count,
-        disconnected_count=disconnected,
-        conn_score=conn_score,
-        is_connected=is_connected,
-        interlock_score=interlock,
-        seam_coverage=_seam_score(geom) if seams else None,
-        brick_count=n,
-    )
+    (result,), flat, _ = _cell_pass([structure], world, seams)
+    occupied = np.zeros(world.n_voxels, dtype=bool)
+    occupied[flat] = True
     return result, occupied.reshape(world.shape)
 
 
 def analyze_chunk(
     structures: list[BrickStructure], targets: list[np.ndarray], world: WorldConfig, *, seams: bool = True
 ) -> list[tuple[StructureAnalysis, float]]:
-    """analyze() of each structure and the IoU of its occupancy with its target, in one pass.
+    """The analysis of each structure and the IoU of its occupancy with its target.
 
-    Equal bit for bit to analyze_with_occupancy and reward_shape run on
-    each structure, but the structures share one geometry, whose cell
-    keys carry a structure id, so every pass runs once for the chunk and
-    nothing the size of the world is allocated. Voxels are the runs of
-    equal cell keys on in-world layers. A seam's neighbor is found by a
-    binary search of the voxel keys, and its cover in the next run, the
-    layer above. IoU looks each structure's voxels up in its own target
-    grid, and per-structure totals are bincounts on the structure id.
-
-    With seams=False the seam search is skipped and seam_coverage is None,
-    as in analyze_with_occupancy; the default is True for the same reason.
+    The structures share one pass (see _cell_pass), and each structure's
+    voxels are looked up in its own target grid, so nothing the size of
+    the world is allocated. seams as in analyze_with_occupancy.
     """
-    k = len(structures)
-    sizes = np.array([len(s) for s in structures], dtype=np.int64)
-    n = int(sizes.sum())
-    if n == 0:
-        return [(_EMPTY_ANALYSIS if seams else _EMPTY_NO_SEAMS, 0.0)] * k
-    sid = np.repeat(np.arange(k), sizes)
-    geom = _Geometry(np.concatenate([s.columns for s in structures]), world, sid)
-    dim_x, dim_y, dim_z = world.shape
-
-    runs = geom.runs()
-    upper, lower = geom.support(runs)
-    nonground = ~geom.ground
-    interlocked = (np.bincount(upper, minlength=n) >= 2) & nonground
-    label = _components(n, upper, lower)
-    grounded_root = np.zeros(n, dtype=bool)
-    grounded_root[label[geom.ground]] = True
-    grounded = grounded_root[label]
-    first_brick = np.cumsum(sizes) - sizes
-    # A brick that is ungrounded or apart from its structure's first brick.
-    apart = ~grounded | (label != label[first_brick[sid]])
-
-    order, key, _, first, size = runs
-    brick = geom.brick[order]
-    head = brick[first]
-    z = geom.z[head]
-    voxel = z >= 0
-    vkey, z, size = key[first][voxel], z[voxel], size[voxel]
-    vfirst = first[voxel]
-    vsid = sid[head[voxel]]  # the key holds the structure id, so a run has one
-
-    def any_in_run(flags: np.ndarray) -> np.ndarray:
-        return np.logical_or.reduceat(flags, first)[voxel]
-
-    occupied = np.bincount(vsid, minlength=k)
-    n_col = np.bincount(vsid[size > 1], minlength=k)
-    disconnected = occupied - np.bincount(vsid[any_in_run(grounded[brick])], minlength=k)
-    in_cells = np.bincount(vsid, weights=size, minlength=k)
-    fully_in_bounds = in_cells == np.bincount(sid, weights=geom.area, minlength=k)
-
-    # The voxel's column within its own world, for the edges and the target lookup.
-    column = geom.column[order[vfirst]] - vsid * (dim_x * dim_y)
-    coverage = [None] * k
-    if seams:
-        owner = np.minimum.reduceat(brick, first)[voxel]
-        below_top = z < dim_z - 1
-        total = np.zeros(k, dtype=np.int64)
-        covered = np.zeros(k, dtype=np.int64)
-        for pair, has_next, step in (
-            (geom.pair_x, column < (dim_x - 1) * dim_y, dim_y),
-            (geom.pair_y, column % dim_y < dim_y - 1, 1),
-        ):
-            nxt = vkey + step * geom.layer_span
-            at = np.minimum(np.searchsorted(vkey, nxt), vkey.size - 1)
-            seam = below_top & has_next & (vkey[at] == nxt) & (owner[at] != owner)
-            # Covered by a pair cell in the voxel above, which is the next run.
-            cover = np.zeros(vkey.size, dtype=bool)
-            cover[:-1] = (vkey[1:] - vkey[:-1] == 1) & any_in_run(pair[order])[1:]
-            total += np.bincount(vsid[seam], minlength=k)
-            covered += np.bincount(vsid[seam & cover], minlength=k)
-        coverage = np.where(total == 0, 1.0, covered / np.maximum(total, 1)).tolist()
-
-    nonground_count = np.bincount(sid[nonground], minlength=k)
-    fields = zip(
-        n_col.tolist(),
-        fully_in_bounds.tolist(),
-        occupied.tolist(),
-        disconnected.tolist(),
-        (1.0 - disconnected / np.maximum(occupied, 1)).tolist(),
-        ((sizes > 0) & (np.bincount(sid[apart], minlength=k) == 0)).tolist(),
-        (np.bincount(sid[interlocked], minlength=k) / np.maximum(nonground_count, 1)).tolist(),
-        coverage,
-        sizes.tolist(),
-    )
-    flat = column * dim_z + z
-    bounds = np.cumsum(occupied).tolist()
+    analyses, flat, ends = _cell_pass(structures, world, seams)
     results = []
     lo = 0
-    for fields_s, target, hi, occupied_s in zip(fields, targets, bounds, occupied.tolist()):
+    for a, target, hi in zip(analyses, targets, ends):
         grid = target.reshape(-1)
         inter = int(np.count_nonzero(grid[flat[lo:hi]]))
-        union = occupied_s + int(np.count_nonzero(grid)) - inter
-        results.append((StructureAnalysis(*fields_s), inter / union if union else 0.0))
+        union = a.occupied_count + int(np.count_nonzero(grid)) - inter
+        results.append((a, inter / union if union else 0.0))
         lo = hi
     return results
 
 
-def _interlock(geom: _Geometry, upper: np.ndarray) -> float:
-    """Fraction of non-ground bricks that are the upper end of two or more support edges."""
+def _cell_pass(
+    structures: list[BrickStructure], world: WorldConfig, seams: bool
+) -> tuple[list[StructureAnalysis], np.ndarray, list[int]]:
+    """The analysis of each structure, and the flat indices of its voxels.
+
+    Returns the analyses, the flat voxel indices of every structure in
+    turn, each structure's in ascending order, and where each
+    structure's indices end. Two or more structures share one geometry,
+    whose cell keys carry a structure id, so every step runs once for
+    all of them. Voxels are the runs of equal keys among the sorted
+    cells on in-world layers; per-structure totals count flags over
+    bricks or voxels by structure id.
+    """
+    k = len(structures)
+    sizes = [len(s) for s in structures]
+    n = sum(sizes)
+    if n == 0:
+        return [_EMPTY_ANALYSIS if seams else _EMPTY_NO_SEAMS] * k, np.zeros(0, dtype=np.int64), [0] * k
+    if k == 1:
+        sid = None
+        geom = _Geometry(structures[0].columns, world)
+    else:
+        sid = np.repeat(np.arange(k), sizes)
+        geom = _Geometry(np.concatenate([s.columns for s in structures]), world, sid)
+
+    cells = geom.sorted_cells()
+    key, brick, _ = cells
+    upper, lower = geom.support(cells)
+    supported = np.bincount(upper, minlength=n)
     nonground = ~geom.ground
-    n_nonground = int(np.count_nonzero(nonground))
-    interlocked = np.bincount(upper, minlength=geom.n) >= 2
-    return float(np.count_nonzero(interlocked & nonground) / max(n_nonground, 1))
+    label = _components(n, upper, lower)
+    # A label is the lowest brick index in its component, so a structure
+    # is connected when every brick is grounded and has its first brick's label.
+    apart = label != (0 if sid is None else np.repeat(np.cumsum(sizes) - sizes, sizes))
+    if (supported[nonground] > 0).all():
+        # Every brick off the ground rests on one below it, so by induction
+        # on the layer every brick is grounded.
+        grounded = None
+    else:
+        root = np.zeros(n, dtype=bool)
+        root[label[geom.ground]] = True
+        grounded = root[label]
+        apart |= ~grounded
+
+    starts = np.empty(key.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(key[1:], key[:-1], out=starts[1:])
+    head = brick[starts]  # one brick of each run
+    z = geom.z[head]
+    voxel = z >= 0
+    vz = z[voxel]
+    flat = key[starts][voxel] // geom.layer_span * world.dim_z + vz
+    vsid = None
+    if sid is not None:
+        vsid = sid[head[voxel]]
+        flat -= vsid * world.n_voxels
+    # A run that goes on past its first cell is a colliding voxel.
+    collides = ~np.append(starts[1:], True)[starts]
+
+    occupied = [vz.size] if sid is None else np.bincount(vsid, minlength=k).tolist()
+    n_col = _count(collides[voxel], vsid, k)
+    if grounded is None:
+        disconnected = [0] * k
+    else:
+        alone = ~np.logical_or.reduceat(grounded[brick], np.flatnonzero(starts))[voxel]
+        disconnected = _count(alone, vsid, k)
+    clipped = _count(~geom.in_bounds, sid, k)
+    split = _count(apart, sid, k)
+    interlocked = _count((supported >= 2) & nonground, sid, k)
+    off_ground = _count(nonground, sid, k)
+    coverage = _seam_coverage(geom, cells, starts, voxel, vz, flat, vsid, k) if seams else [None] * k
+
+    analyses = [
+        StructureAnalysis(
+            n_col=n_col[i],
+            fully_in_bounds=clipped[i] == 0,
+            occupied_count=occupied[i],
+            disconnected_count=disconnected[i],
+            conn_score=1.0 - disconnected[i] / max(occupied[i], 1),
+            is_connected=sizes[i] > 0 and split[i] == 0,
+            interlock_score=interlocked[i] / max(off_ground[i], 1),
+            seam_coverage=coverage[i],
+            brick_count=sizes[i],
+        )
+        for i in range(k)
+    ]
+    return analyses, flat, np.cumsum(occupied).tolist()
+
+
+def _seam_coverage(geom: _Geometry, cells: tuple, starts: np.ndarray, voxel: np.ndarray, vz: np.ndarray,
+                   flat: np.ndarray, vsid: np.ndarray | None, k: int) -> list[float]:
+    """Per structure, the share of its seams that are covered (1.0 with none).
+
+    A voxel's neighbor is found by a binary search of the voxel keys, and
+    the cover of a seam in the next run, the voxel above. When no two
+    bricks share a cell, a voxel whose brick goes on to the neighbor is
+    no seam, so it is not searched.
+    """
+    dim_x, dim_y, dim_z = geom.world.shape
+    key, brick, order = cells
+    first = np.flatnonzero(starts)
+    single = first.size == key.size
+
+    def per_voxel(values: np.ndarray, reduce: np.ufunc) -> np.ndarray:
+        """Per voxel, values (in key order) reduced over its run."""
+        return (values if single else reduce.reduceat(values, first))[voxel]
+
+    vkey = key[first][voxel]
+    owner = per_voxel(brick, np.minimum)
+    below_top = vz < dim_z - 1
+    total, covered = [], []
+    for pair, step, has_next in (
+        (geom.pair_x, dim_y, lambda f: f < (dim_x - 1) * dim_y * dim_z),
+        (geom.pair_y, 1, lambda f: f // dim_z % dim_y < dim_y - 1),
+    ):
+        pair = per_voxel(pair[order], np.logical_or)
+        at = np.flatnonzero(below_top & ~pair if single else below_top)
+        nxt = vkey[at] + step * geom.layer_span
+        found = np.minimum(np.searchsorted(vkey, nxt), vkey.size - 1)
+        at = at[(vkey[found] == nxt) & (owner[found] != owner[at])]
+        at = at[has_next(flat[at])]  # a key one column on may be the next row's or structure's
+        # Covered by a pair cell in the voxel above, which is the next run.
+        above = np.minimum(at + 1, vkey.size - 1)
+        cover = (vkey[above] - vkey[at] == 1) & pair[above]
+        ids = None if vsid is None else vsid[at]
+        total.append(_count(np.ones_like(cover), ids, k))
+        covered.append(_count(cover, ids, k))
+    return [1.0 if tx + ty == 0 else (cx + cy) / (tx + ty) for tx, ty, cx, cy in zip(*total, *covered)]
+
+
+def _count(flags: np.ndarray, ids: np.ndarray | None, k: int) -> list[int]:
+    """Per structure, how many flags are set; ids holds each flag's structure, or is None for one."""
+    if ids is None:
+        return [int(np.count_nonzero(flags))]
+    return np.bincount(ids[flags], minlength=k).tolist()
 
 
 def _close_gaps(values: np.ndarray) -> np.ndarray:
@@ -422,63 +438,24 @@ def interlock_score(
         world = WorldConfig(int((x + h).max()), int((y + w).max()), 1)
         columns = np.stack((h, w, x, y, z), axis=1)
     geom = _Geometry(columns, world)
-    return _interlock(geom, geom.support()[0])
+    nonground = ~geom.ground
+    interlocked = (np.bincount(geom.support()[0], minlength=geom.n) >= 2) & nonground
+    return np.count_nonzero(interlocked) / max(int(np.count_nonzero(nonground)), 1)
 
 
 def _components(n: int, upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
     """A component label per brick: equal labels iff connected by edges.
 
-    Each round hooks the larger of two differing root labels on an edge
-    onto the smaller, then jumps pointers until every label is a root.
-    Every root that is not a local minimum hooks, so the rounds are few.
+    Each round hooks the larger of two differing labels on an edge onto
+    the smaller, then jumps every pointer twice; a label never grows, so
+    the rounds end, and then each label is the lowest brick index of its
+    component.
     """
     label = np.arange(n)
     while True:
-        a, b = label[upper], label[lower]
+        a, b = label.take(upper), label.take(lower)
         differ = a != b
         if not differ.any():
             return label
-        a, b = a[differ], b[differ]
-        np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
-        while True:
-            jumped = label[label]
-            if np.array_equal(jumped, label):
-                break
-            label = jumped
-
-
-@lru_cache(maxsize=8)
-def _seam_rows(world: WorldConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Flat voxels that may start an x (y) seam: below the top layer, x (y) below its last value.
-
-    Indexed like the first voxel of each pair, so for the x axis over
-    [0, n_voxels - dim_y * dim_z) and for the y axis over [0, n_voxels - dim_z).
-    """
-    _, y, z = np.indices(world.shape).reshape(3, -1)
-    below_top = z < world.dim_z - 1
-    x_rows = below_top[: world.n_voxels - world.dim_y * world.dim_z]
-    y_rows = (below_top & (y < world.dim_y - 1))[: world.n_voxels - world.dim_z]
-    for rows in (x_rows, y_rows):
-        rows.flags.writeable = False  # cached, so shared by every caller
-    return x_rows, y_rows
-
-
-def _seam_score(geom: _Geometry) -> float:
-    world = geom.world
-    n = geom.n
-    # The lowest brick index owns a voxel; n marks an empty one.
-    owner = np.full(world.n_voxels, n, dtype=np.int64)
-    np.minimum.at(owner, geom.lin, geom.vbrick)
-    covered = 0
-    total = 0
-    for pair, step, rows in zip(
-        (geom.pair_x, geom.pair_y), (world.dim_y * world.dim_z, world.dim_z), _seam_rows(world)
-    ):
-        # A seam between voxel v and v + step is covered by a pair cell at v + 1.
-        pair_at = np.zeros(world.n_voxels, dtype=bool)
-        pair_at[geom.lin[pair[geom.voxel]]] = True
-        a, b = owner[:-step], owner[step:]
-        seams = (a != b) & (np.maximum(a, b) < n) & rows
-        total += int(np.count_nonzero(seams))
-        covered += int(np.count_nonzero(seams & pair_at[1 : 1 + seams.size]))
-    return 1.0 if total == 0 else covered / total
+        np.minimum.at(label, np.maximum(a, b)[differ], np.minimum(a, b)[differ])
+        label = label.take(label.take(label))

@@ -28,7 +28,7 @@ from .dataset import (
     read_record,
 )
 from .metrics import AggregateReport, aggregate, emit_report, sample_metrics_batch
-from .metrics import sample_metrics  # not called here; perfbench wraps it by name until ROADMAP direction 3
+from .metrics import sample_metrics  # not called here; perfbench wraps it by name until ROADMAP direction 2
 from .rewards import CHUNK_SIZE, score_completion
 from .service import serve_rewards
 from .tokens import (

@@ -30,7 +30,7 @@ from typing import Iterator, TextIO
 import numpy as np
 
 from .analysis import rasterize
-from .analysis import analyze_with_occupancy  # not called here; perfbench wraps it by name until ROADMAP direction 3
+from .analysis import analyze_with_occupancy  # not called here; perfbench wraps it by name until ROADMAP direction 2
 from .core import DEFAULT_WORLD, BrickStructure, WorldConfig
 from .tokens import build_prompt, parse_structure, serialize_structure
 

@@ -22,7 +22,7 @@ from .core import WorldConfig
 from .rewards import evaluate
 from .tokens import parse_structure
 
-# Not called here; perfbench wraps these by name until ROADMAP direction 3.
+# Not called here; perfbench wraps these by name until ROADMAP direction 2.
 from .analysis import analyze_with_occupancy
 from .rewards import reward_shape
 

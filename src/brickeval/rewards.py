@@ -20,9 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import StructureAnalysis, analyze_chunk, analyze_with_occupancy
+from .analysis import StructureAnalysis, analyze_chunk
 from .core import BrickStructure, DimensionMismatch, WorldConfig, check_target_shape
 from .tokens import parse_structure
+
+# Not called here; perfbench wraps it by name until ROADMAP direction 2.
+from .analysis import analyze_with_occupancy
 
 
 @dataclass(frozen=True)
@@ -95,15 +98,15 @@ def reward_breakdown(a: StructureAnalysis, iou: float) -> RewardBreakdown:
 def score_completion(
     completion_text: str, target: np.ndarray, world: WorldConfig
 ) -> RewardBreakdown:
-    """Parse, rasterize, analyze, and compose the four reward terms.
+    """Parse, analyze, and compose the four reward terms.
 
-    No term reads seam coverage, so the analysis skips the seam pass.
+    No term reads seam coverage, so the analysis skips the seam search.
     """
     check_target_shape(target, world)
     structure, report = parse_structure(completion_text)
     if not report.parsed_ok:
         return FAILED_CONSTRUCTION
-    return reward_breakdown(*_evaluate_alone(structure, target, world, seams=False))
+    return reward_breakdown(*analyze_chunk([structure], [target], world, seams=False)[0])
 
 
 # Structures evaluated together at most: a service worker's chunk of
@@ -117,39 +120,17 @@ def evaluate(
 ) -> list[tuple[StructureAnalysis, float] | None]:
     """The analysis of each parsed structure (None: failed to parse) and its IoU with its target.
 
-    Light structures, whose brick area is at most 1/16 of the world's
-    voxels, are analyzed together in one pass (analyze_chunk) when there
-    are two or more; every other one on its own, with
-    analyze_with_occupancy's passes over the world grid. Both give the
-    same results bit for bit. The batched pass costs about the cells, the
-    grid passes about the world's voxels, and per structure the two cost
-    the same near an area of 1/16 in a 32x32x32 world (measured with 32
-    structures); smaller worlds put the crossing higher.
-
-    With seams=False neither path runs its seam pass, and every analysis
-    has seam_coverage None. The rewards ask for that; eval reports seam
+    The parsed structures are analyzed together in one pass
+    (analyze_chunk), whose cost follows their cells, not the world. With
+    seams=False no seam coverage is computed, and every analysis has
+    seam_coverage None. The rewards ask for that; eval reports seam
     coverage, so the default is True.
     """
     for target in targets:
         check_target_shape(target, world)
-    light = [i for i, s in enumerate(structures)
-             if s is not None and 16 * int(np.dot(s.columns[:, 0], s.columns[:, 1])) <= world.n_voxels]
-    batched = {}
-    if len(light) > 1:
-        analyses = analyze_chunk([structures[i] for i in light], [targets[i] for i in light], world,
-                                 seams=seams)
-        batched = dict(zip(light, analyses))
-    return [batched[i] if i in batched
-            else None if structure is None
-            else _evaluate_alone(structure, target, world, seams=seams)
-            for i, (structure, target) in enumerate(zip(structures, targets))]
-
-
-def _evaluate_alone(
-    structure: BrickStructure, target: np.ndarray, world: WorldConfig, *, seams: bool = True
-) -> tuple[StructureAnalysis, float]:
-    a, occupied = analyze_with_occupancy(structure, world, seams=seams)
-    return a, reward_shape(occupied, target)[1]
+    parsed = [(s, t) for s, t in zip(structures, targets, strict=True) if s is not None]
+    analyses = iter(analyze_chunk([s for s, _ in parsed], [t for _, t in parsed], world, seams=seams))
+    return [None if structure is None else next(analyses) for structure in structures]
 
 
 def score_completions(

@@ -22,24 +22,21 @@ them: request lines go to a free worker in chunks of whatever has
 arrived (at most 32 lines), so nothing waits for a chunk to fill and a
 burst is sent in few messages. A worker reads each line of a chunk on
 its own and hands the completions to rewards.score_completions, which
-parses each of them and analyzes the chunk's light structures (brick
-area at most 1/16 of the world's voxels) in one batched pass when there
-are two or more; a lone line, a lone light structure and every denser
-structure are scored alone, as with one worker, and every response is
-the one handle_request_line gives. A lone request while none of its
-stream's requests is at a worker is scored in the serving process
-instead. Responses may then leave in a different order than the
-requests arrived; ids are the correlation key. A TCP server shares one
-pool among all its connections. If a worker dies, the pool is broken
-for good: the serving process scores the chunks it lost and every
-later one itself, so the stream is still answered in full, at the
-speed of one worker, and says so once per stream in a line on stderr.
-An exception raised while scoring is a program bug, not a bad request:
-its traceback goes to stderr, and the request is still answered
-bad_request with its id. Nothing but responses goes to stdout. In
-either mode at most 128 requests are in flight, so a slow reader
-throttles intake. End of input flushes pending responses and exits
-cleanly.
+parses each of them and analyzes all of the chunk's structures in one
+batched pass; every response is the one handle_request_line gives. A
+lone request while none of its stream's requests is at a worker is
+scored in the serving process instead. Responses may then leave in a
+different order than the requests arrived; ids are the correlation key.
+A TCP server shares one pool among all its connections. If a worker
+dies, the pool is broken for good: the serving process scores the chunks
+it lost and every later one itself, so the stream is still answered in
+full, at the speed of one worker, and says so once per stream in a line
+on stderr. An exception raised while scoring is a program bug, not a bad
+request: its traceback goes to stderr, and the request is still answered
+bad_request with its id. Nothing but responses goes to stdout. In either
+mode at most 128 requests, of 8 MiB at most between them, are in flight
+(a longer line waits until it is alone), so a slow reader throttles
+intake. End of input flushes pending responses and exits cleanly.
 """
 
 from __future__ import annotations
@@ -65,6 +62,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 _MAX_PENDING = 128  # requests in flight before intake stalls
+_MAX_PENDING_BYTES = 8 << 20  # request bytes in flight before intake stalls
 # Stands in for a line over the length bound: it is not UTF-8, so it is
 # answered as any undecodable line is, with bad_request and a null id.
 _OVER_LONG = b"\xff over-long line"
@@ -158,7 +156,7 @@ def _handle_chunk(world: WorldConfig, lines: list[str | bytes]) -> list[str]:
 
     Each line is read as handle_request_line reads it; score_completions
     then parses and scores the completions of all readable lines in one
-    call, which analyzes the light ones in one pass. If that call raises,
+    call, which analyzes them in one pass. If that call raises,
     its traceback goes to stderr and each of its lines is answered by
     handle_request_line.
     """
@@ -249,18 +247,22 @@ def _pump(
 ) -> None:
     """Feed lines to the workers in chunks and write their responses.
 
-    A reader thread takes one unit of the in-flight budget per line, so
-    it stalls once _MAX_PENDING lines await a response. This thread owns
-    every write: it collects arriving lines and finished chunks from
-    one queue, and sends the collected lines on whenever CHUNK_SIZE
-    have gathered or nothing else is waiting. Once a worker has died the
-    pool is broken, and this thread scores every chunk itself; the first
-    time a stream finds the pool broken, it says so in one stderr line.
+    A reader thread admits a line only while fewer than _MAX_PENDING
+    lines, holding at most _MAX_PENDING_BYTES with it, await a response;
+    a longer line is admitted alone, once nothing is in flight. Each
+    line's share comes back as its response is written, so a slow reader
+    throttles intake in lines and in bytes. This thread owns every
+    write: it collects arriving lines and finished chunks from one
+    queue, and sends the collected lines on whenever CHUNK_SIZE have
+    gathered or nothing else is waiting. Once a worker has died the pool
+    is broken, and this thread scores every chunk itself; the first time
+    a stream finds the pool broken, it says so in one stderr line.
     """
     from concurrent.futures.process import BrokenProcessPool
 
     events: queue.SimpleQueue = queue.SimpleQueue()
-    budget = threading.Semaphore(_MAX_PENDING)
+    room = threading.Condition()
+    held = [0, 0]  # lines and bytes in flight
     stopping = threading.Event()
     broken = False
 
@@ -275,7 +277,11 @@ def _pump(
         try:
             for line in lines:
                 if line.strip():
-                    budget.acquire()
+                    with room:
+                        room.wait_for(lambda: stopping.is_set() or not held[0] or held[0] < _MAX_PENDING
+                                      and held[1] + len(line) <= _MAX_PENDING_BYTES)
+                        held[0] += 1
+                        held[1] += len(line)
                     if stopping.is_set():
                         return
                     events.put(("line", line))
@@ -284,10 +290,13 @@ def _pump(
         else:
             events.put(("end", None))
 
-    def write(responses: list[str]) -> None:
-        for response in responses:
+    def write(chunk: list[str | bytes], responses: list[str]) -> None:
+        for line, response in zip(chunk, responses, strict=True):
             write_line(response)
-            budget.release()
+            with room:
+                held[0] -= 1
+                held[1] -= len(line)
+                room.notify()
 
     threading.Thread(target=read, daemon=True).start()
     pending: list[str | bytes] = []
@@ -306,7 +315,7 @@ def _pump(
                     responses = future.result()
                 except BrokenProcessPool:  # its worker died: score the chunk here
                     responses = score_here(chunk)
-                write(responses)
+                write(chunk, responses)
             else:
                 ended, error = True, item
             if pending and (len(pending) >= CHUNK_SIZE or events.empty()):
@@ -316,17 +325,18 @@ def _pump(
                     try:
                         future = workers.submit(_handle_chunk, world, pending)
                     except BrokenProcessPool:
-                        write(score_here(pending))
+                        write(pending, score_here(pending))
                     else:
                         future.add_done_callback(
                             lambda f, chunk=pending: events.put(("done", (chunk, f))))
                         in_flight += 1
                 else:
-                    write(_handle_chunk(world, pending))
+                    write(pending, _handle_chunk(world, pending))
                 pending = []
     finally:
         stopping.set()
-        budget.release(_MAX_PENDING)  # unblock the reader if it waits on the budget
+        with room:
+            room.notify()  # unblock the reader if it waits for room
     if error is not None:
         raise error
 

@@ -101,6 +101,51 @@ def oracle_connectivity(
     return len(occupied), len(disconnected), conn, is_connected
 
 
+def oracle_seam_coverage(structure: BrickStructure, world: WorldConfig) -> float:
+    """Covered seams over all seams, 1.0 when there are none, by walking voxel dicts.
+
+    A seam is a pair of x- or y-adjacent occupied voxels in one layer below
+    the top whose owners differ; a voxel's owner is the lowest-index brick
+    occupying it. It is covered when one brick occupies both voxels directly
+    above the pair.
+    """
+    owner: dict[tuple[int, int, int], int] = {}
+    bricks_at: dict[tuple[int, int, int], set[int]] = {}
+    for i, b in enumerate(structure):
+        for v in oracle_voxels(b, world):
+            owner.setdefault(v, i)
+            bricks_at.setdefault(v, set()).add(i)
+    total = covered = 0
+    for (x, y, z), mine in owner.items():
+        if z + 1 >= world.dim_z:
+            continue
+        for u, v in ((x + 1, y), (x, y + 1)):
+            theirs = owner.get((u, v, z))
+            if theirs is None or theirs == mine:
+                continue
+            total += 1
+            if bricks_at.get((x, y, z + 1), set()) & bricks_at.get((u, v, z + 1), set()):
+                covered += 1
+    return covered / total if total else 1.0
+
+
+def oracle_analysis(structure: BrickStructure, world: WorldConfig) -> dict:
+    """Every StructureAnalysis field by the oracles above, by field name."""
+    counts = oracle_counts(structure, world)
+    occupied, disconnected, conn, is_connected = oracle_connectivity(structure, world)
+    return {
+        "n_col": sum(c > 1 for c in counts.values()),
+        "fully_in_bounds": all(len(oracle_voxels(b, world)) == b.h * b.w for b in structure),
+        "occupied_count": occupied,
+        "disconnected_count": disconnected,
+        "conn_score": conn,
+        "is_connected": is_connected,
+        "interlock_score": oracle_interlock(structure, world),
+        "seam_coverage": oracle_seam_coverage(structure, world),
+        "brick_count": len(structure),
+    }
+
+
 def oracle_iou(a: np.ndarray, b: np.ndarray) -> float:
     """IoU by looping over flattened voxel lists."""
     inter = 0

@@ -19,18 +19,20 @@ from brickeval import (
     parse_structure,
     random_target,
     rasterize,
-    reward_shape,
     score_completion,
     serialize_structure,
 )
-from brickeval.analysis import _Geometry, analyze_chunk
-from brickeval.rewards import score_completions
+from brickeval.analysis import StructureAnalysis, _Geometry, analyze_chunk
+from brickeval.rewards import reward_breakdown, score_completions
 
 from helpers import (
     collision_free_structure,
+    oracle_analysis,
     oracle_connectivity,
     oracle_counts,
     oracle_interlock,
+    oracle_iou,
+    oracle_seam_coverage,
     oracle_supports_below,
     oracle_voxels,
     random_structure,
@@ -476,16 +478,31 @@ def chunk_builds(rng, world, k, first_kind):
     return builds
 
 
-def assert_chunk_pass_equals_single_passes(builds, targets, world):
-    for s, target, (a, iou) in zip(builds, targets, analyze_chunk(builds, targets, world), strict=True):
-        b, occupied = analyze_with_occupancy(s, world)
-        want = (*vars(b).values(), reward_shape(occupied, target)[1])
-        assert (*vars(a).values(), iou) == want
-        assert [type(v) for v in (*vars(a).values(), iou)] == [type(v) for v in want]
+FOUR_WORLDS = [WorldConfig(20, 20, 20), WorldConfig(7, 70, 3), WorldConfig(5, 7, 3), WorldConfig(1, 1, 1)]
 
 
-@pytest.mark.parametrize("world", [WorldConfig(20, 20, 20), WorldConfig(7, 70, 3), WorldConfig(5, 7, 3),
-                                   WorldConfig(1, 1, 1)], ids=str)
+def oracle_occupied(s, world):
+    grid = np.zeros(world.shape, dtype=bool)
+    for v in oracle_counts(s, world):
+        grid[v] = True
+    return grid
+
+
+def assert_chunk_pass_matches_oracles(builds, targets, world):
+    # Every field and the IoU against the oracles, with the types a
+    # StructureAnalysis declares; a chunk also gives what each of its
+    # structures gives alone, where no structure id is in the cell keys.
+    chunked = analyze_chunk(builds, targets, world)
+    for s, target, (a, iou) in zip(builds, targets, chunked, strict=True):
+        want = oracle_analysis(s, world)
+        assert vars(a) == want
+        assert iou == oracle_iou(oracle_occupied(s, world), target)
+        assert [type(v) for v in (*vars(a).values(), iou)] == [int, bool, int, int, float, bool, float, float, int,
+                                                                 float]
+        assert analyze_chunk([s], [target], world) == [(a, iou)]
+
+
+@pytest.mark.parametrize("world", FOUR_WORLDS, ids=str)
 @pytest.mark.parametrize("k", [2, 7, 32])
 def test_chunk_pass_equals_single_passes(world, k):
     rng = np.random.default_rng([k, world.n_voxels])
@@ -494,12 +511,24 @@ def test_chunk_pass_equals_single_passes(world, k):
     for chunk in range(6):
         builds = chunk_builds(rng, world, k, chunk * k)
         dtypes.update(s.columns.dtype for s in builds)
-        assert_chunk_pass_equals_single_passes(builds, [grids[int(rng.integers(4))] for _ in builds], world)
+        assert_chunk_pass_matches_oracles(builds, [grids[int(rng.integers(4))] for _ in builds], world)
     assert dtypes == {np.dtype(np.int64), np.dtype(object)}
     # No cell of the chunk inside the world's x/y extent, and no brick at all.
     outside = [struct((1, 1, world.dim_x, 0, 0), (2, 2, 0, world.dim_y, 0)), struct((1, 1, 0, world.dim_y, 0))]
-    assert_chunk_pass_equals_single_passes(outside, grids[:2], world)
-    assert_chunk_pass_equals_single_passes([BrickStructure(())] * 2, grids[:2], world)
+    assert_chunk_pass_matches_oracles(outside, grids[:2], world)
+    assert_chunk_pass_matches_oracles([BrickStructure(())] * 2, grids[:2], world)
+
+
+@pytest.mark.parametrize("world", FOUR_WORLDS, ids=str)
+def test_seam_coverage_matches_oracle(world):
+    # Light, dense, huge-integer, colliding and out-of-bounds builds, alone and as one chunk.
+    rng = np.random.default_rng([16, world.n_voxels])
+    target = np.zeros(world.shape, dtype=bool)
+    for chunk in range(4):
+        builds = chunk_builds(rng, world, 12, chunk)
+        want = [oracle_seam_coverage(s, world) for s in builds]
+        assert [analyze(s, world).seam_coverage for s in builds] == want
+        assert [a.seam_coverage for a, _ in analyze_chunk(builds, [target] * len(builds), world)] == want
 
 
 @pytest.mark.parametrize("world", [WorldConfig(20, 20, 20), WorldConfig(7, 70, 3), WorldConfig(5, 7, 3)], ids=str)
@@ -514,7 +543,10 @@ def test_reward_path_skips_only_the_seam_pass(world, monkeypatch):
     alone = [score_completion(text, target, world) for text, target in zip(texts, targets)]
     chunked = score_completions(texts, targets, world)
     with_seams = analyze_chunk(builds, targets, world)
-    grids_with_seams = [analyze_with_occupancy(s, world)[0] for s in builds]
+    singles_with_seams = [analyze_with_occupancy(s, world)[0] for s in builds]
+    for s, target, breakdown in zip(builds[:-1], targets, alone):
+        want = StructureAnalysis(**oracle_analysis(s, world))
+        assert breakdown == reward_breakdown(want, oracle_iou(oracle_occupied(s, world), target))
 
     def no_seam_pass(*args):
         raise AssertionError("seam pass called")
@@ -525,11 +557,11 @@ def test_reward_path_skips_only_the_seam_pass(world, monkeypatch):
         chunk_calls.append(kwargs)
         return analyze_chunk(*args, **kwargs)
 
-    monkeypatch.setattr(analysis, "_seam_score", no_seam_pass)
+    monkeypatch.setattr(analysis, "_seam_coverage", no_seam_pass)
     monkeypatch.setattr(rewards, "analyze_chunk", chunk)
     assert [score_completion(text, target, world) for text, target in zip(texts, targets)] == alone
     assert score_completions(texts, targets, world) == chunked == alone
-    assert chunk_calls == [{"seams": False}] * len(chunk_calls)
+    assert chunk_calls and chunk_calls == [{"seams": False}] * len(chunk_calls)
     with pytest.raises(AssertionError, match="seam pass called"):
         analyze(builds[0], world)
 
@@ -537,7 +569,7 @@ def test_reward_path_skips_only_the_seam_pass(world, monkeypatch):
     for (a, iou), (b, iou_b) in zip(results, with_seams, strict=True):
         assert a.seam_coverage is None and b.seam_coverage is not None
         assert (replace(a, seam_coverage=b.seam_coverage), iou) == (b, iou_b)
-    for s, b in zip(builds, grids_with_seams):
+    for s, b in zip(builds, singles_with_seams):
         a = analyze_with_occupancy(s, world, seams=False)[0]
         assert a.seam_coverage is None and replace(a, seam_coverage=b.seam_coverage) == b
 
@@ -547,7 +579,7 @@ def oracle_cells(builds, world, with_ids):
     # double loop over the whole footprint; a pair flag is set when the
     # cell's +x (+y) neighbor is a cell of the same brick.
     dim_x, dim_y, dim_z = world.shape
-    cells = {name: [] for name in ("brick", "column", "pair_x", "pair_y", "voxel", "vbrick", "lin")}
+    cells = {name: [] for name in ("brick", "column", "pair_x", "pair_y", "lin")}
     index = 0
     for sid, s in enumerate(builds):
         for b in s:
@@ -557,21 +589,17 @@ def oracle_cells(builds, world, with_ids):
                     if u >= dim_x or v >= dim_y:
                         continue
                     column = u * dim_y + v + (sid * dim_x * dim_y if with_ids else 0)
-                    voxel = 0 <= b.z < dim_z
                     cells["brick"].append(index)
                     cells["column"].append(column)
                     cells["pair_x"].append(u + 1 < x1)
                     cells["pair_y"].append(v + 1 < y1)
-                    cells["voxel"].append(voxel)
-                    if voxel:
-                        cells["vbrick"].append(index)
+                    if 0 <= b.z < dim_z:
                         cells["lin"].append(column * dim_z + b.z)
             index += 1
     return cells
 
 
-@pytest.mark.parametrize("world", [WorldConfig(20, 20, 20), WorldConfig(7, 70, 3), WorldConfig(5, 7, 3),
-                                   WorldConfig(1, 1, 1)], ids=str)
+@pytest.mark.parametrize("world", FOUR_WORLDS, ids=str)
 def test_cell_builder_enumerates_clipped_footprints(world):
     rng = np.random.default_rng([5, world.n_voxels])
     dtypes = set()
@@ -586,7 +614,7 @@ def test_cell_builder_enumerates_clipped_footprints(world):
             for name, want in oracle_cells(group, world, structure is not None).items():
                 got = getattr(geom, name)
                 assert got.tolist() == want, name
-                assert got.dtype == (bool if name in ("pair_x", "pair_y", "voxel") else np.int64), name
+                assert got.dtype == (bool if name in ("pair_x", "pair_y") else np.int64), name
     assert dtypes == {np.dtype(np.int64), np.dtype(object)}
 
 

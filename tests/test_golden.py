@@ -27,7 +27,8 @@ term stays the same when a completion's lines are reordered, when it
 and its target are shifted together in x/y inside the world, and when
 its line ends are \\r\\n. Nor does the chunk check: the same fuzzed
 completions, scored per world in chunks of rewards.CHUNK_SIZE by
-score_completions, give score_completion's terms bit for bit.
+score_completions, give score_completion's terms bit for bit, and those
+of the oracles in tests/helpers.py.
 
 Rule: a change that moves GOLDEN_SHA256 or CONVERT_SHA256 says in
 CHANGES.md which output changed and why. A refactor never changes them.
@@ -56,10 +57,11 @@ from brickeval import (
     serialize_pointcloud,
     serialize_structure,
 )
+from brickeval.analysis import StructureAnalysis
 from brickeval.cli import cli_dispatch
-from brickeval.rewards import CHUNK_SIZE, score_completions
+from brickeval.rewards import CHUNK_SIZE, RewardBreakdown, reward_breakdown, score_completions
 from brickeval.service import serve_lines
-from helpers import collision_free_structure, random_structure
+from helpers import collision_free_structure, oracle_analysis, oracle_counts, random_structure
 
 GOLDEN_SHA256 = "d57de0963abcbb4bed8dac3b0bfacc6f4d762073e3fdaa1b482118c9276729b6"
 CONVERT_SHA256 = "3b35cb65588de58c2eb4dad20a20ac3152744e521813f5650dd0b5ee91e175cb"
@@ -183,9 +185,18 @@ def test_outputs_match_golden_digest(tmp_path):
     assert digest.hexdigest() == GOLDEN_SHA256
 
 
+def _oracle_breakdown(structure: BrickStructure, target: np.ndarray, world: WorldConfig) -> RewardBreakdown:
+    occupied = set(oracle_counts(structure, world))
+    wanted = set(map(tuple, np.argwhere(target).tolist()))
+    union = len(occupied | wanted)
+    iou = len(occupied & wanted) / union if union else 0.0
+    return reward_breakdown(StructureAnalysis(**oracle_analysis(structure, world)), iou)
+
+
 def test_chunked_scores_equal_single_scores():
     # The digest scores one completion at a time; the service's workers and
-    # eval score chunks, whose light structures share one batched pass.
+    # eval score chunks, which share one pass whose cell keys carry a
+    # structure id. Both give the reward terms of the oracles.
     by_world: dict = {}
     for world, text, target in _completions():
         by_world.setdefault(world, []).append((text, target))
@@ -195,6 +206,10 @@ def test_chunked_scores_equal_single_scores():
             got = score_completions(list(texts), list(targets), world)
             want = [score_completion(text, target, world) for text, target in zip(texts, targets)]
             assert [_fields(b) for b in got] == [_fields(b) for b in want], (world, lo)
+            for text, target, breakdown in zip(texts, targets, got):
+                structure, report = parse_structure(text)
+                if report.parsed_ok:
+                    assert _fields(breakdown) == _fields(_oracle_breakdown(structure, target, world)), text
 
 
 def _layout_line(rng: np.random.Generator, kind: int, world: WorldConfig) -> str:

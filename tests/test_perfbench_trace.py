@@ -5,10 +5,11 @@ it (say `cli.parse_pointcloud` or `rewards.parse_structure`). Between them
 the offline workloads and rollout_w1 install every such wrapper, in the
 cli, dataset, metrics, service and rewards modules, so a call that moves
 out of the module where it is wrapped fails here rather than only under
---trace 1. Four imports are kept only for this wrapping, with no call left
+--trace 1. Five imports are kept only for this wrapping, with no call left
 behind them: `cli.sample_metrics`, `dataset.analyze_with_occupancy`,
-`metrics.analyze_with_occupancy` and `metrics.reward_shape`. This test is
-what fails if one is dropped.
+`metrics.analyze_with_occupancy`, `metrics.reward_shape` and
+`rewards.analyze_with_occupancy`. This test is what fails if one is
+dropped.
 offline_convert wraps `dataset.build_grpo_record`, `parse_structure`,
 `analyze_with_occupancy` and `encode_target_voxels`, and checks every
 record `convert --mode grpo` writes against the oracles.
@@ -18,7 +19,7 @@ end under perfbench's output and oracle checks.
 offline_construct runs `construct ... --seed N` through the CLI, so it also
 fails if the CLI stops taking a flag that perfbench passes. rollout_w2 runs
 `serve --threads 2` on the mixed rollout traffic, so the workers' chunk
-scoring, which analyzes a chunk's light structures in one pass, runs end
+scoring, which analyzes all of a chunk's structures in one pass, runs end
 to end under perfbench's checks of ids, expected error codes and the
 oracle subset.
 """

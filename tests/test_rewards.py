@@ -1,6 +1,7 @@
 """Reward terms, gating, and the composed score."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,3 +216,22 @@ def test_small_world_scoring():
     rb = score_completion("2x2 (0,0,0)", target, tiny)
     assert (rb.r_col, rb.r_shape, rb.r_inter, rb.r_conn) == (0.0, 5.0, 0.0, 2.0)
     assert rb.total == 7.0 and rb.feasible
+
+
+def test_one_brick_in_a_large_world_costs_its_cells_not_the_world():
+    # Memory per request follows the structure's cells: beyond the target
+    # grid the caller holds, scoring one brick in a 128^3 world (2 MiB of
+    # target) allocates well under 1 MiB.
+    world = WorldConfig(128, 128, 128)
+    target = np.zeros(world.shape, dtype=bool)
+    target[3:5, 5:9, 0] = True
+    target[100, 100, 100] = True
+    score_completion("2x4 (3,5,0)", target, world)  # warm caches
+    tracemalloc.start()
+    try:
+        rb = score_completion("2x4 (3,5,0)", target, world)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert rb.iou == 8 / 9 and rb.feasible and rb.r_conn == 2.0

@@ -269,20 +269,23 @@ def test_threaded_serving_matches_sequential(perfect_fixture, monkeypatch):
     assert len(par) == 40
 
 
-def test_backpressure_bounds_intake(perfect_fixture, monkeypatch):
-    # With the writer blocked, the reader may only run ahead by the
-    # in-flight budget.
-    monkeypatch.setattr(service, "_MAX_PENDING", 8)
-    consumed = []
+def stalled_intake(perfect_fixture, n, at_least):
+    """Serve n same-sized requests with two workers while the writer is blocked.
+
+    Returns how many lines the reader had taken when it stalled, and the
+    responses written once the writer was let go.
+    """
+    consumed, written = [], []
     gate = threading.Event()
 
     def lines():
-        for i in range(100):
+        for i in range(n):
             consumed.append(i)
-            yield fixture_request(perfect_fixture, request_id=f"bp-{i}")
+            yield fixture_request(perfect_fixture, request_id=f"bp-{i:03}")
 
     def write_line(text):
         gate.wait(timeout=30)
+        written.append(text)
 
     worker = threading.Thread(
         target=serve_lines,
@@ -294,7 +297,7 @@ def test_backpressure_bounds_intake(perfect_fixture, monkeypatch):
     deadline = time.monotonic() + 5
     last = -1
     while time.monotonic() < deadline:
-        if len(consumed) == last and len(consumed) >= 8:
+        if len(consumed) == last and len(consumed) >= at_least:
             break
         last = len(consumed)
         time.sleep(0.05)
@@ -302,8 +305,70 @@ def test_backpressure_bounds_intake(perfect_fixture, monkeypatch):
     gate.set()
     worker.join(timeout=30)
     assert not worker.is_alive()
+    assert len(consumed) == n
+    return stalled_at, written
+
+
+def test_backpressure_bounds_intake(perfect_fixture, monkeypatch):
+    # With the writer blocked, the reader may only run ahead by the
+    # in-flight budget.
+    monkeypatch.setattr(service, "_MAX_PENDING", 8)
+    stalled_at, _ = stalled_intake(perfect_fixture, 100, 8)
     assert stalled_at <= 10  # budget 8, plus one blocked submit and one buffered line
-    assert len(consumed) == 100
+
+
+def test_byte_budget_bounds_intake(perfect_fixture, monkeypatch):
+    # Lines in flight hold at most _MAX_PENDING_BYTES between them, and a
+    # line longer than all of it is admitted alone, so it is answered too.
+    size = len(fixture_request(perfect_fixture, request_id="bp-000"))
+    for budget, most in ((4 * size, 4), (size // 2, 1)):
+        monkeypatch.setattr(service, "_MAX_PENDING_BYTES", budget)
+        stalled_at, written = stalled_intake(perfect_fixture, 40, most)
+        assert stalled_at <= most + 2  # plus one blocked submit and one buffered line
+        assert sorted(json.loads(r)["id"] for r in written) == [f"bp-{i:03}" for i in range(40)]
+
+
+def test_client_that_stops_reading_bounds_server_memory():
+    # 1600 tiny requests fill the response pipe, then 130 requests of
+    # about 1 MB each arrive while the client reads nothing. The server
+    # may hold only its in-flight bytes of them (8 MiB); with a budget in
+    # lines alone it held 80 and peaked at 177 MiB, against 53 MiB here.
+    # Once the client reads, every request is answered.
+    proc = subprocess.Popen([sys.executable, "-m", "brickeval", "serve", "--threads", "2"],
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    padding = b"x" * 1_000_000
+    sent = []
+
+    def send():
+        try:
+            proc.stdin.writelines([b"{}\n"] * 1600)
+            for i in range(130):
+                proc.stdin.write(b'{"id": "b%d", "completion": "%s"}\n' % (i, padding))
+                sent.append(i)
+            proc.stdin.flush()
+        except (BrokenPipeError, ValueError):  # the server died, or stdin was closed
+            pass
+
+    writer = threading.Thread(target=send, daemon=True)
+    try:
+        writer.start()
+        last = -1
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline and (len(sent) != last or not sent):
+            last = len(sent)
+            time.sleep(1.0)  # the server stops reading once its budget is full
+        assert 0 < len(sent) < 130
+        answered = [json.loads(proc.stdout.readline()) for _ in range(1730)]
+        with open(f"/proc/{proc.pid}/status") as f:
+            peak_mib = next(int(line.split()[1]) for line in f if line.startswith("VmHWM:")) / 1024
+        proc.stdin.close()
+        assert proc.wait(timeout=60) == 0
+    finally:
+        proc.kill()
+        writer.join(timeout=10)
+    assert answered.count({"id": None, "error_code": "bad_request"}) == 1600
+    assert sorted(r["id"] for r in answered if r["id"]) == sorted(f"b{i}" for i in range(130))
+    assert peak_mib < 80
 
 
 def wait_up(workers, timeout=60):
