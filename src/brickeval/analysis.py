@@ -28,17 +28,18 @@ The passes are vectorized and share one set of footprint cells: each
 brick's clipped footprint is enumerated exactly, its cells numbered by
 one repeat of the brick index and one arange, with no padding. Support
 is a join on those cells (sorted by column and layer, the cells under a
-cell come just before it), components come from hooking and pointer
-jumping over the support edges, voxels are the runs of equal keys among
-the sorted cells, and a seam's neighbor is found by a binary search of
-the voxel keys. The bricks come in as the structure's columns, its one
-stored form, so no pass loops over bricks in Python and none builds a
-Brick.
+cell are the run of equal keys just before it), components come from
+hooking and pointer jumping over the support edges, voxels are the runs
+of equal keys among the sorted cells, and a seam's neighbor is found
+by a binary search of the voxel keys. The bricks come in as the
+structure's columns, its one stored form, so no pass loops over bricks
+in Python and none builds a Brick.
 
 One pass computes every analysis: analyze and analyze_with_occupancy
 run it on one structure, analyze_chunk on many at once, whose cell keys
-then carry a structure id. It works on the sorted cells alone, never on
-a world grid, so its cost and memory follow the cells, not the world.
+then carry a structure id. It works on the sorted cells and the support
+edges between them, never on a world grid, so its cost and memory follow
+those, not the world.
 """
 
 from __future__ import annotations
@@ -166,31 +167,45 @@ class _Geometry:
         voxel = z >= 0
         return self.column[voxel] * self.world.dim_z + z[voxel]
 
-    def sorted_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The cells' keys (column, then layer key) in ascending order, their bricks, and that order.
+    def sorted_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The cells' keys (column, then layer key) in ascending order, their bricks, that order, and run starts.
 
-        Equal keys are bricks colliding on one cell, and the cells one
-        layer below a cell are those whose key is one less, just before
-        its own.
+        A run of equal keys holds the bricks colliding on one cell, and
+        starts flags its first cell. The cells one layer below a run are
+        the run just before it, when that run's key is one less.
         """
         key = self.column * self.layer_span + self.layer[self.brick]
         order = np.argsort(key)
-        return key[order], self.brick[order], order
+        key = key[order]
+        starts = np.empty(key.size, dtype=bool)
+        starts[:1] = True
+        np.not_equal(key[1:], key[:-1], out=starts[1:])
+        return key, self.brick[order], order, starts
 
     def support(self, cells: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct support edges (upper brick, lower brick), sorted, from sorted_cells() if given."""
-        key, brick, _ = cells or self.sorted_cells()
-        gap = key[1:] - key[:-1]
-        # With at most m bricks on a cell, the cells below a cell lie at
-        # most 2m - 1 places before it.
-        most = 1 if gap.all() else int(np.diff(np.flatnonzero(np.r_[True, gap != 0, True])).max())
-        upper, lower = [], []
-        for j in range(1, 2 * most):
-            stacked = key[j:] - key[:-j] == 1
-            upper.append(brick[j:][stacked])
-            lower.append(brick[:-j][stacked])
+        """Distinct support edges (upper brick, lower brick), sorted, from sorted_cells() if given.
+
+        Each cell is joined with every cell of the run below it, so the
+        join costs the edges it makes: with no collisions, one per
+        stacked cell.
+        """
+        key, brick, _, starts = cells or self.sorted_cells()
+        if starts.all():
+            stacked = key[1:] - key[:-1] == 1
+            upper, lower = brick[1:][stacked], brick[:-1][stacked]
+        else:
+            first = np.flatnonzero(starts)
+            size = np.diff(np.append(first, key.size))
+            run = np.cumsum(starts) - 1
+            stacked = np.zeros(first.size, dtype=bool)
+            stacked[1:] = key[first[1:]] - key[first[:-1]] == 1
+            below = run - 1
+            take = np.where(stacked[run], size[below], 0)
+            offset = np.repeat(first[below] - (np.cumsum(take) - take), take)
+            upper = np.repeat(brick, take)
+            lower = brick[offset + np.arange(offset.size)]
         bits = max(self.n - 1, 1).bit_length()
-        edge = np.sort((np.concatenate(upper) << bits) | np.concatenate(lower))
+        edge = np.sort((upper << bits) | lower)
         distinct = np.empty(edge.size, dtype=bool)
         distinct[:1] = True
         np.not_equal(edge[1:], edge[:-1], out=distinct[1:])
@@ -231,17 +246,9 @@ def analyze(structure: BrickStructure, world: WorldConfig) -> StructureAnalysis:
     return _cell_pass([structure], world, seams=True)[0][0]
 
 
-def analyze_with_occupancy(
-    structure: BrickStructure, world: WorldConfig, *, seams: bool = True
-) -> tuple[StructureAnalysis, np.ndarray]:
-    """analyze() plus the occupied grid, from the same pass.
-
-    With seams=False the seam search is skipped and seam_coverage is
-    None; every other field is unchanged. The reward reads no seam term,
-    so its path asks for none; analyze, eval and every other caller
-    report seam coverage, hence the default.
-    """
-    (result,), flat, _ = _cell_pass([structure], world, seams)
+def analyze_with_occupancy(structure: BrickStructure, world: WorldConfig) -> tuple[StructureAnalysis, np.ndarray]:
+    """analyze() plus the occupied grid, from the same pass."""
+    (result,), flat, _ = _cell_pass([structure], world, seams=True)
     occupied = np.zeros(world.n_voxels, dtype=bool)
     occupied[flat] = True
     return result, occupied.reshape(world.shape)
@@ -254,7 +261,9 @@ def analyze_chunk(
 
     The structures share one pass (see _cell_pass), and each structure's
     voxels are looked up in its own target grid, so nothing the size of
-    the world is allocated. seams as in analyze_with_occupancy.
+    the world is allocated. With seams=False the seam search is
+    skipped and seam_coverage is None; every other field is unchanged.
+    The reward reads no seam term, so its path asks for none.
     """
     analyses, flat, ends = _cell_pass(structures, world, seams)
     results = []
@@ -294,7 +303,7 @@ def _cell_pass(
         geom = _Geometry(np.concatenate([s.columns for s in structures]), world, sid)
 
     cells = geom.sorted_cells()
-    key, brick, _ = cells
+    key, brick, _, starts = cells
     upper, lower = geom.support(cells)
     supported = np.bincount(upper, minlength=n)
     nonground = ~geom.ground
@@ -312,9 +321,6 @@ def _cell_pass(
         grounded = root[label]
         apart |= ~grounded
 
-    starts = np.empty(key.size, dtype=bool)
-    starts[:1] = True
-    np.not_equal(key[1:], key[:-1], out=starts[1:])
     head = brick[starts]  # one brick of each run
     z = geom.z[head]
     voxel = z >= 0
@@ -338,7 +344,7 @@ def _cell_pass(
     split = _count(apart, sid, k)
     interlocked = _count((supported >= 2) & nonground, sid, k)
     off_ground = _count(nonground, sid, k)
-    coverage = _seam_coverage(geom, cells, starts, voxel, vz, flat, vsid, k) if seams else [None] * k
+    coverage = _seam_coverage(geom, cells, voxel, vz, flat, vsid, k) if seams else [None] * k
 
     analyses = [
         StructureAnalysis(
@@ -357,7 +363,7 @@ def _cell_pass(
     return analyses, flat, np.cumsum(occupied).tolist()
 
 
-def _seam_coverage(geom: _Geometry, cells: tuple, starts: np.ndarray, voxel: np.ndarray, vz: np.ndarray,
+def _seam_coverage(geom: _Geometry, cells: tuple, voxel: np.ndarray, vz: np.ndarray,
                    flat: np.ndarray, vsid: np.ndarray | None, k: int) -> list[float]:
     """Per structure, the share of its seams that are covered (1.0 with none).
 
@@ -367,7 +373,7 @@ def _seam_coverage(geom: _Geometry, cells: tuple, starts: np.ndarray, voxel: np.
     no seam, so it is not searched.
     """
     dim_x, dim_y, dim_z = geom.world.shape
-    key, brick, order = cells
+    key, brick, order, starts = cells
     first = np.flatnonzero(starts)
     single = first.size == key.size
 

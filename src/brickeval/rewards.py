@@ -121,10 +121,10 @@ def evaluate(
     """The analysis of each parsed structure (None: failed to parse) and its IoU with its target.
 
     The parsed structures are analyzed together in one pass
-    (analyze_chunk), whose cost follows their cells, not the world. With
-    seams=False no seam coverage is computed, and every analysis has
-    seam_coverage None. The rewards ask for that; eval reports seam
-    coverage, so the default is True.
+    (analyze_chunk), whose cost follows their cells and support edges, not
+    the world. With seams=False no seam coverage is computed, and every
+    analysis has seam_coverage None. The rewards ask for that; eval
+    reports seam coverage, so the default is True.
     """
     for target in targets:
         check_target_shape(target, world)

@@ -1,5 +1,6 @@
 """Rasterization, collisions, connectivity, interlock, and seam coverage."""
 
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -162,6 +163,52 @@ def test_support_graph_matches_oracle(world):
         edges = support_edges(s, w)
         for i in range(len(s)):
             assert [j for u, j in edges if u == i] == oracle_supports_below(s, i, w)
+
+
+def lines_run(module, fn, *args, **kwargs):
+    """fn(*args, **kwargs), and how many lines of module it executed."""
+    lines = [0]
+
+    def tracer(frame, event, arg):
+        if frame.f_code.co_filename != module.__file__:
+            return None
+        if event == "line":
+            lines[0] += 1
+        return tracer
+
+    sys.settrace(tracer)
+    try:
+        result = fn(*args, **kwargs)
+    finally:
+        sys.settrace(None)
+    return result, lines[0]
+
+
+def test_copies_of_one_brick_analyze_like_the_oracles(world):
+    # A completion that repeats one line puts thousands of bricks on one
+    # cell, one run of the sorted cells. The join makes one edge per brick
+    # and brick directly under it and takes no Python step per copy: the
+    # pass runs as many lines of analysis for 3000 copies as for two.
+    def build(copies):
+        return struct(*[(2, 4, 0, 0, 0)] * copies, (1, 1, 5, 5, 0), *[(1, 1, 5, 5, 1)] * copies, (2, 2, 0, 0, 1))
+
+    target = np.zeros(world.shape, dtype=bool)
+    lines, fields = {}, {}
+    for copies in (2, 300, 3000):
+        s = build(copies)
+        got, lines[copies, True] = lines_run(analysis, analyze, s, world)
+        _, lines[copies, False] = lines_run(analysis, analyze_chunk, [s, s], [target] * 2, world, seams=False)
+        assert vars(analyze_chunk([s], [target], world)[0][0]) == vars(got)
+        top = 2 * copies + 1
+        edges = [(u, copies) for u in range(copies + 1, top)] + [(top, j) for j in range(copies)]
+        assert support_edges(s, world) == edges
+        # Only the top brick interlocks; the oracles are quadratic, so they check the smaller builds.
+        fields[copies] = {**vars(got), "interlock_score": None, "brick_count": None}
+        assert got.interlock_score == 1 / (copies + 1) and got.brick_count == len(s)
+        if copies < 3000:
+            assert vars(got) == oracle_analysis(s, world)
+    assert fields[3000] == fields[300] == fields[2]
+    assert lines[3000, True] == lines[2, True] and lines[3000, False] == lines[2, False]
 
 
 # ---------------------------------------------------------------- grounding
@@ -543,7 +590,6 @@ def test_reward_path_skips_only_the_seam_pass(world, monkeypatch):
     alone = [score_completion(text, target, world) for text, target in zip(texts, targets)]
     chunked = score_completions(texts, targets, world)
     with_seams = analyze_chunk(builds, targets, world)
-    singles_with_seams = [analyze_with_occupancy(s, world)[0] for s in builds]
     for s, target, breakdown in zip(builds[:-1], targets, alone):
         want = StructureAnalysis(**oracle_analysis(s, world))
         assert breakdown == reward_breakdown(want, oracle_iou(oracle_occupied(s, world), target))
@@ -569,9 +615,6 @@ def test_reward_path_skips_only_the_seam_pass(world, monkeypatch):
     for (a, iou), (b, iou_b) in zip(results, with_seams, strict=True):
         assert a.seam_coverage is None and b.seam_coverage is not None
         assert (replace(a, seam_coverage=b.seam_coverage), iou) == (b, iou_b)
-    for s, b in zip(builds, singles_with_seams):
-        a = analyze_with_occupancy(s, world, seams=False)[0]
-        assert a.seam_coverage is None and replace(a, seam_coverage=b.seam_coverage) == b
 
 
 def oracle_cells(builds, world, with_ids):
