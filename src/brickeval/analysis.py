@@ -28,18 +28,20 @@ The passes are vectorized and share one set of footprint cells: each
 brick's clipped footprint is enumerated exactly, its cells numbered by
 one repeat of the brick index and one arange, with no padding. Support
 is a join on those cells (sorted by column and layer, the cells under a
-cell are the run of equal keys just before it), components come from
-hooking and pointer jumping over the support edges, voxels are the runs
-of equal keys among the sorted cells, and a seam's neighbor is found
-by a binary search of the voxel keys. The bricks come in as the
-structure's columns, its one stored form, so no pass loops over bricks
-in Python and none builds a Brick.
+cell are the run of equal keys just before it, and a run is joined to
+that run as a star, so stacked copies cost their cells), components
+come from hooking and pointer jumping over the support edges, voxels
+are the runs of equal keys among the sorted cells, and a seam's
+neighbor is found by a binary search of the voxel keys. The bricks come
+in as the structure's columns, its one stored form, so no pass loops
+over bricks in Python and none builds a Brick.
 
-One pass computes every analysis: analyze and analyze_with_occupancy
-run it on one structure, analyze_chunk on many at once, whose cell keys
-then carry a structure id. It works on the sorted cells and the support
-edges between them, never on a world grid, so its cost and memory follow
-those, not the world.
+One pass computes every analysis: analyze, analyze_with_occupancy and
+interlock_score run it on one structure. analyze_chunk, the evaluation
+core that the rewards and the metrics call, runs it on many at once,
+whose cell keys then carry a structure id. It works on the sorted cells
+and the support edges between them, never on a world grid, so its cost
+and memory follow those, not the world.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import FOOTPRINT_SIDES, BrickStructure, WorldConfig
+from .core import FOOTPRINT_SIDES, BrickStructure, WorldConfig, check_target_shape
 
 _GAP = FOOTPRINT_SIDES  # one more than the longest footprint side
 
@@ -182,14 +184,17 @@ class _Geometry:
         np.not_equal(key[1:], key[:-1], out=starts[1:])
         return key, self.brick[order], order, starts
 
-    def support(self, cells: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct support edges (upper brick, lower brick), sorted, from sorted_cells() if given.
+    def support(self, cells: tuple | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Distinct support edges (upper brick, lower brick), sorted, and which bricks are crowded.
 
-        Each cell is joined with every cell of the run below it, so the
-        join costs the edges it makes: with no collisions, one per
-        stacked cell.
+        From sorted_cells() if given. A run of bricks on one cell that rests
+        on the run below is joined to it as a star: every upper cell to the
+        first lower cell, the first upper cell to every lower cell. The
+        components are exact, and a brick rests on two or more bricks iff it
+        has two edges or is crowded: some cell of it has two or more under it.
         """
         key, brick, _, starts = cells or self.sorted_cells()
+        crowded = np.zeros(self.n, dtype=bool)
         if starts.all():
             stacked = key[1:] - key[:-1] == 1
             upper, lower = brick[1:][stacked], brick[:-1][stacked]
@@ -199,8 +204,10 @@ class _Geometry:
             run = np.cumsum(starts) - 1
             stacked = np.zeros(first.size, dtype=bool)
             stacked[1:] = key[first[1:]] - key[first[:-1]] == 1
+            on = stacked[run]  # per cell: its run rests on the run below
             below = run - 1
-            take = np.where(stacked[run], size[below], 0)
+            crowded[brick[on & (size[below] > 1)]] = True
+            take = np.where(on & starts, size[below], on)
             offset = np.repeat(first[below] - (np.cumsum(take) - take), take)
             upper = np.repeat(brick, take)
             lower = brick[offset + np.arange(offset.size)]
@@ -210,15 +217,13 @@ class _Geometry:
         distinct[:1] = True
         np.not_equal(edge[1:], edge[:-1], out=distinct[1:])
         edge = edge[distinct]
-        return edge >> bits, edge & ((1 << bits) - 1)
+        return edge >> bits, edge & ((1 << bits) - 1), crowded
 
 
 def rasterize(structure: BrickStructure, world: WorldConfig) -> OccupancyField:
     """Count, per voxel, how many bricks occupy it (clipped to the world)."""
-    counts = np.zeros(world.n_voxels, dtype=np.int64)
-    if len(structure):
-        counts = np.bincount(_Geometry(structure.columns, world).lin, minlength=world.n_voxels)
-    return OccupancyField(counts.reshape(world.shape), world)
+    lin = _Geometry(structure.columns, world).lin if len(structure) else np.zeros(0, dtype=np.int64)
+    return OccupancyField(np.bincount(lin, minlength=world.n_voxels).reshape(world.shape), world)
 
 
 def collision_stats(field: OccupancyField) -> tuple[int, list[tuple[int, int, int]]]:
@@ -255,25 +260,30 @@ def analyze_with_occupancy(structure: BrickStructure, world: WorldConfig) -> tup
 
 
 def analyze_chunk(
-    structures: list[BrickStructure], targets: list[np.ndarray], world: WorldConfig, *, seams: bool = True
-) -> list[tuple[StructureAnalysis, float]]:
-    """The analysis of each structure and the IoU of its occupancy with its target.
+    structures: list[BrickStructure | None], targets: list[np.ndarray], world: WorldConfig, *, seams: bool = True
+) -> list[tuple[StructureAnalysis, float] | None]:
+    """The analysis of each parsed structure (None: failed to parse) and the IoU of its occupancy with its target.
 
-    The structures share one pass (see _cell_pass), and each structure's
-    voxels are looked up in its own target grid, so nothing the size of
-    the world is allocated. With seams=False the seam search is
-    skipped and seam_coverage is None; every other field is unchanged.
-    The reward reads no seam term, so its path asks for none.
+    The evaluation core of the rewards and the metrics. Every target's
+    shape is checked first, so a bad target raises whether or not its
+    completion parsed. The parsed structures share one pass (see
+    _cell_pass), each looked up in its own target grid. With seams=False,
+    as the rewards ask, the seam search is skipped and seam_coverage is None.
     """
-    analyses, flat, ends = _cell_pass(structures, world, seams)
+    for target in targets:
+        check_target_shape(target, world)
+    analyses, flat, ends = _cell_pass([s for s in structures if s is not None], world, seams)
+    found = iter(zip(analyses, [0, *ends], ends))
     results = []
-    lo = 0
-    for a, target, hi in zip(analyses, targets, ends):
+    for structure, target in zip(structures, targets, strict=True):
+        if structure is None:
+            results.append(None)
+            continue
+        a, lo, hi = next(found)
         grid = target.reshape(-1)
         inter = int(np.count_nonzero(grid[flat[lo:hi]]))
         union = a.occupied_count + int(np.count_nonzero(grid)) - inter
         results.append((a, inter / union if union else 0.0))
-        lo = hi
     return results
 
 
@@ -304,7 +314,7 @@ def _cell_pass(
 
     cells = geom.sorted_cells()
     key, brick, _, starts = cells
-    upper, lower = geom.support(cells)
+    upper, lower, crowded = geom.support(cells)
     supported = np.bincount(upper, minlength=n)
     nonground = ~geom.ground
     label = _components(n, upper, lower)
@@ -342,7 +352,7 @@ def _cell_pass(
         disconnected = _count(alone, vsid, k)
     clipped = _count(~geom.in_bounds, sid, k)
     split = _count(apart, sid, k)
-    interlocked = _count((supported >= 2) & nonground, sid, k)
+    interlocked = _count(((supported >= 2) | crowded) & nonground, sid, k)
     off_ground = _count(nonground, sid, k)
     coverage = _seam_coverage(geom, cells, voxel, vz, flat, vsid, k) if seams else [None] * k
 
@@ -435,18 +445,14 @@ def interlock_score(
     tall, which leaves the ground at z = 0, and support between layers
     outside it is exact whatever their distance.
     """
-    if not len(structure):
-        return 0.0
-    columns = structure.columns
     if world is None:
-        h, w, x, y, z = columns.T
+        if not len(structure):
+            return 0.0
+        h, w, x, y, z = structure.columns.T
         x, y = _close_gaps(x), _close_gaps(y)
         world = WorldConfig(int((x + h).max()), int((y + w).max()), 1)
-        columns = np.stack((h, w, x, y, z), axis=1)
-    geom = _Geometry(columns, world)
-    nonground = ~geom.ground
-    interlocked = (np.bincount(geom.support()[0], minlength=geom.n) >= 2) & nonground
-    return np.count_nonzero(interlocked) / max(int(np.count_nonzero(nonground)), 1)
+        structure = BrickStructure._from_columns(np.stack((h, w, x, y, z), axis=1))
+    return _cell_pass([structure], world, seams=False)[0][0].interlock_score
 
 
 def _components(n: int, upper: np.ndarray, lower: np.ndarray) -> np.ndarray:

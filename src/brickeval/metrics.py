@@ -17,9 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import StructureAnalysis
+from .analysis import StructureAnalysis, analyze_chunk
 from .core import WorldConfig
-from .rewards import evaluate
 from .tokens import parse_structure
 
 # Not called here; perfbench wraps these by name until ROADMAP direction 2.
@@ -78,13 +77,10 @@ def sample_metrics_batch(
     world: WorldConfig,
     wall_times_s: Sequence[float],
 ) -> list[SampleMetrics]:
-    """sample_metrics of each completion, evaluated together (rewards.evaluate)."""
-    structures = []
-    for completion in completions:
-        structure, report = parse_structure(completion)
-        structures.append(structure if report.parsed_ok else None)
+    """sample_metrics of each completion, evaluated together (analysis.analyze_chunk)."""
+    structures = [s if report.parsed_ok else None for s, report in map(parse_structure, completions)]
     return [_sample(result, wall_time_s)
-            for result, wall_time_s in zip(evaluate(structures, targets, world), wall_times_s, strict=True)]
+            for result, wall_time_s in zip(analyze_chunk(structures, targets, world), wall_times_s, strict=True)]
 
 
 def _sample(result: tuple[StructureAnalysis, float] | None, wall_time_s: float) -> SampleMetrics:

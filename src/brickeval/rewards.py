@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import StructureAnalysis, analyze_chunk
-from .core import BrickStructure, DimensionMismatch, WorldConfig, check_target_shape
+from .core import DimensionMismatch, WorldConfig
 from .tokens import parse_structure
 
 # Not called here; perfbench wraps it by name until ROADMAP direction 2.
@@ -102,35 +102,14 @@ def score_completion(
 
     No term reads seam coverage, so the analysis skips the seam search.
     """
-    check_target_shape(target, world)
     structure, report = parse_structure(completion_text)
-    if not report.parsed_ok:
-        return FAILED_CONSTRUCTION
-    return reward_breakdown(*analyze_chunk([structure], [target], world, seams=False)[0])
+    (result,) = analyze_chunk([structure if report.parsed_ok else None], [target], world, seams=False)
+    return FAILED_CONSTRUCTION if result is None else reward_breakdown(*result)
 
 
 # Structures evaluated together at most: a service worker's chunk of
 # request lines, and eval's chunk of pairs.
 CHUNK_SIZE = 32
-
-
-def evaluate(
-    structures: list[BrickStructure | None], targets: list[np.ndarray], world: WorldConfig,
-    *, seams: bool = True,
-) -> list[tuple[StructureAnalysis, float] | None]:
-    """The analysis of each parsed structure (None: failed to parse) and its IoU with its target.
-
-    The parsed structures are analyzed together in one pass
-    (analyze_chunk), whose cost follows their cells and support edges, not
-    the world. With seams=False no seam coverage is computed, and every
-    analysis has seam_coverage None. The rewards ask for that; eval
-    reports seam coverage, so the default is True.
-    """
-    for target in targets:
-        check_target_shape(target, world)
-    parsed = [(s, t) for s, t in zip(structures, targets, strict=True) if s is not None]
-    analyses = iter(analyze_chunk([s for s, _ in parsed], [t for _, t in parsed], world, seams=seams))
-    return [None if structure is None else next(analyses) for structure in structures]
 
 
 def score_completions(
@@ -139,8 +118,8 @@ def score_completions(
     """score_completion's breakdown of each completion against its target.
 
     A completion that fails to parse scores FAILED_CONSTRUCTION; the
-    parsed ones are scored together in one evaluate call, without seams.
+    parsed ones are scored together in one analyze_chunk call, without seams.
     """
     structures = [s if report.parsed_ok else None for s, report in map(parse_structure, completions)]
     return [FAILED_CONSTRUCTION if result is None else reward_breakdown(*result)
-            for result in evaluate(structures, targets, world, seams=False)]
+            for result in analyze_chunk(structures, targets, world, seams=False)]

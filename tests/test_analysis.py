@@ -31,6 +31,7 @@ from helpers import (
     oracle_analysis,
     oracle_connectivity,
     oracle_counts,
+    oracle_footprint,
     oracle_interlock,
     oracle_iou,
     oracle_seam_coverage,
@@ -45,8 +46,22 @@ def struct(*specs):
 
 
 def support_edges(s, world):
-    upper, lower = _Geometry(s.columns, world).support()
+    upper, lower, _ = _Geometry(s.columns, world).support()
     return list(zip(upper.tolist(), lower.tolist()))
+
+
+def stacked_copies(rng, s):
+    # Copies of the first brick, and copies of it one layer up: two runs
+    # of several bricks on the same cells, one resting on the other.
+    b = s[0]
+    below, above = (int(c) for c in rng.integers(1, 5, size=2))
+    return BrickStructure(s.bricks + (b,) * below + (Brick(b.dim, b.x, b.y, b.z + 1),) * above)
+
+
+def shares_a_cell(s, world):
+    # Two bricks on one layer whose clipped footprints overlap, in the world or not.
+    return any(a.z == b.z and oracle_footprint(a, world) & oracle_footprint(b, world)
+               for i, a in enumerate(s) for b in s.bricks[i + 1:])
 
 
 def far_layers(rng, s):
@@ -149,20 +164,37 @@ def test_bridge_has_two_supports(world, perfect_fixture):
 
 def test_support_graph_matches_oracle(world):
     # Edges run from each brick to the bricks one layer below it, also
-    # on layers past the world and on layers far apart.
+    # on layers past the world and on layers far apart. With no two
+    # bricks on one cell they are the oracle's exactly. Otherwise stacked
+    # runs are joined as stars: every edge is a support, a brick has an
+    # edge iff it has a support, and it has two edges or is crowded iff
+    # it has two supports or more.
     tiny = WorldConfig(5, 5, 3)
     rng = np.random.default_rng(25)
+    kinds = set()
     for k in range(120):
         w = world if k < 40 else tiny
         if k < 40:
             s = random_structure(rng, w, 10, in_bounds=False)
         else:
             s = random_structure(rng, w, 20, in_bounds=bool(k % 2), min_bricks=8)
+        if k % 3 == 2:
+            s = stacked_copies(rng, s)
         if k >= 80:
             s = far_layers(rng, s)
-        edges = support_edges(s, w)
+        upper, lower, crowded = _Geometry(s.columns, w).support()
+        edges = list(zip(upper.tolist(), lower.tolist()))
+        assert edges == sorted(set(edges))
+        collides = shares_a_cell(s, w)
+        kinds.add(collides)
         for i in range(len(s)):
-            assert [j for u, j in edges if u == i] == oracle_supports_below(s, i, w)
+            got, want = [j for u, j in edges if u == i], oracle_supports_below(s, i, w)
+            if collides:
+                assert set(got) <= set(want) and bool(got) == bool(want)
+            else:
+                assert got == want and not crowded[i]
+            assert (len(got) >= 2 or crowded[i]) == (len(want) >= 2)
+    assert kinds == {False, True}
 
 
 def lines_run(module, fn, *args, **kwargs):
@@ -209,6 +241,24 @@ def test_copies_of_one_brick_analyze_like_the_oracles(world):
             assert vars(got) == oracle_analysis(s, world)
     assert fields[3000] == fields[300] == fields[2]
     assert lines[3000, True] == lines[2, True] and lines[3000, False] == lines[2, False]
+
+
+def test_copies_stacked_on_copies_cost_their_cells(world):
+    # 2,000 copies on one cell over 2,000 on the cell below: every upper
+    # copy rests on 2,000 bricks, yet the join makes about one edge a
+    # cell, not one per pair of copies (4e6 edges, over 200 MiB).
+    s = parse_structure("1x1 (0,0,0)\n" * 2000 + "1x1 (0,0,1)\n" * 2000)[0]
+    analyze(s, world)  # warm caches
+    tracemalloc.start()
+    try:
+        got = analyze(s, world)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    small = parse_structure("1x1 (0,0,0)\n" * 3 + "1x1 (0,0,1)\n" * 2)[0]
+    assert vars(got) == {**oracle_analysis(small, world), "brick_count": 4000}
+    assert got.interlock_score == 1.0 and got.n_col == 2 and got.is_connected
 
 
 # ---------------------------------------------------------------- grounding
@@ -512,7 +562,7 @@ def chunk_builds(rng, world, k, first_kind):
     # Light and dense builds of every awkward kind, mixed in one chunk.
     builds = []
     for i in range(k):
-        kind = (first_kind + i) % 6
+        kind = (first_kind + i) % 7
         s = random_structure(rng, world, 300 if kind == 5 else 12, in_bounds=kind % 2 == 0)
         if kind == 1:  # parsed back, so its columns are an object array
             s = parse_structure(serialize_structure(huge_values(rng, s)))[0]
@@ -521,6 +571,8 @@ def chunk_builds(rng, world, k, first_kind):
         elif kind == 3:  # wholly outside the world's x or y extent
             dx, dy = (world.dim_x, 0) if i % 2 else (0, world.dim_y)
             s = BrickStructure(tuple(Brick(b.dim, b.x + dx, b.y + dy, b.z) for b in s))
+        elif kind == 6:  # copies stacked on copies
+            s = stacked_copies(rng, s)
         builds.append(s)
     return builds
 

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,12 +13,15 @@ from brickeval import (
     WorldConfig,
     analyze,
     interlock_score,
+    parse_structure,
     rasterize,
     reward_collision,
     reward_shape,
     score_completion,
     serialize_structure,
 )
+from brickeval.analysis import analyze_chunk
+from brickeval.rewards import score_completions
 
 from helpers import collision_free_structure, oracle_iou, random_structure
 
@@ -152,8 +156,18 @@ def test_shape_not_gated_by_collisions(world):
 
 
 def test_wrong_target_shape_raises(world):
+    # Whether the completion parses must not decide if a bad target is caught.
+    bad, good = np.zeros((6, 6, 6), dtype=bool), np.zeros(world.shape, dtype=bool)
+    for completion in ("", "nonsense", "1x1 (0,0,0)"):
+        with pytest.raises(DimensionMismatch):
+            score_completion(completion, bad, world)
+        with pytest.raises(DimensionMismatch):
+            score_completions(["1x1 (0,0,0)", completion], [good, bad], world)
+    structure = parse_structure("1x1 (0,0,0)")[0]
     with pytest.raises(DimensionMismatch):
-        score_completion("1x1 (0,0,0)", np.zeros((6, 6, 6), dtype=bool), world)
+        analyze_chunk([None, structure, None], [good, good, bad], world)
+    assert analyze_chunk([None, structure, None], [good] * 3, world, seams=False) == [
+        None, (replace(analyze(structure, world), seam_coverage=None), 0.0), None]
 
 
 def test_self_iou_is_one(world):
@@ -235,3 +249,12 @@ def test_one_brick_in_a_large_world_costs_its_cells_not_the_world():
         tracemalloc.stop()
     assert peak < 1 << 20
     assert rb.iou == 8 / 9 and rb.feasible and rb.r_conn == 2.0
+    # rasterize returns the world's counts: one int64 grid (16 MiB here), allocated once.
+    tracemalloc.start()
+    try:
+        counts = rasterize(parse_structure("2x4 (3,5,0)")[0], world).counts
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.dtype == np.int64 and counts.nbytes == 16 << 20 and peak < 17 << 20
+    assert int(counts.sum()) == int(counts[3:5, 5:9, 0].sum()) == 8

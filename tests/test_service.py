@@ -90,6 +90,31 @@ def test_target_points_transport(perfect_fixture):
     assert rec["total"] == 10.0 and rec["iou"] == 1.0
 
 
+def test_copies_stacked_on_copies_fill_one_line():
+    # About the most bricks one request line holds: 40,000 copies of a
+    # brick over 40,000 on the cell below. Each upper copy rests on 40,000
+    # bricks, yet the line is answered at a cost that follows its cells
+    # (about 100 MiB traced, nearly all of it the parser's), not the
+    # 1.6e9 pairs of an upper and a lower copy.
+    target = np.zeros(WORLD.shape, dtype=bool)
+    target[0, 0, :2] = True
+    line = json.dumps({
+        "id": "stack",
+        "completion": "1x1 (0,0,0)\n" * 40_000 + "1x1 (0,0,1)\n" * 40_000,
+        "target_voxels": encode_target_voxels(target),
+    })
+    assert len(line) <= max_line_bytes(WORLD)
+    tracemalloc.start()
+    try:
+        rec = json.loads(handle_request_line(line, WORLD))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 << 20
+    assert (rec["id"], rec["total"], rec["r_col"], rec["iou"], rec["n_col"]) == ("stack", 1.0, -4.0, 1.0, 2)
+    assert rec["feasible"] is False and rec["brick_count"] == 80_000
+
+
 # Lines json.loads fails on with other errors than JSONDecodeError: an
 # integer past the interpreter's digit limit (ValueError) and arrays nested
 # past the recursion limit (RecursionError).
