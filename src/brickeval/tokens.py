@@ -13,7 +13,10 @@ structure's columns, its one stored form, and serializing formats the
 tokens from them, so neither builds a Brick.
 
 A point token is ``"(" INT WS* "," WS* INT WS* "," WS* INT ")"`` and a
-point cloud is a comma-separated list of them.
+point cloud is a comma-separated list of them. A list is read in one
+grammar match and one numpy pass; the token loop runs only for texts
+that the match rejects or that hold a point outside the world, so it
+alone raises, and names the first offending token.
 """
 
 from __future__ import annotations
@@ -56,12 +59,22 @@ _BRICK_RE = re.compile(
 # brick and nothing is rejected unless a dimension is unknown. It is
 # checked with one full match and its integers are read in one pass.
 _PLAIN_TOKEN = r"\d{1,9}x\d{1,9}[ \t]*\(\d{1,9}[ \t]*,[ \t]*\d{1,9}[ \t]*,[ \t]*\d{1,9}\)"
-_PLAIN_LINE = rf"[ \t]*(?:{_PLAIN_TOKEN}(?:[ \t]*,[ \t]*{_PLAIN_TOKEN})*[ \t]*)?"
+# The repeats are possessive: each iteration ends in ")" or "\n", so
+# giving one back never helps a match, and a possessive repeat keeps no
+# backtracking state per iteration (a plain one holds about 1.2 KiB a line).
+_PLAIN_LINE = rf"[ \t]*(?:{_PLAIN_TOKEN}(?:[ \t]*,[ \t]*{_PLAIN_TOKEN})*+[ \t]*)?"
 _PLAIN_RE = re.compile(
-    rf"([ \t\n]*{re.escape(OUTPUT_HEADER)}[ \t]*\n)?(?:{_PLAIN_LINE}\n)*{_PLAIN_LINE}", re.ASCII
+    rf"([ \t\n]*{re.escape(OUTPUT_HEADER)}[ \t]*\n)?(?:{_PLAIN_LINE}\n)*+{_PLAIN_LINE}", re.ASCII
 )
 _PLAIN_SEPARATORS = str.maketrans("x(),\t\n", "      ")
 _POINT_RE = re.compile(r"\((\d+)\s*,\s*(\d+)\s*,\s*(\d+)\)", re.ASCII)
+# A point list whose integers have at most nine digits, with nothing but
+# ASCII whitespace around it and around its commas, parses exactly as the
+# token loop reads it, unless a point lies outside the world. It is
+# checked with one full match and its integers are read in one pass.
+_PLAIN_POINT = r"\(\d{1,9}+\s*+,\s*+\d{1,9}+\s*+,\s*+\d{1,9}+\)"
+_PLAIN_POINTS_RE = re.compile(rf"\s*+{_PLAIN_POINT}(?:\s*+,\s*+{_PLAIN_POINT})*+\s*+", re.ASCII)
+_POINT_SEPARATORS = str.maketrans("(),\t\n\r\x0b\x0c", "        ")
 _SEPARATOR_RE = re.compile(r"\s*,\s*", re.ASCII)
 
 
@@ -187,6 +200,18 @@ def serialize_structure(structure: BrickStructure, layout: Layout = "one_per_lin
     raise ValueError(f"unknown layout {layout!r}")
 
 
+def _parse_plain_points(text: str, world: WorldConfig) -> np.ndarray | None:
+    """The grid of a plain point list in the world (see _PLAIN_POINTS_RE), else None."""
+    if _PLAIN_POINTS_RE.fullmatch(text) is None:
+        return None
+    points = np.fromstring(text.translate(_POINT_SEPARATORS), dtype=np.int64, sep=" ").reshape(-1, 3)
+    if (points >= world.shape).any():
+        return None
+    grid = np.zeros(world.shape, dtype=bool)
+    grid[points[:, 0], points[:, 1], points[:, 2]] = True
+    return grid
+
+
 def parse_pointcloud(text: str, world: WorldConfig = DEFAULT_WORLD) -> np.ndarray:
     """Parse a comma-separated (x,y,z) list into a boolean world grid.
 
@@ -195,6 +220,9 @@ def parse_pointcloud(text: str, world: WorldConfig = DEFAULT_WORLD) -> np.ndarra
     MalformedPointToken, and coordinates outside the world raise
     OutOfWorldCoordinate.
     """
+    grid = _parse_plain_points(text, world)
+    if grid is not None:
+        return grid
     grid = np.zeros(world.shape, dtype=bool)
     if not text or text.isspace():
         return grid
@@ -227,8 +255,7 @@ def parse_pointcloud(text: str, world: WorldConfig = DEFAULT_WORLD) -> np.ndarra
 
 def serialize_pointcloud(grid: np.ndarray) -> str:
     """Render occupied voxels as (x,y,z) tokens in ascending (x, y, z) order."""
-    pts = np.argwhere(grid)
-    return ", ".join(f"({int(x)},{int(y)},{int(z)})" for x, y, z in pts)
+    return ", ".join(map("({},{},{})".format, *(axis.tolist() for axis in np.nonzero(grid))))
 
 
 _ALLOWED_DIMS_SENTENCE = ", ".join(f"{h}x{w}" for h, w in PROMPT_DIM_ORDER)

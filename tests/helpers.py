@@ -3,13 +3,15 @@
 The oracles deliberately avoid the library's vectorized code paths:
 footprints are Python sets, support is pairwise set intersection,
 components come from breadth-first search, grids are compared by
-looping over voxel lists, and the legalizer tests every candidate
+looping over voxel lists, point lists are scanned character by
+character, and the legalizer tests every candidate
 brick cell by cell against a set of uncovered cells.
 """
 
 from __future__ import annotations
 
 import base64
+import sys
 import zlib
 from collections import deque
 
@@ -169,6 +171,72 @@ def oracle_decode_voxels(s: str, world: WorldConfig) -> np.ndarray:
                 byte = raw[(x * world.dim_y + y) * world.dim_z + z]
                 assert byte in (0, 1)
                 grid[x, y, z] = bool(byte)
+    return grid
+
+
+_ORACLE_DIGITS = "0123456789"
+_ORACLE_SPACE = " \t\n\r\x0b\x0c"  # ASCII whitespace, as in the grammar's \s
+
+
+def _oracle_point_at(text: str, i: int) -> tuple[int, list[str]] | None:
+    """End and digit strings of an (x,y,z) token starting at i, by scanning characters."""
+    if text[i] != "(":
+        return None
+    i += 1
+    digits = []
+    for k in range(3):
+        if k:
+            while i < len(text) and text[i] in _ORACLE_SPACE:
+                i += 1
+            if i == len(text) or text[i] != ",":
+                return None
+            i += 1
+            while i < len(text) and text[i] in _ORACLE_SPACE:
+                i += 1
+        start = i
+        while i < len(text) and text[i] in _ORACLE_DIGITS:
+            i += 1
+        if i == start:
+            return None
+        digits.append(text[start:i])
+    if i == len(text) or text[i] != ")":
+        return None
+    return i + 1, digits
+
+
+def oracle_pointcloud(text: str, world: WorldConfig) -> np.ndarray | str:
+    """A point list's grid, or the name of the error that reading it raises.
+
+    Scans for the leftmost token from each position by hand. Text before
+    the first token and after the last may be any whitespace (str.strip);
+    between tokens only ASCII whitespace around one comma. Errors come in
+    text order: a bad gap or an integer past the interpreter's digit limit
+    is "MalformedPointToken", and the first point outside the world is
+    "OutOfWorldCoordinate (x,y,z)".
+    """
+    grid = np.zeros(world.shape, dtype=bool)
+    if not text or text.isspace():
+        return grid
+    limit = sys.get_int_max_str_digits()
+    pos = 0
+    first = True
+    while True:
+        found = next(((i, hit) for i in range(pos, len(text)) if (hit := _oracle_point_at(text, i))), None)
+        if found is None:
+            break
+        i, (end, digits) = found
+        gap = text[pos:i]
+        bad_gap = gap.strip() != "" if first else gap.strip(_ORACLE_SPACE) != ","
+        if bad_gap or (limit and any(len(d) > limit for d in digits)):
+            return "MalformedPointToken"
+        x, y, z = (int(d) for d in digits)
+        if not (x < world.dim_x and y < world.dim_y and z < world.dim_z):
+            return f"OutOfWorldCoordinate ({x},{y},{z})"
+        grid[x, y, z] = True
+        pos = end
+        first = False
+    if first or text[pos:].strip():
+        return "MalformedPointToken"
     return grid
 
 

@@ -17,7 +17,10 @@ offline_eval drives eval's chunked scoring, which evaluates each chunk
 of pairs through the evaluation core shared with the service, end to
 end under perfbench's output and oracle checks.
 offline_construct runs `construct ... --seed N` through the CLI, so it also
-fails if the CLI stops taking a flag that perfbench passes. rollout_w2 runs
+fails if the CLI stops taking a flag that perfbench passes. rollout_points
+sends only `target_points` targets, so every request's target is read by
+`parse_pointcloud`, wrapped as `service.parse_pointcloud`, under
+perfbench's output and oracle checks. rollout_w2 runs
 `serve --threads 2` on the mixed rollout traffic, so the workers' chunk
 scoring, which analyzes all of a chunk's structures in one pass, runs end
 to end under perfbench's checks of ids, expected error codes and the
@@ -35,7 +38,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("workload", ["offline_construct", "offline_convert", "offline_eval", "rollout_w1",
-                                      "rollout_w2"])
+                                      "rollout_w2", "rollout_points"])
 def test_traced_run_is_correct(workload):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,

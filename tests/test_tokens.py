@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,8 +17,19 @@ from brickeval import (
     serialize_pointcloud,
     serialize_structure,
 )
-from brickeval.tokens import OUTPUT_HEADER, MalformedEntry, _parse_plain
-from helpers import collision_free_structure, random_structure
+from brickeval.tokens import OUTPUT_HEADER, MalformedEntry, _parse_plain, _parse_plain_points
+from helpers import collision_free_structure, oracle_pointcloud, random_structure
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak bytes tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
 
 
 def one_token_parses(text):
@@ -184,6 +198,16 @@ def test_one_pass_parse_equals_line_by_line(world):
                 assert bricks == s and report.parsed_ok
 
 
+def test_one_pass_parse_of_a_maximal_line_holds_no_state_per_line():
+    # About a 1 MiB request line of brick lines. The one-pass grammar's
+    # repeats are possessive, so a match keeps no backtracking state per
+    # line (a plain repeat traced 98.6 MiB on this text).
+    text = "1x1 (0,0,0)\n" * 40000 + "1x1 (0,0,1)\n" * 40000
+    (bricks, report), peak = traced_peak(parse_structure, text)
+    assert report.parsed_ok and report.brick_count == 80000 and bricks[-1].z == 1
+    assert peak < 16 << 20
+
+
 def test_serialize_empty_structure():
     assert serialize_structure(BrickStructure(())) == ""
     with pytest.raises(ValueError):
@@ -232,6 +256,9 @@ def test_parse_pointcloud_empty(world):
     "oops (1,2,3)",
     "(1,2,3) trailing",
     "(-1,2,3)",
+    "( 1,2,3)",              # whitespace just inside a parenthesis
+    "(1,2,3 )",
+    "(" + "0" * 5000 + ",2,3)",  # past the interpreter's digit limit
 ])
 def test_parse_pointcloud_malformed(text, world):
     with pytest.raises(MalformedPointToken):
@@ -244,6 +271,103 @@ def test_parse_pointcloud_out_of_world(world):
     small = WorldConfig(6, 6, 6)
     with pytest.raises(OutOfWorldCoordinate):
         parse_pointcloud("(0,0,6)", small)
+    # The first point outside the world is named, even when a malformed gap follows.
+    inside = ", ".join(f"({k},{k},{k})" for k in range(5))
+    text = f"{inside}, (1,20,3), {inside}, (20,0,0), {inside}"
+    for bad in (text, text + " (0,0,0)"):
+        with pytest.raises(OutOfWorldCoordinate, match=r"^point \(1,20,3\) outside 20x20x20 world$"):
+            parse_pointcloud(bad, world)
+
+
+def mutate_point_list(rng, text, world):
+    """One seeded edit of a point list, aimed at the edges of the one-pass grammar."""
+
+    def pick(pattern):
+        spots = [m.span() for m in re.finditer(pattern, text)]
+        return spots[int(rng.integers(len(spots)))] if spots else None
+
+    kind = int(rng.integers(9))
+    if kind == 0 and (spot := pick(r"\d+")):  # ten or more digits with leading zeros, e.g. 0000000001
+        return text[: spot[0]] + text[slice(*spot)].zfill(int(rng.integers(10, 13))) + text[spot[1] :]
+    if kind == 1 and (spot := pick(r"\d+")):  # past the interpreter's digit limit
+        return text[: spot[0]] + "0" * 4999 + "1" + text[spot[1] :]
+    if kind == 2 and (spot := pick(",")):  # other ASCII whitespace around a comma
+        ws = ["".join(rng.choice(list(" \t\n\r\x0b\x0c"), int(rng.integers(0, 3)))) for _ in range(2)]
+        return text[: spot[0]] + ws[0] + "," + ws[1] + text[spot[1] :]
+    if kind == 3 and (spot := pick(r"[()]")):  # whitespace just inside a parenthesis
+        at = spot[1] if text[spot[0]] == "(" else spot[0]
+        return text[:at] + str(rng.choice([" ", "\t", "\n"])) + text[at:]
+    if kind == 4:  # a point outside the world, here in the middle of a plain list
+        out = [int(rng.integers(0, n)) for n in world.shape]
+        axis = int(rng.integers(3))
+        out[axis] = world.shape[axis] + int(rng.integers(0, 3))
+        point = "({},{},{})".format(*out)
+        at = pick(", |$")[0]
+        return text[:at] + ", " + point + text[at:] if text else point
+    if kind == 5:  # a non-ASCII space before or after the list, which str.strip removes
+        space = str(rng.choice(["\u3000", "\x85", "\xa0", "\x1c"]))
+        return space + text if rng.random() < 0.5 else text + space
+    # insert, delete or replace one character
+    at = int(rng.integers(len(text) + 1))
+    c = str(rng.choice(list("(),0912 -x\t\u3000")))
+    if kind in (7, 8) and text:
+        at = min(at, len(text) - 1)
+        return text[:at] + (c if kind == 8 else "") + text[at + 1 :]
+    return text[:at] + c + text[at:]
+
+
+def assert_reads_like_oracle(text, world):
+    """parse_pointcloud gives the oracle's grid, or raises the oracle's error for the same point."""
+    expected = oracle_pointcloud(text, world)
+    try:
+        got = parse_pointcloud(text, world)
+    except (MalformedPointToken, OutOfWorldCoordinate) as exc:
+        assert isinstance(expected, str), (text[:200], exc)
+        name, _, point = expected.partition(" ")
+        assert type(exc).__name__ == name, (text[:200], exc)
+        if point:
+            assert str(exc) == f"point {point} outside {world.dim_x}x{world.dim_y}x{world.dim_z} world"
+        return name
+    assert not isinstance(expected, str), (text[:200], expected)
+    assert got.dtype == bool and (got == expected).all()
+    return "plain" if _parse_plain_points(text, world) is not None else "loop"
+
+
+@pytest.mark.parametrize("world", [WorldConfig(20, 20, 20), WorldConfig(6, 6, 6), WorldConfig(3, 9, 5)],
+                         ids=str)
+def test_parse_pointcloud_matches_oracle_on_mutants(world):
+    rng = np.random.default_rng(15)
+    outcomes = {}
+    for i in range(1000):
+        grid = np.zeros(world.shape, dtype=bool)
+        grid.flat[rng.choice(world.n_voxels, min(int(rng.choice([0, 1, 3, 20, 150])), world.n_voxels))] = True
+        text = serialize_pointcloud(grid)
+        for _ in range(i % 4):
+            text = mutate_point_list(rng, text, world)
+        outcome = assert_reads_like_oracle(text, world)
+        outcomes[outcome] = outcomes.get(outcome, 0) + 1
+    assert set(outcomes) == {"plain", "loop", "MalformedPointToken", "OutOfWorldCoordinate"}, outcomes
+
+
+@pytest.mark.parametrize("text", ["(0000000001,2,3)", "\u3000(1,2,3)", "(1,2,3),\r\x0b\x0c(1,2,3)\u3000"])
+def test_parse_pointcloud_reads_what_the_one_pass_grammar_rejects(text, world):
+    assert _parse_plain_points(text, world) is None
+    assert np.argwhere(parse_pointcloud(text, world)).tolist() == [[1, 2, 3]]
+
+
+def test_parse_of_a_maximal_point_list_holds_no_state_per_point(world):
+    # 130,000 points in about 1.1 MB, a maximal target_points request
+    # line. The one-pass grammar's repeats are possessive, so the match
+    # keeps no backtracking state per point (a plain repeat of points
+    # holds 8 MiB here, plain repeats throughout 75 MiB); the translated
+    # text and the integers take 4.1 MiB.
+    points = np.random.default_rng(16).integers(0, 10, (130000, 3))
+    text = ", ".join(map("({},{},{})".format, *points.T.tolist()))
+    grid, peak = traced_peak(parse_pointcloud, text, world)
+    expected = np.zeros(world.shape, dtype=bool)
+    expected[tuple(points.T)] = True
+    assert len(text) > 1_100_000 and (grid == expected).all()
+    assert peak < 8 << 20
 
 
 def test_prompt_template_verbatim():
