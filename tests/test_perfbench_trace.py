@@ -19,8 +19,11 @@ end under perfbench's output and oracle checks.
 offline_construct runs `construct ... --seed N` through the CLI, so it also
 fails if the CLI stops taking a flag that perfbench passes. rollout_points
 sends only `target_points` targets, so every request's target is read by
-`parse_pointcloud`, wrapped as `service.parse_pointcloud`, under
-perfbench's output and oracle checks. rollout_w2 runs
+`parse_pointcloud`, wrapped as `service.parse_pointcloud`. A wrapper that
+exists but is never called leaves its layer to a probe, which perfbench
+prints with "(probe)", so this workload also requires that
+`tokens.pointcloud_us` was measured on the service's own calls; that
+fails if the service reaches the parser by another name. rollout_w2 runs
 `serve --threads 2` on the mixed rollout traffic, so the workers' chunk
 scoring, which analyzes all of a chunk's structures in one pass, runs end
 to end under perfbench's checks of ids, expected error codes and the
@@ -36,6 +39,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# Layers a workload's own path must reach through perfbench's wrappers.
+MEASURED = {"rollout_points": ["tokens.pointcloud_us"]}
+
 
 @pytest.mark.parametrize("workload", ["offline_construct", "offline_convert", "offline_eval", "rollout_w1",
                                       "rollout_w2", "rollout_points"])
@@ -50,3 +56,6 @@ def test_traced_run_is_correct(workload):
     )
     assert proc.returncode == 0, proc.stderr[-4000:]
     assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True
+    layers = {line.split()[1]: line for line in proc.stdout.splitlines() if line.startswith("layer ")}
+    for name in MEASURED.get(workload, []):
+        assert not layers[name].endswith("(probe)"), layers[name]
