@@ -27,10 +27,12 @@ Definitions used throughout:
 The passes are vectorized and share one set of footprint cells: each
 brick's clipped footprint is enumerated exactly, its cells numbered by
 one repeat of the brick index and one arange, with no padding. Support
-is a join on those cells (sorted by column and layer, the cells under a
-cell are the run of equal keys just before it, and a run is joined to
-that run as a star, so stacked copies cost their cells), components
-come from hooking and pointer jumping over the support edges, voxels
+is a join on those cells (sorted by column and layer, by a radix sort
+when every key fits in 16 bits, as one structure's keys in a 20^3
+world do unless it spans many layers; the cells under a cell are the
+run of equal keys just before it, and a run is joined to that run as
+a star, so stacked copies cost their cells), components come from
+hooking and pointer jumping over the support edges, voxels
 are the runs of equal keys among the sorted cells, and a seam's
 neighbor is found by a binary search of the voxel keys. The bricks come
 in as the structure's columns, its one stored form, so no pass loops
@@ -93,7 +95,7 @@ class _Geometry:
     everything at or past the upper bound is outside the world either
     way, so clamping keeps clipped-footprint semantics, and it is exact
     on object columns too, whose huge anchors come down to the bound.
-    Layers are ranked instead, over the distinct layers from np.unique:
+    Layers are ranked instead, over the distinct layers of one sort:
     the lowest gets key 2, and each next one the previous key plus one
     when the two layers are adjacent and plus two otherwise, so support
     stays exact for far-away layers and they never alias.
@@ -123,7 +125,9 @@ class _Geometry:
         ch = np.minimum(x0 + hs, dim_x) - x0
         cw = np.minimum(y0 + ws, dim_y) - y0
 
-        layers, inverse = np.unique(z, return_inverse=True)
+        layers = np.sort(z)
+        layers = layers[_firsts(layers)]
+        inverse = np.searchsorted(layers, z)
         keys = np.empty(layers.size, dtype=np.int64)
         keys[0] = 2
         keys[1:] = np.where(np.diff(layers) == 1, 1, 2)
@@ -145,9 +149,12 @@ class _Geometry:
         dx = i // cw
         dy = i - dx * cw
         column = (x0[brick] + dx) * dim_y + y0[brick] + dy
+        column_span = dim_x * dim_y
         if structure is not None:
-            column += structure[brick] * (dim_x * dim_y)
+            column += structure[brick] * column_span
+            column_span *= int(structure[-1]) + 1
         self.brick, self.column = brick, column
+        self.key_span = column_span * self.layer_span  # every cell key is below it
         self._offsets = dx, dy, ch, cw
 
     @property
@@ -174,15 +181,15 @@ class _Geometry:
 
         A run of equal keys holds the bricks colliding on one cell, and
         starts flags its first cell. The cells one layer below a run are
-        the run just before it, when that run's key is one less.
+        the run just before it, when that run's key is one less. Keys
+        below 2**16 (key_span bounds them) sort as uint16, which numpy's
+        stable sort runs as a radix sort; larger ones, as in most chunks,
+        by an int64 argsort. No result depends on the order within a run.
         """
         key = self.column * self.layer_span + self.layer[self.brick]
-        order = np.argsort(key)
+        order = np.argsort(key.astype(np.uint16), kind="stable") if self.key_span <= 1 << 16 else np.argsort(key)
         key = key[order]
-        starts = np.empty(key.size, dtype=bool)
-        starts[:1] = True
-        np.not_equal(key[1:], key[:-1], out=starts[1:])
-        return key, self.brick[order], order, starts
+        return key, self.brick[order], order, _firsts(key)
 
     def support(self, cells: tuple | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Distinct support edges (upper brick, lower brick), sorted, and which bricks are crowded.
@@ -213,11 +220,16 @@ class _Geometry:
             lower = brick[offset + np.arange(offset.size)]
         bits = max(self.n - 1, 1).bit_length()
         edge = np.sort((upper << bits) | lower)
-        distinct = np.empty(edge.size, dtype=bool)
-        distinct[:1] = True
-        np.not_equal(edge[1:], edge[:-1], out=distinct[1:])
-        edge = edge[distinct]
+        edge = edge[_firsts(edge)]
         return edge >> bits, edge & ((1 << bits) - 1), crowded
+
+
+def _firsts(values: np.ndarray) -> np.ndarray:
+    """Per entry of a sorted array, whether it differs from the entry before it; the first always does."""
+    first = np.empty(values.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return first
 
 
 def rasterize(structure: BrickStructure, world: WorldConfig) -> OccupancyField:

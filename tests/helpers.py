@@ -3,8 +3,8 @@
 The oracles deliberately avoid the library's vectorized code paths:
 footprints are Python sets, support is pairwise set intersection,
 components come from breadth-first search, grids are compared by
-looping over voxel lists, point lists are scanned character by
-character, and the legalizer tests every candidate
+looping over voxel lists, point lists and brick texts are scanned
+character by character, and the legalizer tests every candidate
 brick cell by cell against a set of uncovered cells.
 """
 
@@ -238,6 +238,91 @@ def oracle_pointcloud(text: str, world: WorldConfig) -> np.ndarray | str:
     if first or text[pos:].strip():
         return "MalformedPointToken"
     return grid
+
+
+_ORACLE_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # where str.splitlines breaks
+
+
+def _oracle_lines(text: str) -> list[str]:
+    """The lines of a text, split by scanning characters; "\\r\\n" is one break."""
+    lines = []
+    start = i = 0
+    while i < len(text):
+        if text[i] in _ORACLE_LINE_BREAKS:
+            lines.append(text[start:i])
+            i += 2 if text[i : i + 2] == "\r\n" else 1
+            start = i
+        else:
+            i += 1
+    if start < len(text):
+        lines.append(text[start:])
+    return lines
+
+
+def _oracle_brick(token: str) -> list[str] | None:
+    """The five digit strings of an "HxW (x,y,z)" token, or None, by scanning characters."""
+    dims = []
+    i = 0
+    for sep in ("x", ""):
+        start = i
+        while i < len(token) and token[i] in _ORACLE_DIGITS:
+            i += 1
+        if i == start or token[i : i + len(sep)] != sep:
+            return None
+        dims.append(token[start:i])
+        i += len(sep)
+    while i < len(token) and token[i] in _ORACLE_SPACE:
+        i += 1
+    point = _oracle_point_at(token, i) if i < len(token) else None
+    if point is None or point[0] != len(token):
+        return None
+    return dims + point[1]
+
+
+def oracle_structure(text: str) -> tuple[list[tuple[int, ...]], bool, int, bool, list[tuple[int, str]]]:
+    """(bricks, parsed_ok, brick_count, empty_response, malformed) of a completion, by scanning lines and characters.
+
+    The bricks are (h, w, x, y, z) tuples in text order, and malformed
+    holds the (line number, token) of each rejected token. A text of
+    whitespace alone is an empty response. Each line is stripped;
+    blank lines are skipped, and so is the first other line when it is
+    "### Bricks:". A line splits at commas outside parentheses, and each
+    stripped token must be ASCII digits, "x", ASCII digits, optional
+    ASCII whitespace and an (x,y,z) point, with every integer within the
+    interpreter's digit limit and a dimension in ALL_DIMS.
+    """
+    if not text.strip():
+        return [], False, 0, True, []
+    limit = sys.get_int_max_str_digits()
+    bricks, malformed = [], []
+    header_allowed = True
+    for number, line in enumerate(_oracle_lines(text), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        if header_allowed and line == "### Bricks:":
+            header_allowed = False
+            continue
+        header_allowed = False
+        tokens, depth, start = [], 0, 0
+        for i, c in enumerate(line):
+            if c == "(":
+                depth += 1
+            elif c == ")":
+                depth = max(depth - 1, 0)
+            elif c == "," and depth == 0:
+                tokens.append(line[start:i])
+                start = i + 1
+        tokens.append(line[start:])
+        for token in map(str.strip, tokens):
+            fields = _oracle_brick(token)
+            if fields is None or (limit and any(len(f) > limit for f in fields)) or (
+                (int(fields[0]), int(fields[1])) not in ALL_DIMS
+            ):
+                malformed.append((number, token))
+            else:
+                bricks.append(tuple(int(f) for f in fields))
+    return bricks, bool(bricks) and not malformed, len(bricks), False, malformed
 
 
 def oracle_priority(seed: int) -> list[tuple[int, int]]:

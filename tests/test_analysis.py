@@ -618,6 +618,32 @@ def test_chunk_pass_equals_single_passes(world, k):
     assert_chunk_pass_matches_oracles([BrickStructure(())] * 2, grids[:2], world)
 
 
+@pytest.mark.parametrize("top,largest_key", [(1, 2**16 - 1), (2, 2**16 + 16383)])
+def test_cell_keys_on_each_side_of_16_bits(top, largest_key):
+    # Bricks on the far corner column of a 128x128x4 world, on layers 0
+    # to 1, give the largest cell key 65,535, the last that fits in 16
+    # bits; on layers 0 to 2 it is 81,919. Seeded bricks near the origin
+    # and near column 13,107, where keys on layers 0 to 2 pass 2**16,
+    # rest on each other; colliding copies make runs of equal keys, and
+    # a chunk of three carries structure ids in its keys.
+    world = WorldConfig(128, 128, 4)
+    rng = np.random.default_rng(top)
+    dims = [(1, 1), (2, 2), (2, 4), (4, 2), (1, 8)]
+    base = [(2, 4, 126, 124, 0), (1, 1, 127, 127, 0), (4, 2, 124, 126, top), (1, 1, 127, 127, top)] + [
+        (*dims[int(rng.integers(len(dims)))], int(rng.integers(x, x + 4)), int(rng.integers(y, y + 8)),
+         int(rng.integers(top + 1)))
+        for x, y in ((0, 0), (100, 46)) for _ in range(12)
+    ]
+    builds = [struct(*base), struct(*base, *[(1, 1, 127, 127, 0)] * 3, *[(1, 1, 127, 127, top)] * 2, *base[4:8]),
+              struct(*base[::-1], *base[-3:])]
+    for s in builds:
+        assert _Geometry(s.columns, world).sorted_cells()[0].max() == largest_key
+        a, occupied = analyze_with_occupancy(s, world)
+        assert vars(a) == oracle_analysis(s, world)
+        assert (occupied == oracle_occupied(s, world)).all()
+    assert_chunk_pass_matches_oracles(builds, [oracle_occupied(s, world) for s in builds[::-1]], world)
+
+
 @pytest.mark.parametrize("world", FOUR_WORLDS, ids=str)
 def test_seam_coverage_matches_oracle(world):
     # Light, dense, huge-integer, colliding and out-of-bounds builds, alone and as one chunk.

@@ -19,15 +19,19 @@ end under perfbench's output and oracle checks.
 offline_construct runs `construct ... --seed N` through the CLI, so it also
 fails if the CLI stops taking a flag that perfbench passes. rollout_points
 sends only `target_points` targets, so every request's target is read by
-`parse_pointcloud`, wrapped as `service.parse_pointcloud`. A wrapper that
-exists but is never called leaves its layer to a probe, which perfbench
-prints with "(probe)", so this workload also requires that
-`tokens.pointcloud_us` was measured on the service's own calls; that
-fails if the service reaches the parser by another name. rollout_w2 runs
+`parse_pointcloud`, wrapped as `service.parse_pointcloud`. rollout_w2 runs
 `serve --threads 2` on the mixed rollout traffic, so the workers' chunk
 scoring, which analyzes all of a chunk's structures in one pass, runs end
 to end under perfbench's checks of ids, expected error codes and the
 oracle subset.
+A wrapper that exists but is never called leaves its layer to a probe,
+which perfbench prints with "(probe)". So each workload also requires
+that the parse and codec layers on its path (MEASURED) were measured on
+the program's own calls: the brick parse where completions are scored
+or converted, the target decode where targets arrive encoded, the
+point-cloud parse where they arrive as points, and the target encode in
+offline_convert. That fails if the program reaches one of them by
+another name than the one perfbench wraps.
 """
 
 import json
@@ -40,7 +44,14 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 # Layers a workload's own path must reach through perfbench's wrappers.
-MEASURED = {"rollout_points": ["tokens.pointcloud_us"]}
+MEASURED = {
+    "rollout_w1": ["tokens.parse_us", "dataset.decode_us"],
+    "rollout_w2": ["tokens.parse_us", "dataset.decode_us"],
+    "rollout_points": ["tokens.pointcloud_us"],
+    "offline_eval": ["tokens.parse_us", "dataset.decode_us", "tokens.pointcloud_us"],
+    "offline_convert": ["tokens.parse_us", "dataset.encode_us"],
+    "offline_construct": ["dataset.decode_us"],
+}
 
 
 @pytest.mark.parametrize("workload", ["offline_construct", "offline_convert", "offline_eval", "rollout_w1",

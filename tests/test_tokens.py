@@ -18,7 +18,7 @@ from brickeval import (
     serialize_structure,
 )
 from brickeval.tokens import OUTPUT_HEADER, MalformedEntry, _parse_plain, _parse_plain_points
-from helpers import collision_free_structure, oracle_pointcloud, random_structure
+from helpers import collision_free_structure, oracle_pointcloud, oracle_structure, random_structure
 
 
 def traced_peak(fn, *args):
@@ -198,14 +198,71 @@ def test_one_pass_parse_equals_line_by_line(world):
                 assert bricks == s and report.parsed_ok
 
 
+def mutate_brick_text(rng, text):
+    """One seeded edit of a completion, aimed at the edges of the one-pass grammar."""
+
+    def pick(pattern):
+        spots = [m.span() for m in re.finditer(pattern, text)]
+        return spots[int(rng.integers(len(spots)))] if spots else None
+
+    kind = int(rng.choice(7, p=[0.34] + [0.11] * 6))  # a third are edits the one-pass grammar accepts
+    if kind == 0 and (spot := pick(r"[(,]")):  # tabs or extra spaces before "(" or around a comma
+        ws = str(rng.choice([" ", "\t", "  ", " \t "]))
+        at = spot[1] if text[spot[0]] == "," and rng.random() < 0.5 else spot[0]
+        return text[:at] + ws + text[at:]
+    if kind == 1:  # a line break or a non-ASCII space anywhere, inside a token too
+        at = int(rng.integers(len(text) + 1))
+        return text[:at] + str(rng.choice(["\r", "\n", "\x0b", "\x0c", "\u3000"])) + text[at:]
+    if kind == 2 and (spot := pick(r"[0-9x]")):  # an Arabic-Indic digit, or an uppercase X
+        c = text[spot[0]]
+        return text[: spot[0]] + ("X" if c == "x" else chr(0x660 + int(c))) + text[spot[1] :]
+    if kind == 3 and (spot := pick(r"\d+")):  # 10 digits zero-padded, 20 digits, or past the digit limit
+        digits = str(rng.choice([text[slice(*spot)].zfill(10), "9" * 20, "0" * 4999 + "1"]))
+        return text[: spot[0]] + digits + text[spot[1] :]
+    if kind == 4 and (spot := pick(r"\d+x\d+")):  # a dimension outside the library
+        return text[: spot[0]] + "3x3" + text[spot[1] :]
+    if kind == 5:  # a second header, at the start of some line
+        at = pick(r"^|\n")[1]
+        return text[:at] + OUTPUT_HEADER + "\n" + text[at:]
+    at = pick(r"\n|$")[0]  # a trailing comma on some line
+    return text[:at] + "," + text[at:]
+
+
+@pytest.mark.parametrize("world", [WorldConfig(20, 20, 20), WorldConfig(6, 6, 6), WorldConfig(3, 9, 5)], ids=str)
+def test_parse_structure_matches_oracle_on_mutants(world):
+    # Serialized structures in both layouts, with and without a header,
+    # each with one to three edits: every result equals the oracle's
+    # line-by-line reading, whichever path parsed it.
+    rng = np.random.default_rng(19)
+    paths = {"plain": 0, "loop": 0}
+    for i in range(600):
+        s = random_structure(rng, world, 30, in_bounds=bool(i % 3))
+        text = serialize_structure(s, ("one_per_line", "comma_inline")[i % 2])
+        if i // 2 % 2:
+            text = OUTPUT_HEADER + "\n" + text
+        for _ in range(1 + i % 3):
+            text = mutate_brick_text(rng, text)
+        bricks, report = parse_structure(text)
+        got = (bricks.columns.tolist(), report.parsed_ok, report.brick_count, report.empty_response,
+               [(e.line_number, e.text) for e in report.malformed_lines])
+        bricks_want, *want = oracle_structure(text)
+        assert got == ([list(b) for b in bricks_want], *want), text[:300]
+        paths["plain" if _parse_plain(text) is not None else "loop"] += 1
+    assert min(paths.values()) > 0, paths
+
+
 def test_one_pass_parse_of_a_maximal_line_holds_no_state_per_line():
-    # About a 1 MiB request line of brick lines. The one-pass grammar's
-    # repeats are possessive, so a match keeps no backtracking state per
-    # line (a plain repeat traced 98.6 MiB on this text).
-    text = "1x1 (0,0,0)\n" * 40000 + "1x1 (0,0,1)\n" * 40000
-    (bricks, report), peak = traced_peak(parse_structure, text)
-    assert report.parsed_ok and report.brick_count == 80000 and bricks[-1].z == 1
-    assert peak < 16 << 20
+    # About a 1 MiB request line of brick lines, and one of comma-inline
+    # tokens on a single line. The one-pass grammar's repeats are
+    # possessive, so a match keeps no backtracking state per line or per
+    # token (a plain line repeat traced 98.6 MiB on the first text, and a
+    # plain in-line repeat over tokens of plain repeats 60 MiB on the second).
+    lines = "1x1 (0,0,0)\n" * 40000 + "1x1 (0,0,1)\n" * 40000
+    inline = ", ".join(["2x4 (12,7,3)"] * 75000)
+    for text, count, last in ((lines, 80000, [1, 1, 0, 0, 1]), (inline, 75000, [2, 4, 12, 7, 3])):
+        (bricks, report), peak = traced_peak(parse_structure, text)
+        assert report.parsed_ok and report.brick_count == count and bricks.columns[-1].tolist() == last
+        assert peak < 16 << 20, peak
 
 
 def test_serialize_empty_structure():
