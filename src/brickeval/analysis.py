@@ -38,17 +38,18 @@ neighbor is found by a binary search of the voxel keys. The bricks come
 in as the structure's columns, its one stored form, so no pass loops
 over bricks in Python and none builds a Brick.
 
-One pass computes every analysis: analyze, analyze_with_occupancy and
-interlock_score run it on one structure. analyze_chunk, the evaluation
-core that the rewards and the metrics call, runs it on many at once,
-whose cell keys then carry a structure id. It works on the sorted cells
-and the support edges between them, never on a world grid, so its cost
-and memory follow those, not the world.
+One pass computes every analysis, the empty build's included:
+analyze, analyze_with_occupancy and interlock_score run it on one
+structure. analyze_chunk, the evaluation core that the rewards and the
+metrics call, runs it on many at once, whose cell keys then carry a
+structure id. It works on the sorted cells and the support edges between
+them, never on a world grid, so its cost and memory follow those, not
+the world.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,10 +96,10 @@ class _Geometry:
     everything at or past the upper bound is outside the world either
     way, so clamping keeps clipped-footprint semantics, and it is exact
     on object columns too, whose huge anchors come down to the bound.
-    Layers are ranked instead, over the distinct layers of one sort:
-    the lowest gets key 2, and each next one the previous key plus one
-    when the two layers are adjacent and plus two otherwise, so support
-    stays exact for far-away layers and they never alias.
+    Layers are ranked instead, by _close_gaps with a gap of 2, from key
+    2 up: adjacent layers keep adjacent keys and farther ones are two
+    apart, so support stays exact for far-away layers and they never
+    alias.
 
     Every footprint cell inside the world's x/y extent is one entry of
     the flat cell arrays, in brick order, whatever the brick's layer:
@@ -125,18 +126,10 @@ class _Geometry:
         ch = np.minimum(x0 + hs, dim_x) - x0
         cw = np.minimum(y0 + ws, dim_y) - y0
 
-        layers = np.sort(z)
-        layers = layers[_firsts(layers)]
-        inverse = np.searchsorted(layers, z)
-        keys = np.empty(layers.size, dtype=np.int64)
-        keys[0] = 2
-        keys[1:] = np.where(np.diff(layers) == 1, 1, 2)
-        np.cumsum(keys, out=keys)
-        self.layer = keys[inverse]
-        self.layer_span = int(keys[-1]) + 1
-        in_world = (0 <= layers) & (layers < dim_z)
+        self.layer = _close_gaps(z, 2) + 2
+        self.layer_span = int(self.layer.max(initial=1)) + 1
         # Each brick's layer in the world, or -1 outside it.
-        self.z = zc = np.where(in_world, layers, -1).astype(np.int64, copy=False)[inverse]
+        self.z = zc = np.where((0 <= z) & (z < dim_z), z, -1).astype(np.int64, copy=False)
         self.ground = zc == 0
 
         # Cell i of a brick's clipped ch x cw footprint is (x0 + i // cw, y0 + i % cw).
@@ -152,7 +145,7 @@ class _Geometry:
         column_span = dim_x * dim_y
         if structure is not None:
             column += structure[brick] * column_span
-            column_span *= int(structure[-1]) + 1
+            column_span *= int(structure.max(initial=0)) + 1
         self.brick, self.column = brick, column
         self.key_span = column_span * self.layer_span  # every cell key is below it
         self._offsets = dx, dy, ch, cw
@@ -234,7 +227,7 @@ def _firsts(values: np.ndarray) -> np.ndarray:
 
 def rasterize(structure: BrickStructure, world: WorldConfig) -> OccupancyField:
     """Count, per voxel, how many bricks occupy it (clipped to the world)."""
-    lin = _Geometry(structure.columns, world).lin if len(structure) else np.zeros(0, dtype=np.int64)
+    lin = _Geometry(structure.columns, world).lin
     return OccupancyField(np.bincount(lin, minlength=world.n_voxels).reshape(world.shape), world)
 
 
@@ -242,20 +235,6 @@ def collision_stats(field: OccupancyField) -> tuple[int, list[tuple[int, int, in
     """Colliding-voxel count and their coordinates in ascending order."""
     coords = np.argwhere(field.counts > 1)
     return len(coords), [tuple(int(c) for c in v) for v in coords]
-
-
-_EMPTY_ANALYSIS = StructureAnalysis(
-    n_col=0,
-    fully_in_bounds=True,
-    occupied_count=0,
-    disconnected_count=0,
-    conn_score=1.0,
-    is_connected=False,
-    interlock_score=0.0,
-    seam_coverage=1.0,
-    brick_count=0,
-)
-_EMPTY_NO_SEAMS = replace(_EMPTY_ANALYSIS, seam_coverage=None)
 
 
 def analyze(structure: BrickStructure, world: WorldConfig) -> StructureAnalysis:
@@ -313,10 +292,10 @@ def _cell_pass(
     bricks or voxels by structure id.
     """
     k = len(structures)
+    if k == 0:
+        return [], np.zeros(0, dtype=np.int64), []
     sizes = [len(s) for s in structures]
     n = sum(sizes)
-    if n == 0:
-        return [_EMPTY_ANALYSIS if seams else _EMPTY_NO_SEAMS] * k, np.zeros(0, dtype=np.int64), [0] * k
     if k == 1:
         sid = None
         geom = _Geometry(structures[0].columns, world)
@@ -353,7 +332,7 @@ def _cell_pass(
         vsid = sid[head[voxel]]
         flat -= vsid * world.n_voxels
     # A run that goes on past its first cell is a colliding voxel.
-    collides = ~np.append(starts[1:], True)[starts]
+    collides = ~np.append(starts, True)[1:][starts]
 
     occupied = [vz.size] if sid is None else np.bincount(vsid, minlength=k).tolist()
     n_col = _count(collides[voxel], vsid, k)
@@ -433,16 +412,19 @@ def _count(flags: np.ndarray, ids: np.ndarray | None, k: int) -> list[int]:
     return np.bincount(ids[flags], minlength=k).tolist()
 
 
-def _close_gaps(values: np.ndarray) -> np.ndarray:
-    """Small int64 anchors with every gap between consecutive distinct values capped at _GAP.
+def _close_gaps(values: np.ndarray, gap: int) -> np.ndarray:
+    """The int64 rank of each value with every gap between consecutive distinct values capped at gap.
 
-    The smallest value maps to 0. Footprints a gap of _GAP or more apart
-    never overlap, so overlaps are kept whatever the original size.
+    The smallest value maps to 0, and values less than gap apart keep
+    their distance. It is exact on object arrays of Python ints too: they
+    sort and subtract as integers, and no rank exceeds gap times the
+    number of distinct values.
     """
-    distinct, inverse = np.unique(values, return_inverse=True)
+    distinct = np.sort(values)
+    distinct = distinct[_firsts(distinct)]
     small = np.zeros(distinct.size, dtype=np.int64)
-    small[1:] = np.minimum(np.diff(distinct), _GAP)
-    return np.cumsum(small)[inverse]
+    small[1:] = np.minimum(np.diff(distinct), gap)
+    return np.cumsum(small)[np.searchsorted(distinct, values)]
 
 
 def interlock_score(
@@ -458,11 +440,10 @@ def interlock_score(
     outside it is exact whatever their distance.
     """
     if world is None:
-        if not len(structure):
-            return 0.0
         h, w, x, y, z = structure.columns.T
-        x, y = _close_gaps(x), _close_gaps(y)
-        world = WorldConfig(int((x + h).max()), int((y + w).max()), 1)
+        # Footprints a gap of _GAP or more apart never overlap, so overlaps are kept.
+        x, y = _close_gaps(x, _GAP), _close_gaps(y, _GAP)
+        world = WorldConfig(int((x + h).max(initial=1)), int((y + w).max(initial=1)), 1)
         structure = BrickStructure._from_columns(np.stack((h, w, x, y, z), axis=1))
     return _cell_pass([structure], world, seams=False)[0][0].interlock_score
 

@@ -100,11 +100,9 @@ def score_completion(
 ) -> RewardBreakdown:
     """Parse, analyze, and compose the four reward terms.
 
-    No term reads seam coverage, so the analysis skips the seam search.
+    It is score_completions on a chunk of one.
     """
-    structure, report = parse_structure(completion_text)
-    (result,) = analyze_chunk([structure if report.parsed_ok else None], [target], world, seams=False)
-    return FAILED_CONSTRUCTION if result is None else reward_breakdown(*result)
+    return score_completions([completion_text], [target], world)[0]
 
 
 # Structures evaluated together at most: a service worker's chunk of
@@ -115,10 +113,11 @@ CHUNK_SIZE = 32
 def score_completions(
     completions: list[str], targets: list[np.ndarray], world: WorldConfig
 ) -> list[RewardBreakdown]:
-    """score_completion's breakdown of each completion against its target.
+    """Each completion's four reward terms against its target.
 
     A completion that fails to parse scores FAILED_CONSTRUCTION; the
-    parsed ones are scored together in one analyze_chunk call, without seams.
+    parsed ones are scored together in one analyze_chunk call. No term
+    reads seam coverage, so the analysis skips the seam search.
     """
     structures = [s if report.parsed_ok else None for s, report in map(parse_structure, completions)]
     return [FAILED_CONSTRUCTION if result is None else reward_breakdown(*result)

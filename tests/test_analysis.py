@@ -424,17 +424,46 @@ def test_seam_owner_is_lowest_index(world):
 # ----------------------------------------------------------- whole analysis
 
 
+EMPTY_ANALYSIS = StructureAnalysis(
+    n_col=0,
+    fully_in_bounds=True,
+    occupied_count=0,
+    disconnected_count=0,
+    conn_score=1.0,
+    is_connected=False,
+    interlock_score=0.0,
+    seam_coverage=1.0,
+    brick_count=0,
+)
+
+
 def test_empty_structure_analysis(world):
-    a = analyze(BrickStructure(()), world)
-    assert a.n_col == 0
-    assert a.fully_in_bounds
-    assert a.occupied_count == 0
-    assert a.disconnected_count == 0
-    assert a.conn_score == 1.0
-    assert not a.is_connected
-    assert a.interlock_score == 0.0
-    assert a.seam_coverage == 1.0
-    assert a.brick_count == 0
+    # The empty build through every entry point, and in chunks alone,
+    # beside another empty build, among real builds and among failed
+    # parses (None), with seams and without.
+    empty = BrickStructure(())
+    assert analyze(empty, world) == EMPTY_ANALYSIS
+    a, occupied = analyze_with_occupancy(empty, world)
+    assert a == EMPTY_ANALYSIS
+    assert occupied.shape == world.shape and not occupied.any()
+    assert interlock_score(empty) == interlock_score(empty, world) == 0.0
+    counts = rasterize(empty, world).counts
+    assert counts.shape == world.shape and not counts.any()
+
+    rng = np.random.default_rng(427)
+    real = [random_structure(rng, world, 12) for _ in range(2)]
+    target = random_target(0, grounded=True, world=world)
+    for chunk in ([empty], [empty, empty], [real[0], empty, real[1], empty], [None, None], [None, empty, None]):
+        for seams in (True, False):
+            want = EMPTY_ANALYSIS if seams else replace(EMPTY_ANALYSIS, seam_coverage=None)
+            results = analyze_chunk(chunk, [target] * len(chunk), world, seams=seams)
+            for s, result in zip(chunk, results, strict=True):
+                if s is None:
+                    assert result is None
+                elif len(s):
+                    assert result == analyze_chunk([s], [target], world, seams=seams)[0]
+                else:
+                    assert result == (want, 0.0)
 
 
 def test_analyze_with_occupancy_consistent(world):

@@ -14,7 +14,9 @@ holds, one line per item:
   the repr of parse_structure's result, every StructureAnalysis field of
   a structure that parsed, and every score_completion term, floats as
   float.hex;
-- serve_lines output, one worker, on a fixed stream of 200 requests.
+- serve_lines output, one worker, on a fixed stream of 200 requests;
+  `python -m brickeval serve --threads 1` writes the same bytes to
+  stdout when that stream is its stdin.
 
 CONVERT_SHA256 pins `convert --mode sft` and `--mode grpo` on a seeded
 layout corpus in two worlds: the printed count, the records written and
@@ -39,6 +41,8 @@ import hashlib
 import io
 import json
 import logging
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -171,10 +175,14 @@ def _requests():
             yield '{"id": "r%d", "completion": ' % i
 
 
-def _serve_lines():
+def _served() -> list[str]:
     out: list[str] = []
     serve_lines(_requests(), out.append, DEFAULT_WORLD, threads=1)
-    return (f"serve {line}" for line in out)
+    return out
+
+
+def _serve_lines():
+    return (f"serve {line}" for line in _served())
 
 
 def test_outputs_match_golden_digest(tmp_path):
@@ -183,6 +191,15 @@ def test_outputs_match_golden_digest(tmp_path):
         for line in part:
             digest.update(line.encode() + b"\n")
     assert digest.hexdigest() == GOLDEN_SHA256
+
+
+def test_stdio_service_writes_the_golden_responses():
+    # The real stdio path: the digest pins serve_lines in-process, and
+    # this pins the bytes a one-worker `serve` process writes to them.
+    stdin = b"".join((line if isinstance(line, bytes) else line.encode()) + b"\n" for line in _requests())
+    proc = subprocess.run([sys.executable, "-m", "brickeval", "serve", "--threads", "1"],
+                          input=stdin, capture_output=True, timeout=120, check=True)
+    assert proc.stdout == "".join(line + "\n" for line in _served()).encode()
 
 
 def _oracle_breakdown(structure: BrickStructure, target: np.ndarray, world: WorldConfig) -> RewardBreakdown:
