@@ -44,7 +44,9 @@ structure. analyze_chunk, the evaluation core that the rewards and the
 metrics call, runs it on many at once, whose cell keys then carry a
 structure id. It works on the sorted cells and the support edges between
 them, never on a world grid, so its cost and memory follow those, not
-the world.
+the world. The rewards and interlock_score ask it only for the fields a
+reward term reads (full=False): it then skips the seam search, and the
+component labels too when every brick off the ground rests on one below.
 """
 
 from __future__ import annotations
@@ -74,7 +76,8 @@ class OccupancyField:
 class StructureAnalysis:
     """All structural predicates of one brick structure.
 
-    seam_coverage is None only when the caller asked for no seams.
+    seam_coverage and is_connected are None only when the caller asked
+    for the reward fields alone (full=False).
     """
 
     n_col: int
@@ -82,7 +85,7 @@ class StructureAnalysis:
     occupied_count: int
     disconnected_count: int
     conn_score: float
-    is_connected: bool
+    is_connected: bool | None
     interlock_score: float
     seam_coverage: float | None
     brick_count: int
@@ -239,31 +242,33 @@ def collision_stats(field: OccupancyField) -> tuple[int, list[tuple[int, int, in
 
 def analyze(structure: BrickStructure, world: WorldConfig) -> StructureAnalysis:
     """Every structural predicate of one structure, seam coverage included."""
-    return _cell_pass([structure], world, seams=True)[0][0]
+    return _cell_pass([structure], world, full=True)[0][0]
 
 
 def analyze_with_occupancy(structure: BrickStructure, world: WorldConfig) -> tuple[StructureAnalysis, np.ndarray]:
     """analyze() plus the occupied grid, from the same pass."""
-    (result,), flat, _ = _cell_pass([structure], world, seams=True)
+    (result,), flat, _ = _cell_pass([structure], world, full=True)
     occupied = np.zeros(world.n_voxels, dtype=bool)
     occupied[flat] = True
     return result, occupied.reshape(world.shape)
 
 
 def analyze_chunk(
-    structures: list[BrickStructure | None], targets: list[np.ndarray], world: WorldConfig, *, seams: bool = True
+    structures: list[BrickStructure | None], targets: list[np.ndarray], world: WorldConfig, *, full: bool = True
 ) -> list[tuple[StructureAnalysis, float] | None]:
     """The analysis of each parsed structure (None: failed to parse) and the IoU of its occupancy with its target.
 
     The evaluation core of the rewards and the metrics. Every target's
     shape is checked first, so a bad target raises whether or not its
     completion parsed. The parsed structures share one pass (see
-    _cell_pass), each looked up in its own target grid. With seams=False,
-    as the rewards ask, the seam search is skipped and seam_coverage is None.
+    _cell_pass), each looked up in its own target grid. With full=False,
+    as the rewards ask, seam_coverage and is_connected are None: the seam
+    search is skipped, and so are the component labels unless some brick
+    off the ground rests on nothing.
     """
     for target in targets:
         check_target_shape(target, world)
-    analyses, flat, ends = _cell_pass([s for s in structures if s is not None], world, seams)
+    analyses, flat, ends = _cell_pass([s for s in structures if s is not None], world, full)
     found = iter(zip(analyses, [0, *ends], ends))
     results = []
     for structure, target in zip(structures, targets, strict=True):
@@ -279,7 +284,7 @@ def analyze_chunk(
 
 
 def _cell_pass(
-    structures: list[BrickStructure], world: WorldConfig, seams: bool
+    structures: list[BrickStructure], world: WorldConfig, full: bool
 ) -> tuple[list[StructureAnalysis], np.ndarray, list[int]]:
     """The analysis of each structure, and the flat indices of its voxels.
 
@@ -308,19 +313,15 @@ def _cell_pass(
     upper, lower, crowded = geom.support(cells)
     supported = np.bincount(upper, minlength=n)
     nonground = ~geom.ground
-    label = _components(n, upper, lower)
-    # A label is the lowest brick index in its component, so a structure
-    # is connected when every brick is grounded and has its first brick's label.
-    apart = label != (0 if sid is None else np.repeat(np.cumsum(sizes) - sizes, sizes))
-    if (supported[nonground] > 0).all():
-        # Every brick off the ground rests on one below it, so by induction
-        # on the layer every brick is grounded.
-        grounded = None
-    else:
+    # When every brick off the ground rests on one below it, every brick is
+    # grounded by induction on the layer, and only is_connected reads the labels.
+    all_grounded = (supported[nonground] > 0).all()
+    label = _components(n, upper, lower) if full or not all_grounded else None
+    grounded = None
+    if not all_grounded:
         root = np.zeros(n, dtype=bool)
         root[label[geom.ground]] = True
         grounded = root[label]
-        apart |= ~grounded
 
     head = brick[starts]  # one brick of each run
     z = geom.z[head]
@@ -342,10 +343,17 @@ def _cell_pass(
         alone = ~np.logical_or.reduceat(grounded[brick], np.flatnonzero(starts))[voxel]
         disconnected = _count(alone, vsid, k)
     clipped = _count(~geom.in_bounds, sid, k)
-    split = _count(apart, sid, k)
     interlocked = _count(((supported >= 2) | crowded) & nonground, sid, k)
     off_ground = _count(nonground, sid, k)
-    coverage = _seam_coverage(geom, cells, voxel, vz, flat, vsid, k) if seams else [None] * k
+    if full:
+        # A label is the lowest brick index in its component, so a structure is
+        # connected when every brick is grounded and has its first brick's label.
+        apart = label != (0 if sid is None else np.repeat(np.cumsum(sizes) - sizes, sizes))
+        split = _count(apart if grounded is None else apart | ~grounded, sid, k)
+        connected = [size > 0 and parts == 0 for size, parts in zip(sizes, split)]
+        coverage = _seam_coverage(geom, cells, voxel, vz, flat, vsid, k)
+    else:
+        connected = coverage = [None] * k
 
     analyses = [
         StructureAnalysis(
@@ -354,7 +362,7 @@ def _cell_pass(
             occupied_count=occupied[i],
             disconnected_count=disconnected[i],
             conn_score=1.0 - disconnected[i] / max(occupied[i], 1),
-            is_connected=sizes[i] > 0 and split[i] == 0,
+            is_connected=connected[i],
             interlock_score=interlocked[i] / max(off_ground[i], 1),
             seam_coverage=coverage[i],
             brick_count=sizes[i],
@@ -445,7 +453,7 @@ def interlock_score(
         x, y = _close_gaps(x, _GAP), _close_gaps(y, _GAP)
         world = WorldConfig(int((x + h).max(initial=1)), int((y + w).max(initial=1)), 1)
         structure = BrickStructure._from_columns(np.stack((h, w, x, y, z), axis=1))
-    return _cell_pass([structure], world, seams=False)[0][0].interlock_score
+    return _cell_pass([structure], world, full=False)[0][0].interlock_score
 
 
 def _components(n: int, upper: np.ndarray, lower: np.ndarray) -> np.ndarray:

@@ -117,8 +117,9 @@ def score_completions(
 
     A completion that fails to parse scores FAILED_CONSTRUCTION; the
     parsed ones are scored together in one analyze_chunk call. No term
-    reads seam coverage, so the analysis skips the seam search.
+    reads seam coverage or is_connected, so the analysis skips the seam
+    search, and the component labels when every brick is grounded.
     """
     structures = [s if report.parsed_ok else None for s, report in map(parse_structure, completions)]
     return [FAILED_CONSTRUCTION if result is None else reward_breakdown(*result)
-            for result in analyze_chunk(structures, targets, world, seams=False)]
+            for result in analyze_chunk(structures, targets, world, full=False)]

@@ -10,12 +10,14 @@ import pytest
 from brickeval import analysis, rewards
 from brickeval import (
     BrickStructure,
+    ConstructorOptions,
     WorldConfig,
     analyze,
     analyze_with_occupancy,
     Brick,
     collision_stats,
     interlock_score,
+    legalize,
     make_brick,
     parse_structure,
     random_target,
@@ -229,7 +231,7 @@ def test_copies_of_one_brick_analyze_like_the_oracles(world):
     for copies in (2, 300, 3000):
         s = build(copies)
         got, lines[copies, True] = lines_run(analysis, analyze, s, world)
-        _, lines[copies, False] = lines_run(analysis, analyze_chunk, [s, s], [target] * 2, world, seams=False)
+        _, lines[copies, False] = lines_run(analysis, analyze_chunk, [s, s], [target] * 2, world, full=False)
         assert vars(analyze_chunk([s], [target], world)[0][0]) == vars(got)
         top = 2 * copies + 1
         edges = [(u, copies) for u in range(copies + 1, top)] + [(top, j) for j in range(copies)]
@@ -440,7 +442,7 @@ EMPTY_ANALYSIS = StructureAnalysis(
 def test_empty_structure_analysis(world):
     # The empty build through every entry point, and in chunks alone,
     # beside another empty build, among real builds and among failed
-    # parses (None), with seams and without.
+    # parses (None), in full and in the reward mode.
     empty = BrickStructure(())
     assert analyze(empty, world) == EMPTY_ANALYSIS
     a, occupied = analyze_with_occupancy(empty, world)
@@ -454,14 +456,14 @@ def test_empty_structure_analysis(world):
     real = [random_structure(rng, world, 12) for _ in range(2)]
     target = random_target(0, grounded=True, world=world)
     for chunk in ([empty], [empty, empty], [real[0], empty, real[1], empty], [None, None], [None, empty, None]):
-        for seams in (True, False):
-            want = EMPTY_ANALYSIS if seams else replace(EMPTY_ANALYSIS, seam_coverage=None)
-            results = analyze_chunk(chunk, [target] * len(chunk), world, seams=seams)
+        for full in (True, False):
+            want = EMPTY_ANALYSIS if full else replace(EMPTY_ANALYSIS, seam_coverage=None, is_connected=None)
+            results = analyze_chunk(chunk, [target] * len(chunk), world, full=full)
             for s, result in zip(chunk, results, strict=True):
                 if s is None:
                     assert result is None
                 elif len(s):
-                    assert result == analyze_chunk([s], [target], world, seams=seams)[0]
+                    assert result == analyze_chunk([s], [target], world, full=full)[0]
                 else:
                     assert result == (want, 0.0)
 
@@ -686,7 +688,7 @@ def test_seam_coverage_matches_oracle(world):
 
 
 @pytest.mark.parametrize("world", [WorldConfig(20, 20, 20), WorldConfig(7, 70, 3), WorldConfig(5, 7, 3)], ids=str)
-def test_reward_path_skips_only_the_seam_pass(world, monkeypatch):
+def test_reward_path_skips_only_seams_and_connectedness(world, monkeypatch):
     # Light, dense (300 bricks), huge-integer, colliding, out-of-bounds and
     # empty builds, scored alone and as one chunk.
     rng = np.random.default_rng([15, world.n_voxels])
@@ -696,7 +698,7 @@ def test_reward_path_skips_only_the_seam_pass(world, monkeypatch):
     targets = [grids[i % 4] for i in range(len(builds))]
     alone = [score_completion(text, target, world) for text, target in zip(texts, targets)]
     chunked = score_completions(texts, targets, world)
-    with_seams = analyze_chunk(builds, targets, world)
+    in_full = analyze_chunk(builds, targets, world)
     for s, target, breakdown in zip(builds[:-1], targets, alone):
         want = StructureAnalysis(**oracle_analysis(s, world))
         assert breakdown == reward_breakdown(want, oracle_iou(oracle_occupied(s, world), target))
@@ -714,14 +716,67 @@ def test_reward_path_skips_only_the_seam_pass(world, monkeypatch):
     monkeypatch.setattr(rewards, "analyze_chunk", chunk)
     assert [score_completion(text, target, world) for text, target in zip(texts, targets)] == alone
     assert score_completions(texts, targets, world) == chunked == alone
-    assert chunk_calls and chunk_calls == [{"seams": False}] * len(chunk_calls)
+    assert chunk_calls and chunk_calls == [{"full": False}] * len(chunk_calls)
     with pytest.raises(AssertionError, match="seam pass called"):
         analyze(builds[0], world)
 
-    results = analyze_chunk(builds, targets, world, seams=False)
-    for (a, iou), (b, iou_b) in zip(results, with_seams, strict=True):
-        assert a.seam_coverage is None and b.seam_coverage is not None
-        assert (replace(a, seam_coverage=b.seam_coverage), iou) == (b, iou_b)
+    results = analyze_chunk(builds, targets, world, full=False)
+    for (a, iou), (b, iou_b) in zip(results, in_full, strict=True):
+        assert a.seam_coverage is None and a.is_connected is None
+        assert b.seam_coverage is not None and b.is_connected is not None
+        assert (replace(a, seam_coverage=b.seam_coverage, is_connected=b.is_connected), iou) == (b, iou_b)
+
+
+@pytest.mark.parametrize("world", [WorldConfig(20, 20, 20), WorldConfig(7, 70, 3)], ids=str)
+def test_reward_path_labels_components_only_when_a_brick_rests_on_nothing(world, monkeypatch):
+    # Light and dense legalized builds of grounded targets, with colliding
+    # copies, and the empty build (which no completion parses to): every
+    # brick off the ground rests on one below. Each light and dense build
+    # again with a 1x1 brick one layer over its lowest column's top, which
+    # rests on nothing.
+    empty = BrickStructure(())
+    grounded, floating, targets = [], [], []
+    for seed, fill in enumerate((0.02, 0.3)):
+        target = random_target(seed, fill_prob=fill, grounded=True, world=world)
+        s = legalize(target, ConstructorOptions(stagger=bool(seed)), world)
+        height = target.sum(axis=2)
+        x, y = np.unravel_index(np.argmin(height), height.shape)
+        assert height[x, y] + 1 < world.dim_z
+        grounded += [s, BrickStructure(s.bricks + s.bricks[-3:])]
+        floating.append(BrickStructure(s.bricks + (make_brick(1, 1, int(x), int(y), int(height[x, y]) + 1),)))
+        targets += [target, target]
+
+    def no_labels(*args):
+        raise AssertionError("component labels computed")
+
+    with monkeypatch.context() as m:
+        m.setattr(analysis, "_components", no_labels)
+        texts = [serialize_structure(s) for s in grounded]
+        scored = score_completions(texts, targets, world)
+        assert [score_completion(text, target, world) for text, target in zip(texts, targets)] == scored
+        interlock = [(interlock_score(s, world), interlock_score(s)) for s in grounded]
+        assert analyze_chunk([empty, *grounded], [targets[0], *targets], world, full=False)[0] == (
+            replace(EMPTY_ANALYSIS, seam_coverage=None, is_connected=None), 0.0)
+        assert interlock_score(empty, world) == interlock_score(empty) == 0.0
+        for s in floating:
+            for call in (lambda: score_completion(serialize_structure(s), targets[1], world),
+                         lambda: interlock_score(s, world), lambda: interlock_score(s)):
+                with pytest.raises(AssertionError, match="component labels"):
+                    call()
+        with pytest.raises(AssertionError, match="component labels"):
+            analyze(grounded[1], world)
+    floating_targets = targets[1::2]
+    scored += score_completions([serialize_structure(s) for s in floating], floating_targets, world)
+    interlock += [(interlock_score(s, world), interlock_score(s)) for s in floating]
+
+    for s, target, breakdown, pair in zip(grounded + floating, targets + floating_targets, scored, interlock,
+                                          strict=True):
+        want = oracle_analysis(s, world)
+        assert breakdown == reward_breakdown(StructureAnalysis(**want), oracle_iou(oracle_occupied(s, world), target))
+        assert pair == (want["interlock_score"], oracle_interlock(s, None))
+        assert analyze(s, world).is_connected == want["is_connected"]
+    # Each floating brick is ungrounded, and a feasible build pays for it.
+    assert all(b.feasible and b.r_conn < 2.0 for b in scored[len(grounded):])
 
 
 def oracle_cells(builds, world, with_ids):

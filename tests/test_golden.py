@@ -27,7 +27,10 @@ anchors, brick text that does not parse and lines that are not records.
 The metamorphic checks need no pinned value: every score_completion
 term stays the same when a completion's lines are reordered, when it
 and its target are shifted together in x/y inside the world, and when
-its line ends are \\r\\n. Nor does the chunk check: the same fuzzed
+its line ends are \\r\\n; and every analyze field and score_completion
+term stays the same when the build, its target and the world are
+transposed in x/y, or an in-bounds build and its target are mirrored
+in x or in y. Nor does the chunk check: the same fuzzed
 completions, scored per world in chunks of rewards.CHUNK_SIZE by
 score_completions, give score_completion's terms bit for bit, and those
 of the oracles in tests/helpers.py.
@@ -55,6 +58,7 @@ from brickeval import (
     analyze,
     encode_target_voxels,
     legalize,
+    make_brick,
     parse_structure,
     random_target,
     score_completion,
@@ -310,3 +314,35 @@ def test_reward_terms_survive_reordering_shifts_and_crlf():
         dy = int(rng.integers(0, world.dim_y - box.dim_y + 1))
         moved = np.roll(target, (dx, dy), axis=(0, 1))
         assert score_completion(serialize_structure(_shifted(structure, dx, dy)), moved, world) == want, text
+
+
+def _transposed(structure: BrickStructure) -> BrickStructure:
+    return BrickStructure(tuple(make_brick(b.w, b.h, b.y, b.x, b.z) for b in structure))
+
+
+def _mirrored(structure: BrickStructure, world: WorldConfig, axis: int) -> BrickStructure:
+    """The build reflected in x (axis 0) or y (axis 1) of the world; its bricks lie inside the x/y extent."""
+    if axis == 0:
+        return BrickStructure(tuple(b._replace(x=world.dim_x - b.x - b.h) for b in structure))
+    return BrickStructure(tuple(b._replace(y=world.dim_y - b.y - b.w) for b in structure))
+
+
+def test_analysis_and_terms_survive_transpose_and_mirrors():
+    # The square's symmetries: swapping x and y in the build (h and w too),
+    # the target and the world, also for builds past the world, and
+    # mirroring an in-bounds build and its target in x or in y. A colliding
+    # voxel's owner is still its lowest brick index, so seams are kept too.
+    rng = np.random.default_rng(21)
+    for world, box, structure, target in _metamorphic_cases():
+        transposed = WorldConfig(world.dim_y, world.dim_x, world.dim_z)
+        outside = random_structure(rng, world, 30, in_bounds=False)
+        cases = [
+            (structure, target, world, _transposed(structure), target.transpose(1, 0, 2), transposed),
+            (outside, target, world, _transposed(outside), target.transpose(1, 0, 2), transposed),
+            (structure, target, world, _mirrored(structure, world, 0), target[::-1], world),
+            (structure, target, world, _mirrored(structure, world, 1), target[:, ::-1], world),
+        ]
+        for s, t, w, image, image_target, image_world in cases:
+            want = analyze(s, w), score_completion(serialize_structure(s), t, w)
+            got = analyze(image, image_world), score_completion(serialize_structure(image), image_target, image_world)
+            assert got == want, serialize_structure(s)

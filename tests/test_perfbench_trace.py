@@ -17,9 +17,12 @@ offline_eval drives eval's chunked scoring, which evaluates each chunk
 of pairs through the evaluation core shared with the service, end to
 end under perfbench's output and oracle checks.
 offline_construct runs `construct ... --seed N` through the CLI, so it also
-fails if the CLI stops taking a flag that perfbench passes. rollout_points
-sends only `target_points` targets, so every request's target is read by
-`parse_pointcloud`, wrapped as `service.parse_pointcloud`. rollout_w2 runs
+fails if the CLI stops taking a flag that perfbench passes. rollout_inline
+sends only comma-inline completions through `serve` at one worker, whose
+parse and target decode must be measured on the service's own calls.
+rollout_points sends only `target_points` targets, so every request's
+target is read by `parse_pointcloud`, wrapped as
+`service.parse_pointcloud`. rollout_w2 runs
 `serve --threads 2` on the mixed rollout traffic, so the workers' chunk
 scoring, which analyzes all of a chunk's structures in one pass, runs end
 to end under perfbench's checks of ids, expected error codes and the
@@ -47,6 +50,7 @@ ROOT = Path(__file__).resolve().parents[1]
 MEASURED = {
     "rollout_w1": ["tokens.parse_us", "dataset.decode_us"],
     "rollout_w2": ["tokens.parse_us", "dataset.decode_us"],
+    "rollout_inline": ["tokens.parse_us", "dataset.decode_us"],
     "rollout_points": ["tokens.pointcloud_us"],
     "offline_eval": ["tokens.parse_us", "dataset.decode_us", "tokens.pointcloud_us"],
     "offline_convert": ["tokens.parse_us", "dataset.encode_us"],
@@ -55,7 +59,7 @@ MEASURED = {
 
 
 @pytest.mark.parametrize("workload", ["offline_construct", "offline_convert", "offline_eval", "rollout_w1",
-                                      "rollout_w2", "rollout_points"])
+                                      "rollout_w2", "rollout_inline", "rollout_points"])
 def test_traced_run_is_correct(workload):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,

@@ -166,8 +166,8 @@ def test_wrong_target_shape_raises(world):
     structure = parse_structure("1x1 (0,0,0)")[0]
     with pytest.raises(DimensionMismatch):
         analyze_chunk([None, structure, None], [good, good, bad], world)
-    assert analyze_chunk([None, structure, None], [good] * 3, world, seams=False) == [
-        None, (replace(analyze(structure, world), seam_coverage=None), 0.0), None]
+    assert analyze_chunk([None, structure, None], [good] * 3, world, full=False) == [
+        None, (replace(analyze(structure, world), seam_coverage=None, is_connected=None), 0.0), None]
 
 
 def test_self_iou_is_one(world):
