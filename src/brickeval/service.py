@@ -18,14 +18,17 @@ eval still do).
 With one worker (the default) requests are scored in order in the
 serving thread. With N > 1 (capped at the usable CPU cores, since
 scoring is CPU-bound), a pool of that many spawned processes scores
-them: request lines go to a free worker in chunks of whatever has
-arrived (at most 32 lines), so nothing waits for a chunk to fill and a
-burst is sent in few messages. A worker reads each line of a chunk on
-its own and hands the completions to rewards.score_completions, which
-parses each of them and analyzes all of the chunk's structures in one
-batched pass; every response is the one handle_request_line gives. A
-lone request while none of its stream's requests is at a worker is
-scored in the serving process instead. Responses may then leave in a
+them in chunks of at most 32 request lines. While some worker holds
+none of the stream's chunks, whatever has arrived is sent as soon as
+nothing else waits, so no line waits for a chunk to fill. While every
+worker holds one, arriving lines gather and go as one chunk when a
+worker finishes, or once 32 have gathered, so a stream under load pays
+for few, large chunks. A worker reads each line of a chunk on its own
+and hands the completions to rewards.score_completions, which parses
+each of them and analyzes all of the chunk's structures in one batched
+pass; every response is the one handle_request_line gives. A lone
+request while none of its stream's requests is at a worker is scored
+in the serving process instead. Responses may then leave in a
 different order than the requests arrived; ids are the correlation key.
 A TCP server shares one pool among all its connections. If a worker
 dies, the pool is broken for good: the serving process scores the chunks
@@ -216,27 +219,28 @@ def serve_lines(
     write_line: Callable[[str], None],
     world: WorldConfig = DEFAULT_WORLD,
     threads: int = 1,
-    workers: ProcessPoolExecutor | None = None,
+    workers: tuple[ProcessPoolExecutor, int] | None = None,
 ) -> None:
     """Pump request lines through the scorer; blocks until input ends.
 
-    Blank lines are skipped. With a worker pool passed in, or when
-    _worker_count(threads) > 1, lines are scored in worker processes and
-    responses are written as they finish.
+    Blank lines are skipped. With workers passed in (a pool and its
+    number of processes), or when _worker_count(threads) > 1, lines are
+    scored in worker processes and responses are written as they finish.
     """
-    own = workers is None
-    if own and _worker_count(threads) <= 1:
+    if workers is not None:
+        _pump(lines, write_line, world, *workers)
+        return
+    count = _worker_count(threads)
+    if count <= 1:
         for line in lines:
             if line.strip():
                 write_line(handle_request_line(line, world))
         return
-    if own:
-        workers = start_workers(_worker_count(threads))
+    pool = start_workers(count)
     try:
-        _pump(lines, write_line, world, workers)
+        _pump(lines, write_line, world, pool, count)
     finally:
-        if own:
-            workers.shutdown(wait=False, cancel_futures=True)
+        pool.shutdown(wait=False, cancel_futures=True)
 
 
 def _pump(
@@ -244,8 +248,9 @@ def _pump(
     write_line: Callable[[str], None],
     world: WorldConfig,
     workers: ProcessPoolExecutor,
+    count: int,
 ) -> None:
-    """Feed lines to the workers in chunks and write their responses.
+    """Feed lines to a pool of count workers in chunks and write their responses.
 
     A reader thread admits a line only while fewer than _MAX_PENDING
     lines, holding at most _MAX_PENDING_BYTES with it, await a response;
@@ -253,8 +258,11 @@ def _pump(
     line's share comes back as its response is written, so a slow reader
     throttles intake in lines and in bytes. This thread owns every
     write: it collects arriving lines and finished chunks from one
-    queue, and sends the collected lines on whenever CHUNK_SIZE have
-    gathered or nothing else is waiting. Once a worker has died the pool
+    queue, and sends the collected lines on when CHUNK_SIZE have
+    gathered, or when nothing else is waiting and fewer than count of
+    this stream's chunks are at the workers. So while every worker is
+    busy with the stream, its lines gather into the next chunk, which
+    leaves when a chunk comes back. Once a worker has died the pool
     is broken, and this thread scores every chunk itself; the first time
     a stream finds the pool broken, it says so in one stderr line.
     """
@@ -318,7 +326,7 @@ def _pump(
                 write(chunk, responses)
             else:
                 ended, error = True, item
-            if pending and (len(pending) >= CHUNK_SIZE or events.empty()):
+            if pending and (len(pending) >= CHUNK_SIZE or events.empty() and in_flight < count):
                 # A lone line with none of this stream at the workers is
                 # scored here, which saves its two trips between processes.
                 if in_flight or len(pending) > 1:
@@ -368,9 +376,9 @@ class RewardTCPServer(socketserver.ThreadingTCPServer):
         self.workers = None
         super().__init__(address, _TCPHandler)
         self.world = world
-        count = _worker_count(threads)
-        if count > 1:
-            self.workers = start_workers(count)
+        self.count = _worker_count(threads)
+        if self.count > 1:
+            self.workers = start_workers(self.count)
 
     def server_close(self) -> None:
         super().server_close()
@@ -386,9 +394,9 @@ class _TCPHandler(socketserver.StreamRequestHandler):
         def write_line(text: str) -> None:
             self.wfile.write((text + "\n").encode("utf-8"))
 
+        workers = None if server.workers is None else (server.workers, server.count)
         try:
-            serve_lines(read_lines(self.rfile, server.world), write_line, server.world,
-                        workers=server.workers)
+            serve_lines(read_lines(self.rfile, server.world), write_line, server.world, workers=workers)
         except (BrokenPipeError, ConnectionResetError):
             pass
 

@@ -206,6 +206,16 @@ def test_stdio_service_writes_the_golden_responses():
     assert proc.stdout == "".join(line + "\n" for line in _served()).encode()
 
 
+def test_two_worker_stdio_service_writes_the_golden_responses():
+    # Two workers score chunks in their own order, so the responses may
+    # leave in another order; as a set they are the pinned ones.
+    stdin = b"".join((line if isinstance(line, bytes) else line.encode()) + b"\n" for line in _requests())
+    proc = subprocess.run([sys.executable, "-m", "brickeval", "serve", "--threads", "2"],
+                          input=stdin, capture_output=True, timeout=120, check=True)
+    assert sorted(proc.stdout.decode().splitlines()) == sorted(_served())
+    assert proc.stderr == b""
+
+
 def _oracle_breakdown(structure: BrickStructure, target: np.ndarray, world: WorldConfig) -> RewardBreakdown:
     occupied = set(oracle_counts(structure, world))
     wanted = set(map(tuple, np.argwhere(target).tolist()))

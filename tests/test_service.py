@@ -12,6 +12,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from concurrent.futures import Future
 from functools import cache
 
 import numpy as np
@@ -32,6 +33,7 @@ from brickeval import service
 from brickeval.core import DEFAULT_WORLD
 from brickeval.service import (
     RewardTCPServer,
+    _handle_chunk,
     handle_request_line,
     max_line_bytes,
     read_lines,
@@ -417,7 +419,7 @@ def test_lone_request_answered_while_input_open(perfect_fixture):
         server = threading.Thread(
             target=serve_lines,
             args=(iter(feed.get, None), answers.put, WORLD),
-            kwargs={"workers": workers},
+            kwargs={"workers": (workers, 2)},
             daemon=True,
         )
         server.start()
@@ -435,6 +437,91 @@ def test_lone_request_answered_while_input_open(perfect_fixture):
         workers.shutdown(wait=False, cancel_futures=True)
 
 
+class HandPool:
+    """A stand-in pool of workers whose chunks the test finishes by hand."""
+
+    def __init__(self):
+        self.chunks, self.futures = [], []
+
+    def submit(self, fn, world, lines):
+        self.chunks.append(list(lines))
+        self.futures.append(Future())
+        return self.futures[-1]
+
+    def finish(self, i):
+        self.futures[i].set_result(_handle_chunk(WORLD, self.chunks[i]))
+
+
+def wait_for(condition, timeout=30):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.005)
+
+
+def test_pump_holds_lines_while_every_worker_is_busy(perfect_fixture):
+    # Lines that arrive while both workers hold one of the stream's chunks
+    # wait for a worker, so they go as one chunk, not as they trickle in;
+    # CHUNK_SIZE of them go at once. A lone line with nothing at the
+    # workers is scored in the serving thread.
+    lines = request_batch(perfect_fixture, 125)
+    feed, taken = queue.Queue(), [0]
+    gate, writing = threading.Event(), threading.Event()
+    out = []
+
+    def stream():
+        while (line := feed.get()) is not None:
+            yield line
+            taken[0] += 1  # the reader asked for the next line: this one is queued
+
+    def write_line(text):
+        writing.set()
+        gate.wait(timeout=30)
+        out.append(text)
+
+    def send(lo, hi):
+        for line in lines[lo:hi]:
+            feed.put(line)
+        wait_for(lambda: taken[0] == hi)
+
+    pool = HandPool()
+    server = threading.Thread(target=serve_lines, args=(stream(), write_line, WORLD),
+                              kwargs={"workers": (pool, 2)}, daemon=True)
+    server.start()
+    try:
+        feed.put(lines[0])
+        assert writing.wait(timeout=30)
+        assert pool.chunks == []  # the lone line was scored here
+        send(1, 65)  # queued behind the lone line's write
+        gate.set()
+        wait_for(lambda: len(pool.chunks) == 2)
+        assert [len(c) for c in pool.chunks] == [32, 32]
+        send(65, 85)
+        time.sleep(0.2)
+        assert len(pool.chunks) == 2  # both workers are busy: the 20 lines wait
+        pool.finish(0)
+        wait_for(lambda: len(pool.chunks) == 3)
+        assert pool.chunks[2] == lines[65:85]
+        send(85, 125)
+        wait_for(lambda: len(pool.chunks) == 4)
+        assert pool.chunks[3] == lines[85:117]
+        time.sleep(0.2)
+        assert len(pool.chunks) == 4
+        feed.put(None)
+        for i in range(1, 5):
+            wait_for(lambda: len(pool.chunks) > i)
+            pool.finish(i)
+        server.join(timeout=30)
+        assert not server.is_alive()
+    finally:
+        gate.set()
+        feed.put(None)
+    assert [len(c) for c in pool.chunks] == [32, 32, 20, 32, 8]
+    seq = []
+    serve_lines(iter(lines), seq.append, WORLD, threads=1)
+    assert sorted(out) == sorted(seq)
+
+
 def test_one_worker_imports_no_process_machinery():
     # Only a multi-worker service pays for importing the pool.
     code = "import sys, brickeval.cli; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
@@ -450,7 +537,7 @@ def test_running_workers_match_sequential(perfect_fixture):
     workers = start_workers(2)
     try:
         wait_up(workers)
-        serve_lines(iter(lines), par.append, WORLD, workers=workers)
+        serve_lines(iter(lines), par.append, WORLD, workers=(workers, 2))
     finally:
         workers.shutdown(wait=False, cancel_futures=True)
     assert sorted(par) == sorted(seq)
@@ -474,7 +561,7 @@ def dense_requests(n, prefix):
 def serve_in_thread(lines, workers):
     out = []
     server = threading.Thread(
-        target=serve_lines, args=(lines, out.append, WORLD), kwargs={"workers": workers}, daemon=True
+        target=serve_lines, args=(lines, out.append, WORLD), kwargs={"workers": (workers, 2)}, daemon=True
     )
     server.start()
     return server, out
