@@ -1,7 +1,6 @@
 """Deterministic brick-assembly geometry, reward, and evaluation engine."""
 
 from .analysis import (
-    OccupancyField,
     StructureAnalysis,
     analyze,
     analyze_with_occupancy,

@@ -60,18 +60,6 @@ from .core import FOOTPRINT_SIDES, BrickStructure, WorldConfig, check_target_sha
 _GAP = FOOTPRINT_SIDES  # one more than the longest footprint side
 
 
-@dataclass
-class OccupancyField:
-    """Per-voxel brick multiplicity over the world grid."""
-
-    counts: np.ndarray
-    world: WorldConfig
-
-    @property
-    def occupied(self) -> np.ndarray:
-        return self.counts > 0
-
-
 @dataclass(frozen=True)
 class StructureAnalysis:
     """All structural predicates of one brick structure.
@@ -228,15 +216,15 @@ def _firsts(values: np.ndarray) -> np.ndarray:
     return first
 
 
-def rasterize(structure: BrickStructure, world: WorldConfig) -> OccupancyField:
-    """Count, per voxel, how many bricks occupy it (clipped to the world)."""
+def rasterize(structure: BrickStructure, world: WorldConfig) -> np.ndarray:
+    """Per voxel, how many bricks occupy it (clipped to the world): int64, in the world's shape."""
     lin = _Geometry(structure.columns, world).lin
-    return OccupancyField(np.bincount(lin, minlength=world.n_voxels).reshape(world.shape), world)
+    return np.bincount(lin, minlength=world.n_voxels).reshape(world.shape)
 
 
-def collision_stats(field: OccupancyField) -> tuple[int, list[tuple[int, int, int]]]:
-    """Colliding-voxel count and their coordinates in ascending order."""
-    coords = np.argwhere(field.counts > 1)
+def collision_stats(counts: np.ndarray) -> tuple[int, list[tuple[int, int, int]]]:
+    """Colliding-voxel count and their coordinates in ascending order, from rasterize's counts."""
+    coords = np.argwhere(counts > 1)
     return len(coords), [tuple(int(c) for c in v) for v in coords]
 
 

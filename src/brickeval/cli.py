@@ -13,7 +13,7 @@ import math
 import operator
 import re
 import sys
-from dataclasses import asdict, fields
+from dataclasses import fields
 
 import numpy as np
 
@@ -94,12 +94,12 @@ def _load_grid(path: str, world: WorldConfig) -> np.ndarray:
     text = _read_text(path).strip()
     try:
         return decode_target_voxels(text, world)
-    except CodecError:
-        pass
+    except CodecError as exc:
+        codec_error = exc
     try:
         return parse_pointcloud(text, world)
     except (MalformedPointToken, OutOfWorldCoordinate) as exc:
-        raise _DataError(f"{path}: neither an encoded grid nor a point list ({exc})")
+        raise _DataError(f"{path}: neither an encoded grid ({codec_error}) nor a point list ({exc})")
 
 
 _CHECK_RE = re.compile(r"^\s*(\w+)\s*(>=|<=|==|!=|>|<)\s*(-?\d+(?:\.\d+)?)\s*$")
@@ -194,7 +194,7 @@ def _cmd_score(args) -> int:
         raise _UsageError("--target and --completion cannot both be - (stdin)")
     target = _load_grid(args.target, args.world)
     breakdown = score_completion(_read_text(args.completion), target, args.world)
-    print(json.dumps(asdict(breakdown)))
+    print(json.dumps(vars(breakdown)))
     return 0
 
 

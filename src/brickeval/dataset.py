@@ -24,7 +24,7 @@ import json
 import logging
 import os
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterator, TextIO
 
 import numpy as np
@@ -148,7 +148,7 @@ class GrpoRecord:
 def _feasible_occupancy(structure: BrickStructure, world: WorldConfig) -> np.ndarray:
     if len(structure) == 0:
         raise InfeasibleStructure("empty structure")
-    counts = rasterize(structure, world).counts
+    counts = rasterize(structure, world)
     n_col = int(np.count_nonzero(counts > 1))
     if n_col > 0:
         raise InfeasibleStructure(f"{n_col} colliding voxels")
@@ -222,10 +222,12 @@ def convert_corpus(
                 continue
             try:
                 text = read_record(line)["bricks"]
+                if not isinstance(text, str):
+                    raise BadRecord("bricks must be a string")
             except (BadRecord, KeyError) as exc:
                 logger.warning("line %d: unreadable record (%s), skipped", line_number, exc)
                 continue
-            structure, report = parse_structure(str(text))
+            structure, report = parse_structure(text)
             if not report.parsed_ok:
                 logger.warning("line %d: brick text did not parse, skipped", line_number)
                 continue
@@ -234,6 +236,6 @@ def convert_corpus(
             except InfeasibleStructure as exc:
                 logger.warning("line %d: infeasible structure (%s), skipped", line_number, exc)
                 continue
-            dst.write(json.dumps(asdict(record)) + "\n")
+            dst.write(json.dumps(vars(record)) + "\n")
             count += 1
     return count

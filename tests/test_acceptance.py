@@ -88,7 +88,7 @@ def test_c02_collision_penalty_formula(capsys):
 
 
 def test_c03_maximum_reward_witness(capsys, perfect_fixture):
-    target = rasterize(perfect_fixture, WORLD).occupied
+    target = rasterize(perfect_fixture, WORLD) > 0
     rb = score_completion(serialize_structure(perfect_fixture), target, WORLD)
     parts = (rb.r_col, rb.r_shape, rb.r_inter, rb.r_conn, rb.total)
     verdict(capsys, 3,
@@ -202,7 +202,7 @@ def test_c10_constructor_guarantees(capsys):
                                grounded=grounded, world=WORLD)
         s = legalize(target, ConstructorOptions(stagger=bool(i % 3)), WORLD)
         a = analyze(s, WORLD)
-        _, iou = reward_shape(rasterize(s, WORLD).occupied, target)
+        _, iou = reward_shape(rasterize(s, WORLD) > 0, target)
         if a.n_col != 0 or not a.fully_in_bounds or iou != 1.0:
             ok = False
             break
@@ -233,7 +233,7 @@ def _dense_corpus(n_structures=40, max_bricks=700):
         if 0 < len(s) <= max_bricks:
             structures.append(s)
     texts = [serialize_structure(s) for s in structures]
-    grids = [rasterize(s, WORLD).occupied for s in structures]
+    grids = [rasterize(s, WORLD) > 0 for s in structures]
     return structures, texts, grids
 
 
@@ -255,7 +255,7 @@ def test_c12_throughput(capsys):
     rng = np.random.default_rng(112)
     light = [collision_free_structure(rng, WORLD, 60) for _ in range(50)]
     light_texts = [serialize_structure(s) for s in light]
-    encoded = [encode_target_voxels(rasterize(s, WORLD).occupied) for s in light]
+    encoded = [encode_target_voxels(rasterize(s, WORLD) > 0) for s in light]
     requests = "\n".join(
         json.dumps({"id": f"t{i}", "completion": light_texts[i % 50],
                     "target_voxels": encoded[i % 50]})

@@ -94,7 +94,7 @@ def test_parse_missing_file(tmp_path, capsys):
 
 def score_files(tmp_path, perfect_fixture, target_kind="voxels"):
     world = WorldConfig()
-    target = rasterize(perfect_fixture, world).occupied
+    target = rasterize(perfect_fixture, world) > 0
     tfile = tmp_path / "target.txt"
     if target_kind == "voxels":
         tfile.write_text(encode_target_voxels(target))
@@ -130,12 +130,27 @@ def test_score_undecodable_target(tmp_path, capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("command", ["score", "construct"])
+def test_target_for_another_world_names_the_codec_error(tmp_path, capsys, command):
+    # A grid encoded for 10^3 read at the default 20^3 world fails as a
+    # grid and as a point list; the message names both causes.
+    tfile = tmp_path / "t.txt"
+    tfile.write_text(encode_target_voxels(np.zeros((10, 10, 10), dtype=bool)))
+    cfile = tmp_path / "c.txt"
+    cfile.write_text("1x1 (0,0,0)")
+    argv = (["score", "--target", str(tfile), "--completion", str(cfile)] if command == "score"
+            else ["construct", "--grid", str(tfile)])
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "neither an encoded grid (expected 8000 voxel bytes, got 1000) nor a point list (" in err
+
+
 # ----------------------------------------------------------------------- eval
 
 
 def pairs_file(tmp_path, perfect_fixture, extra_lines=()):
     world = WorldConfig()
-    target = encode_target_voxels(rasterize(perfect_fixture, world).occupied)
+    target = encode_target_voxels(rasterize(perfect_fixture, world) > 0)
     rows = [json.dumps({
         "completion": serialize_structure(perfect_fixture),
         "target_voxels": target,
@@ -497,7 +512,7 @@ def test_construct_round_trip(tmp_path, capsys):
     assert code == 0
     structure, report = parse_structure(out)
     assert report.parsed_ok
-    assert np.array_equal(rasterize(structure, world).occupied, grid)
+    assert np.array_equal(rasterize(structure, world) > 0, grid)
 
 
 def test_construct_empty_grid(tmp_path, capsys):

@@ -60,7 +60,7 @@ def test_world_config_defaults_and_validation():
 def brick_voxels(brick, world):
     # A lone brick's voxels and in-bounds verdict, from the library.
     s = BrickStructure((brick,))
-    counts = rasterize(s, world).counts
+    counts = rasterize(s, world)
     assert counts.max(initial=0) <= 1
     return {tuple(int(c) for c in v) for v in np.argwhere(counts)}, analyze(s, world).fully_in_bounds
 

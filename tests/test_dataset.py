@@ -179,7 +179,7 @@ def test_sft_pairing_property(world):
         rec = build_sft_record(s, world)
         points_text = rec.user[len(PROMPT_TEMPLATE):]
         grid = parse_pointcloud(points_text, world)
-        assert np.array_equal(grid, rasterize(s, world).occupied)
+        assert np.array_equal(grid, rasterize(s, world) > 0)
 
 
 def test_grpo_record_perfect_fixture(world, perfect_fixture):
@@ -248,6 +248,10 @@ def test_convert_skips_and_logs(tmp_path, world, caplog):
         {"wrong_key": True},
         {"bricks": "garbage"},
         {"bricks": "2x2 (0,0,1)"},  # floating is fine, only feasibility gates
+        # Lines 6-8: bricks that are not text are unreadable, not unparsed.
+        {"bricks": ["2x4 (0,0,0)"]},
+        {"bricks": 5},
+        {"bricks": None},
     ])
     # Past the integer digit limit, and nested past the recursion limit.
     with src.open("a", encoding="utf-8") as f:
@@ -257,7 +261,10 @@ def test_convert_skips_and_logs(tmp_path, world, caplog):
         count = convert_corpus(str(src), str(dst), "sft", world)
     assert count == 2
     assert len(dst.read_text().splitlines()) == 2
-    assert len(caplog.records) == 5
+    assert len(caplog.records) == 8
+    messages = {r.getMessage().split(":")[0]: r.getMessage() for r in caplog.records}
+    for line in (6, 7, 8):
+        assert "unreadable record (bricks must be a string)" in messages[f"line {line}"]
 
 
 @pytest.mark.parametrize("end, count, skips", [("\r", 0, 1), ("\r\n", 2, 0)], ids=["CR", "CRLF"])

@@ -27,7 +27,7 @@ from helpers import random_structure
 
 
 def metrics_for(structure, world, wall_time_s=0.0):
-    target = rasterize(structure, world).occupied
+    target = rasterize(structure, world) > 0
     return sample_metrics(serialize_structure(structure), target, world, wall_time_s)
 
 

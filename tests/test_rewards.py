@@ -102,7 +102,7 @@ def test_shape_matches_oracle():
 
 
 def test_perfect_fixture_scores_ten(world, perfect_fixture):
-    target = rasterize(perfect_fixture, world).occupied
+    target = rasterize(perfect_fixture, world) > 0
     rb = score_completion(serialize_structure(perfect_fixture), target, world)
     assert (rb.r_col, rb.r_shape, rb.r_inter, rb.r_conn, rb.total) == (0.0, 5.0, 3.0, 2.0, 10.0)
     assert rb.feasible and rb.in_bounds and not rb.parse_failed
@@ -174,7 +174,7 @@ def test_self_iou_is_one(world):
     rng = np.random.default_rng(33)
     for _ in range(20):
         s = collision_free_structure(rng, world, 15)
-        target = rasterize(s, world).occupied
+        target = rasterize(s, world) > 0
         rb = score_completion(serialize_structure(s), target, world)
         assert rb.iou == 1.0 and rb.r_shape == 5.0
         assert rb.feasible
@@ -252,7 +252,7 @@ def test_one_brick_in_a_large_world_costs_its_cells_not_the_world():
     # rasterize returns the world's counts: one int64 grid (16 MiB here), allocated once.
     tracemalloc.start()
     try:
-        counts = rasterize(parse_structure("2x4 (3,5,0)")[0], world).counts
+        counts = rasterize(parse_structure("2x4 (3,5,0)")[0], world)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -46,7 +46,7 @@ WORLD = DEFAULT_WORLD
 
 
 def fixture_request(perfect_fixture, request_id="r1", **extra):
-    target = rasterize(perfect_fixture, WORLD).occupied
+    target = rasterize(perfect_fixture, WORLD) > 0
     req = {
         "id": request_id,
         "completion": serialize_structure(perfect_fixture),
@@ -82,7 +82,7 @@ def test_empty_completion(perfect_fixture):
 
 
 def test_target_points_transport(perfect_fixture):
-    target = rasterize(perfect_fixture, WORLD).occupied
+    target = rasterize(perfect_fixture, WORLD) > 0
     line = json.dumps({
         "id": "p",
         "completion": serialize_structure(perfect_fixture),
@@ -551,7 +551,7 @@ def dense_requests(n, prefix):
         seed += 1
         s = legalize(target, ConstructorOptions(stagger=True), WORLD)
         if 450 <= len(s) <= 700:
-            builds.append((serialize_structure(s), encode_target_voxels(rasterize(s, WORLD).occupied)))
+            builds.append((serialize_structure(s), encode_target_voxels(rasterize(s, WORLD) > 0)))
     return [
         json.dumps({"id": f"{prefix}-{i}", "completion": builds[i % 8][0], "target_voxels": builds[i % 8][1]})
         for i in range(n)
