@@ -55,9 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FOOTPRINT_SIDES, BrickStructure, WorldConfig, check_target_shape
-
-_GAP = FOOTPRINT_SIDES  # one more than the longest footprint side
+from .core import BrickStructure, WorldConfig, check_target_shape
 
 
 @dataclass(frozen=True)
@@ -82,15 +80,20 @@ class StructureAnalysis:
 class _Geometry:
     """Per-structure arrays shared by the analysis passes.
 
-    They are built from a structure's columns. Anchors are
-    clamped to the world extent with np.minimum and then cast to int64:
-    everything at or past the upper bound is outside the world either
-    way, so clamping keeps clipped-footprint semantics, and it is exact
-    on object columns too, whose huge anchors come down to the bound.
-    Layers are ranked instead, by _close_gaps with a gap of 2, from key
-    2 up: adjacent layers keep adjacent keys and farther ones are two
-    apart, so support stays exact for far-away layers and they never
-    alias.
+    They are built from a structure's columns. Anchors are clamped to
+    the world extent with np.minimum: everything at or past the upper
+    bound is outside the world either way, so clamping keeps
+    clipped-footprint semantics, and huge anchors come down to the bound.
+    Layers are ranked instead, by _close_gaps, from key 2 up: adjacent
+    layers keep adjacent keys and farther ones are two apart, so support
+    stays exact for far-away layers and they never alias.
+
+    One exactness rule holds for the clamped anchors, in-world layers,
+    cell columns, cell keys and voxel indices, all below dim_x * dim_y *
+    k * max(layer span, dim_z) for k structures: int64 while that bound
+    is below 2**63, else Python ints in object arrays, which sort,
+    subtract and search exactly. So a world of any size is analyzed
+    exactly. Footprint sides and layer keys stay int64.
 
     Every footprint cell inside the world's x/y extent is one entry of
     the flat cell arrays, in brick order, whatever the brick's layer:
@@ -107,20 +110,21 @@ class _Geometry:
 
     def __init__(self, columns: np.ndarray, world: WorldConfig, structure: np.ndarray | None = None):
         dim_x, dim_y, dim_z = world.shape
-        h, w, x, y, z = columns.T
-        hs = h.astype(np.int64, copy=False)
-        ws = w.astype(np.int64, copy=False)
-        self.n = hs.size
+        self.n = len(columns)
         self.world = world
-        x0 = np.minimum(x, dim_x).astype(np.int64, copy=False)
-        y0 = np.minimum(y, dim_y).astype(np.int64, copy=False)
-        ch = np.minimum(x0 + hs, dim_x) - x0
-        cw = np.minimum(y0 + ws, dim_y) - y0
-
-        self.layer = _close_gaps(z, 2) + 2
+        self.layer = _close_gaps(columns[:, 4]) + 2
         self.layer_span = int(self.layer.max(initial=1)) + 1
+        k = 1 if structure is None else int(structure.max(initial=0)) + 1
+        dtype = np.int64 if dim_x * dim_y * k * max(self.layer_span, dim_z) < 1 << 63 else object
+        h, w, x, y, z = (columns if dtype is np.int64 else columns.astype(object)).T
+        hs, ws = h.astype(np.int64, copy=False), w.astype(np.int64, copy=False)
+        x0 = np.minimum(x, dim_x).astype(dtype, copy=False)
+        y0 = np.minimum(y, dim_y).astype(dtype, copy=False)
+        ch = np.minimum(hs, dim_x - x0).astype(np.int64, copy=False)
+        cw = np.minimum(ws, dim_y - y0).astype(np.int64, copy=False)
+
         # Each brick's layer in the world, or -1 outside it.
-        self.z = zc = np.where((0 <= z) & (z < dim_z), z, -1).astype(np.int64, copy=False)
+        self.z = zc = np.where((0 <= z) & (z < dim_z), z, -1).astype(dtype, copy=False)
         self.ground = zc == 0
 
         # Cell i of a brick's clipped ch x cw footprint is (x0 + i // cw, y0 + i % cw).
@@ -133,12 +137,10 @@ class _Geometry:
         dx = i // cw
         dy = i - dx * cw
         column = (x0[brick] + dx) * dim_y + y0[brick] + dy
-        column_span = dim_x * dim_y
         if structure is not None:
-            column += structure[brick] * column_span
-            column_span *= int(structure.max(initial=0)) + 1
+            column += structure[brick].astype(dtype, copy=False) * (dim_x * dim_y)
         self.brick, self.column = brick, column
-        self.key_span = column_span * self.layer_span  # every cell key is below it
+        self.key_span = dim_x * dim_y * k * self.layer_span  # every cell key is below it
         self._offsets = dx, dy, ch, cw
 
     @property
@@ -168,7 +170,7 @@ class _Geometry:
         the run just before it, when that run's key is one less. Keys
         below 2**16 (key_span bounds them) sort as uint16, which numpy's
         stable sort runs as a radix sort; larger ones, as in most chunks,
-        by an int64 argsort. No result depends on the order within a run.
+        by an argsort. No result depends on the order within a run.
         """
         key = self.column * self.layer_span + self.layer[self.brick]
         order = np.argsort(key.astype(np.uint16), kind="stable") if self.key_span <= 1 << 16 else np.argsort(key)
@@ -319,7 +321,7 @@ def _cell_pass(
     vsid = None
     if sid is not None:
         vsid = sid[head[voxel]]
-        flat -= vsid * world.n_voxels
+        flat -= vsid.astype(flat.dtype, copy=False) * world.n_voxels
     # A run that goes on past its first cell is a colliding voxel.
     collides = ~np.append(starts, True)[1:][starts]
 
@@ -364,10 +366,11 @@ def _seam_coverage(geom: _Geometry, cells: tuple, voxel: np.ndarray, vz: np.ndar
                    flat: np.ndarray, vsid: np.ndarray | None, k: int) -> list[float]:
     """Per structure, the share of its seams that are covered (1.0 with none).
 
-    A voxel's neighbor is found by a binary search of the voxel keys, and
-    the cover of a seam in the next run, the voxel above. When no two
-    bricks share a cell, a voxel whose brick goes on to the neighbor is
-    no seam, so it is not searched.
+    A voxel's neighbor is found by a binary search of the voxel keys (an
+    int64 key searched past the last row may wrap below 0, matching no
+    key), and the cover of a seam in the next run, the voxel above. When
+    no two bricks share a cell, a voxel whose brick goes on to the
+    neighbor is no seam, so it is not searched.
     """
     dim_x, dim_y, dim_z = geom.world.shape
     key, brick, order, starts = cells
@@ -408,18 +411,18 @@ def _count(flags: np.ndarray, ids: np.ndarray | None, k: int) -> list[int]:
     return np.bincount(ids[flags], minlength=k).tolist()
 
 
-def _close_gaps(values: np.ndarray, gap: int) -> np.ndarray:
-    """The int64 rank of each value with every gap between consecutive distinct values capped at gap.
+def _close_gaps(values: np.ndarray) -> np.ndarray:
+    """The int64 rank of each value with every gap between consecutive distinct values capped at 2.
 
-    The smallest value maps to 0, and values less than gap apart keep
-    their distance. It is exact on object arrays of Python ints too: they
-    sort and subtract as integers, and no rank exceeds gap times the
-    number of distinct values.
+    The smallest value maps to 0, and consecutive values keep their
+    distance of 1. It is exact on object arrays of Python ints too: they
+    sort and subtract as integers, and no rank exceeds twice the number
+    of distinct values.
     """
     distinct = np.sort(values)
     distinct = distinct[_firsts(distinct)]
     small = np.zeros(distinct.size, dtype=np.int64)
-    small[1:] = np.minimum(np.diff(distinct), gap)
+    small[1:] = np.minimum(np.diff(distinct), 2)
     return np.cumsum(small)[np.searchsorted(distinct, values)]
 
 
@@ -429,18 +432,14 @@ def interlock_score(
     """Fraction of non-ground bricks resting on two or more distinct supports.
 
     With a world given, footprints are clipped to it, as in analyze().
-    Without one, it is the score in a world where nothing clips: x and y
-    anchors keep their overlaps but have wide gaps closed, and the world
-    is just large enough to hold every footprint whole. It is one layer
-    tall, which leaves the ground at z = 0, and support between layers
-    outside it is exact whatever their distance.
+    Without one, it is the score in a world where nothing clips: the
+    smallest world that holds every footprint whole, one layer tall,
+    which leaves the ground at z = 0. Support is exact whatever the
+    anchors and however far apart the layers (see _Geometry).
     """
     if world is None:
-        h, w, x, y, z = structure.columns.T
-        # Footprints a gap of _GAP or more apart never overlap, so overlaps are kept.
-        x, y = _close_gaps(x, _GAP), _close_gaps(y, _GAP)
-        world = WorldConfig(int((x + h).max(initial=1)), int((y + w).max(initial=1)), 1)
-        structure = BrickStructure._from_columns(np.stack((h, w, x, y, z), axis=1))
+        h, w, x, y, _ = structure.columns.astype(object).T
+        world = WorldConfig((x + h).max(initial=1), (y + w).max(initial=1), 1)
     return _cell_pass([structure], world, full=False)[0][0].interlock_score
 
 

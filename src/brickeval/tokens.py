@@ -217,6 +217,12 @@ def _parse_plain_points(text: str, world: WorldConfig) -> np.ndarray | None:
     return grid
 
 
+def _excerpt(text: str) -> str:
+    """The stripped text quoted, cut to its first 40 characters and followed by its length when longer."""
+    text = text.strip()
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+
+
 def parse_pointcloud(text: str, world: WorldConfig = DEFAULT_WORLD) -> np.ndarray:
     """Parse a comma-separated (x,y,z) list into a boolean world grid.
 
@@ -237,9 +243,9 @@ def parse_pointcloud(text: str, world: WorldConfig = DEFAULT_WORLD) -> np.ndarra
         gap = text[pos : m.start()]
         if first:
             if gap.strip():
-                raise MalformedPointToken(f"unexpected text before points: {gap.strip()!r}")
+                raise MalformedPointToken(f"unexpected text before points: {_excerpt(gap)}")
         elif _SEPARATOR_RE.fullmatch(gap) is None:
-            raise MalformedPointToken(f"expected a comma between points, got {gap.strip()!r}")
+            raise MalformedPointToken(f"expected a comma between points, got {_excerpt(gap)}")
         first = False
         try:
             x, y, z = (int(g) for g in m.groups())
@@ -254,7 +260,7 @@ def parse_pointcloud(text: str, world: WorldConfig = DEFAULT_WORLD) -> np.ndarra
         pos = m.end()
     tail = text[pos:]
     if first or tail.strip():
-        raise MalformedPointToken(f"not a point list: {tail.strip()!r}")
+        raise MalformedPointToken(f"not a point list: {_excerpt(tail)}")
     return grid
 
 

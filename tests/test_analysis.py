@@ -521,6 +521,29 @@ def test_huge_anchors_do_not_crash(world):
     assert a.n_col == 0
 
 
+def test_cell_keys_across_2_63_stay_exact():
+    # Three 1x1 bricks stacked on layers 0 to 2 at columns near 2**63 // 5:
+    # with a layer span of 5, the cell keys of column 2**63 // 5 lie on
+    # either side of 2**63, and those of the columns around it on one side.
+    world = WorldConfig(3 * 2**31, 3 * 2**31, 4)
+    for dc in range(-2, 3):
+        x, y = divmod(2**63 // 5 + dc, world.dim_y)
+        s = struct(*[(1, 1, x, y, z) for z in range(3)])
+        assert vars(analyze(s, world)) == oracle_analysis(s, world), dc
+        assert interlock_score(s, world) == oracle_interlock(s, world), dc
+
+
+@pytest.mark.parametrize("size", [2**63, 2**64])
+@pytest.mark.parametrize("axis", range(3))
+def test_world_dimension_past_int64(axis, size):
+    shape = [20, 20, 20]
+    shape[axis] = size
+    world = WorldConfig(*shape)
+    s = struct((1, 2, 0, 0, 0), (1, 2, 0, 1, 1), (2, 2, 1, 0, 0))
+    assert vars(analyze(s, world)) == oracle_analysis(s, world)
+    assert interlock_score(s, world) == oracle_interlock(s, world)
+
+
 def test_small_world(world):
     # Same structure, tighter world: clipping changes the verdicts.
     tiny = WorldConfig(6, 6, 6)

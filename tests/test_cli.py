@@ -145,6 +145,27 @@ def test_target_for_another_world_names_the_codec_error(tmp_path, capsys, comman
     assert "neither an encoded grid (expected 8000 voxel bytes, got 1000) nor a point list (" in err
 
 
+@pytest.mark.parametrize("command", ["score", "construct", "eval"])
+def test_long_bad_point_list_is_quoted_short(tmp_path, capsys, command):
+    # A target of a million "x" is no point list: the error line quotes
+    # its start and gives its length, and does not echo it whole.
+    text = "x" * 1_000_000
+    tfile = tmp_path / "t.txt"
+    cfile = tmp_path / "c.txt"
+    cfile.write_text("1x1 (0,0,0)")
+    if command == "eval":
+        tfile.write_text(json.dumps({"completion": "1x1 (0,0,0)", "target_points": text}) + "\n")
+        argv = ["eval", "--pairs", str(tfile)]
+    else:
+        tfile.write_text(text)
+        argv = (["score", "--target", str(tfile), "--completion", str(cfile)] if command == "score"
+                else ["construct", "--grid", str(tfile)])
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.endswith("\n") and len(err.encode()) < 1024
+    assert "not a point list: 'xxxx" in err and "(1000000 characters)" in err
+
+
 # ----------------------------------------------------------------------- eval
 
 
