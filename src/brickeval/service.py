@@ -26,7 +26,9 @@ worker finishes, or once 32 have gathered, so a stream under load pays
 for few, large chunks. A worker reads each line of a chunk on its own
 and hands the completions to rewards.score_completions, which parses
 each of them and analyzes all of the chunk's structures in one batched
-pass; every response is the one handle_request_line gives. A lone
+pass; every response is the one handle_request_line gives. If that
+batched call raises, its traceback goes to stderr once and every line
+of the chunk is answered by handle_request_line itself. A lone
 request while none of its stream's requests is at a worker is scored
 in the serving process instead. Responses may then leave in a
 different order than the requests arrived; ids are the correlation key.
@@ -157,24 +159,20 @@ def read_lines(stream: BinaryIO, world: WorldConfig) -> Iterator[bytes]:
 def _handle_chunk(world: WorldConfig, lines: list[str | bytes]) -> list[str]:
     """handle_request_line's response to each line, with the lines' completions scored together.
 
-    Each line is read as handle_request_line reads it; score_completions
-    then parses and scores the completions of all readable lines in one
-    call, which analyzes them in one pass. If that call raises,
-    its traceback goes to stderr and each of its lines is answered by
-    handle_request_line.
+    Each line is read once, as handle_request_line reads it;
+    score_completions then parses and scores the completions of all
+    readable lines in one call, which analyzes them in one pass. If that
+    call raises, its traceback goes to stderr once and every line of the
+    chunk is answered by handle_request_line.
     """
-    responses = [_read_request(line, world) for line in lines]
-    scored = [i for i, request in enumerate(responses) if not isinstance(request, str)]
+    requests = [_read_request(line, world) for line in lines]
+    scored = [request for request in requests if not isinstance(request, str)]
     try:
-        breakdowns = score_completions([responses[i][1] for i in scored],
-                                       [responses[i][2] for i in scored], world)
+        breakdowns = iter(score_completions([r[1] for r in scored], [r[2] for r in scored], world))
     except Exception:
         traceback.print_exc()
-        breakdowns = None
-    for k, i in enumerate(scored):
-        responses[i] = (handle_request_line(lines[i], world) if breakdowns is None
-                        else _response(responses[i][0], breakdowns[k]))
-    return responses
+        return [handle_request_line(line, world) for line in lines]
+    return [r if isinstance(r, str) else _response(r[0], next(breakdowns)) for r in requests]
 
 
 def _worker_init() -> None:
@@ -227,14 +225,14 @@ def serve_lines(
     number of processes), or when _worker_count(threads) > 1, lines are
     scored in worker processes and responses are written as they finish.
     """
+    lines = (line for line in lines if line.strip())
     if workers is not None:
         _pump(lines, write_line, world, *workers)
         return
     count = _worker_count(threads)
     if count <= 1:
         for line in lines:
-            if line.strip():
-                write_line(handle_request_line(line, world))
+            write_line(handle_request_line(line, world))
         return
     pool = start_workers(count)
     try:
@@ -284,15 +282,14 @@ def _pump(
     def read() -> None:
         try:
             for line in lines:
-                if line.strip():
-                    with room:
-                        room.wait_for(lambda: stopping.is_set() or not held[0] or held[0] < _MAX_PENDING
-                                      and held[1] + len(line) <= _MAX_PENDING_BYTES)
-                        held[0] += 1
-                        held[1] += len(line)
-                    if stopping.is_set():
-                        return
-                    events.put(("line", line))
+                with room:
+                    room.wait_for(lambda: stopping.is_set() or not held[0] or held[0] < _MAX_PENDING
+                                  and held[1] + len(line) <= _MAX_PENDING_BYTES)
+                    held[0] += 1
+                    held[1] += len(line)
+                if stopping.is_set():
+                    return
+                events.put(("line", line))
         except BaseException as exc:  # re-raised by the writer once in-flight lines are answered
             events.put(("end", exc))
         else:
@@ -349,19 +346,6 @@ def _pump(
         raise error
 
 
-def serve_stdio(world: WorldConfig = DEFAULT_WORLD, threads: int = 1) -> int:
-    """Serve requests from stdin to stdout until end of input."""
-    out = sys.stdout
-
-    def write_line(text: str) -> None:
-        out.write(text + "\n")
-        out.flush()
-
-    serve_lines(read_lines(sys.stdin.buffer, world), write_line, world, threads)
-    out.flush()
-    return 0
-
-
 class RewardTCPServer(socketserver.ThreadingTCPServer):
     """One scoring stream per connection; responses stay on their connection.
 
@@ -410,7 +394,12 @@ def serve_rewards(
 ) -> int:
     """Run the service until end of input (stdio) or interrupt (tcp)."""
     if transport == "stdio":
-        return serve_stdio(world, threads)
+        def write_line(text: str) -> None:
+            sys.stdout.write(text + "\n")
+            sys.stdout.flush()
+
+        serve_lines(read_lines(sys.stdin.buffer, world), write_line, world, threads)
+        return 0
     if transport == "tcp":
         with RewardTCPServer((host, port), world, threads) as server:
             print(f"listening on {server.server_address[0]}:{server.server_address[1]}",

@@ -173,7 +173,7 @@ def parse_structure(text: str) -> tuple[BrickStructure, ParseReport]:
             tokens = [(t, _BRICK_RE.fullmatch(t)) for t in map(str.strip, _split_top_level(line))]
         for token, m in tokens:
             if m is None:
-                reason = f"not a brick token: {token!r}" if token else "empty brick token"
+                reason = f"not a brick token: {_excerpt(token)}" if token else "empty brick token"
                 malformed.append(MalformedEntry(line_number, token, reason))
                 continue
             try:

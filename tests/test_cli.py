@@ -84,6 +84,18 @@ def test_parse_prints_exact_tokens_past_int64(tmp_path, capsys):
     assert rec["bricks"] == [f"1x2 ({2**63},0,0)", f"2x2 (5,{10**30},{2**64 + 1})"]
 
 
+def test_long_bad_brick_token_is_reported_once(tmp_path, capsys):
+    # The report gives a malformed token whole once, as its text; its reason
+    # quotes the start and the length, so the report stays near the input's size.
+    f = tmp_path / "c.txt"
+    f.write_text("x" * 1_000_000)
+    code, out, _ = run(capsys, "parse", "--completion", str(f))
+    assert code == 0
+    assert len(out.encode()) < 1.01 * 1_000_000
+    (entry,) = json.loads(out)["malformed_lines"]
+    assert entry[1] == "x" * 1_000_000 and "(1000000 characters)" in entry[2]
+
+
 def test_parse_missing_file(tmp_path, capsys):
     code, _, err = run(capsys, "parse", "--completion", str(tmp_path / "nope.txt"))
     assert code == 2 and "error:" in err

@@ -71,7 +71,7 @@ from brickeval.rewards import CHUNK_SIZE, RewardBreakdown, reward_breakdown, sco
 from brickeval.service import serve_lines
 from helpers import collision_free_structure, oracle_analysis, oracle_counts, random_structure
 
-GOLDEN_SHA256 = "d57de0963abcbb4bed8dac3b0bfacc6f4d762073e3fdaa1b482118c9276729b6"
+GOLDEN_SHA256 = "635128ce22910283d94fbaa4666ee594c2b2a4cd140c14014bec3cfc5e40b1e3"
 CONVERT_SHA256 = "3b35cb65588de58c2eb4dad20a20ac3152744e521813f5650dd0b5ee91e175cb"
 
 WORLDS = (DEFAULT_WORLD, WorldConfig(7, 70, 3), WorldConfig(5, 7, 3))

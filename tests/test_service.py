@@ -288,12 +288,14 @@ def test_sequential_serving_preserves_order(perfect_fixture):
 
 def test_threaded_serving_matches_sequential(perfect_fixture, monkeypatch):
     lines = request_batch(perfect_fixture, 40)
+    for i, blank in enumerate(["", "   ", "\t\r\n", b"\n"]):
+        lines.insert(11 * i, blank)  # blank lines get no response at any worker count
     seq, par = [], []
     serve_lines(iter(lines), seq.append, WORLD, threads=1)
     monkeypatch.setattr(service, "_MAX_PENDING", 8)
     serve_lines(iter(lines), par.append, WORLD, threads=4)
     assert sorted(par) == sorted(seq)
-    assert len(par) == 40
+    assert len(par) == len(seq) == 40
 
 
 def stalled_intake(perfect_fixture, n, at_least):

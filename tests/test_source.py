@@ -1,4 +1,5 @@
-"""The program's source: every imported name is read, but for perfbench's hooks."""
+"""The program's source: every imported name is read, but for perfbench's hooks,
+and every top-level definition is read or exported."""
 
 import ast
 from pathlib import Path
@@ -14,6 +15,12 @@ WRAPPED_BY_PERFBENCH = {
     ("metrics", "reward_shape"),
     ("rewards", "analyze_with_occupancy"),
 }
+PACKAGE = Path(brickeval.__file__).parent
+
+
+def read_names(tree: ast.AST) -> set[str]:
+    """The names a module reads."""
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
 
 
 def unread_imports(source: str) -> set[str]:
@@ -25,16 +32,34 @@ def unread_imports(source: str) -> set[str]:
             imported.update(alias.asname or alias.name for alias in node.names)
         elif isinstance(node, ast.Import):
             imported.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
-    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    return imported - read
+    return imported - read_names(tree)
+
+
+def unread_definitions(sources: dict[str, str], exported: set[str]) -> set[tuple[str, str]]:
+    """(module, name) of each top-level function or class of the modules but
+    __init__ and __main__ that no module reads and the package does not export."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set().union(*map(read_names, trees.values()))
+    return {
+        (module, node.name)
+        for module, tree in trees.items()
+        if module not in ("__init__", "__main__")
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in read and node.name not in exported
+    }
 
 
 def test_every_import_is_read_but_perfbench_hooks():
-    package = Path(brickeval.__file__).parent
     unread = {
         (path.stem, name)
-        for path in sorted(package.glob("*.py"))
+        for path in sorted(PACKAGE.glob("*.py"))
         if path.name != "__init__.py"
         for name in unread_imports(path.read_text(encoding="utf-8"))
     }
     assert unread == WRAPPED_BY_PERFBENCH
+
+
+def test_every_definition_is_read_or_exported():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert unread_definitions(sources, set(brickeval.__all__)) == set()

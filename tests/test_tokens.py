@@ -79,6 +79,14 @@ def test_parse_brick_line_rejects(text):
         assert r.empty_response == (text == "")
 
 
+def test_long_bad_brick_token_keeps_its_text_and_quotes_it_short():
+    token = "x" * 1000
+    _, r = parse_structure(token)
+    (entry,) = r.malformed_lines
+    assert entry.text == token
+    assert len(entry.reason) < 100 and "(1000 characters)" in entry.reason
+
+
 def test_parse_brick_line_unknown_dimension():
     for s, r in one_token_parses("3x5 (0,0,0)"):
         assert len(s) == 0 and not r.parsed_ok
