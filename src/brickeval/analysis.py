@@ -31,12 +31,15 @@ is a join on those cells (sorted by column and layer, by a radix sort
 when every key fits in 16 bits, as one structure's keys in a 20^3
 world do unless it spans many layers; the cells under a cell are the
 run of equal keys just before it, and a run is joined to that run as
-a star, so stacked copies cost their cells), components come from
-hooking and pointer jumping over the support edges, voxels
-are the runs of equal keys among the sorted cells, and a seam's
-neighbor is found by a binary search of the voxel keys. The bricks come
-in as the structure's columns, its one stored form, so no pass loops
-over bricks in Python and none builds a Brick.
+a star, so stacked copies cost their cells). The join's edges are
+kept as they come, repeats and all: components come from hooking and
+pointer jumping over them, which repeats do not change, and whether a
+brick rests on one brick or on two or more comes from the least and
+greatest brick under it. Voxels are the runs of equal keys among the
+sorted cells, and a seam's neighbor is found by a binary search of the
+voxel keys. The bricks come in as the structure's columns, its one
+stored form, so no pass loops over bricks in Python and none builds a
+Brick.
 
 One pass computes every analysis, the empty build's included:
 analyze, analyze_with_occupancy and interlock_score run it on one
@@ -134,12 +137,12 @@ class _Geometry:
         brick = np.repeat(np.arange(self.n), count)
         i = np.arange(brick.size) - np.repeat(np.cumsum(count) - count, count)
         cw = cw[brick]
-        dx = i // cw
-        dy = i - dx * cw
-        column = (x0[brick] + dx) * dim_y + y0[brick] + dy
+        dx, dy = np.divmod(i, cw)
+        base = x0 * dim_y + y0  # each brick's first column
         if structure is not None:
-            column += structure[brick].astype(dtype, copy=False) * (dim_x * dim_y)
-        self.brick, self.column = brick, column
+            base += structure.astype(dtype, copy=False) * (dim_x * dim_y)
+        self.brick = brick
+        self.column = base[brick] + dx.astype(dtype, copy=False) * dim_y + dy
         self.key_span = dim_x * dim_y * k * self.layer_span  # every cell key is below it
         self._offsets = dx, dy, ch, cw
 
@@ -162,33 +165,40 @@ class _Geometry:
         voxel = z >= 0
         return self.column[voxel] * self.world.dim_z + z[voxel]
 
-    def sorted_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The cells' keys (column, then layer key) in ascending order, their bricks, that order, and run starts.
+    def sorted_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]:
+        """The cells' keys (column, then layer key) in ascending order, their bricks, that order, run starts, and whether every run is one cell.
 
         A run of equal keys holds the bricks colliding on one cell, and
-        starts flags its first cell. The cells one layer below a run are
-        the run just before it, when that run's key is one less. Keys
-        below 2**16 (key_span bounds them) sort as uint16, which numpy's
-        stable sort runs as a radix sort; larger ones, as in most chunks,
-        by an argsort. No result depends on the order within a run.
+        starts flags its first cell; when no two bricks share a cell,
+        every run is one cell and the passes skip their per-run steps.
+        The cells one layer below a run are the run just before it, when
+        that run's key is one less. Keys below 2**16 (key_span bounds
+        them) sort as uint16, which numpy's stable sort runs as a radix
+        sort; larger ones, as in most chunks, by an argsort. No result
+        depends on the order within a run.
         """
         key = self.column * self.layer_span + self.layer[self.brick]
         order = np.argsort(key.astype(np.uint16), kind="stable") if self.key_span <= 1 << 16 else np.argsort(key)
         key = key[order]
-        return key, self.brick[order], order, _firsts(key)
+        starts = _firsts(key)
+        return key, self.brick[order], order, starts, bool(starts.all())
 
-    def support(self, cells: tuple | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Distinct support edges (upper brick, lower brick), sorted, and which bricks are crowded.
+    def support(self, cells: tuple | None = None) -> tuple[np.ndarray, ...]:
+        """Support edges (upper brick, lower brick), each brick's least and greatest brick below, and which bricks are crowded.
 
         From sorted_cells() if given. A run of bricks on one cell that rests
         on the run below is joined to it as a star: every upper cell to the
         first lower cell, the first upper cell to every lower cell. The
-        components are exact, and a brick rests on two or more bricks iff it
-        has two edges or is crowded: some cell of it has two or more under it.
+        edges come as the join makes them, so one may repeat (a brick
+        resting on another over several cells); the components are exact
+        all the same. A brick's bounds are n and -1 when it rests on
+        nothing. It rests on one brick or more iff its greatest is at
+        least 0, and on two or more iff its least is below its greatest
+        or it is crowded: some cell of it has two or more under it.
         """
-        key, brick, _, starts = cells or self.sorted_cells()
+        key, brick, _, starts, single = cells or self.sorted_cells()
         crowded = np.zeros(self.n, dtype=bool)
-        if starts.all():
+        if single:
             stacked = key[1:] - key[:-1] == 1
             upper, lower = brick[1:][stacked], brick[:-1][stacked]
         else:
@@ -204,10 +214,11 @@ class _Geometry:
             offset = np.repeat(first[below] - (np.cumsum(take) - take), take)
             upper = np.repeat(brick, take)
             lower = brick[offset + np.arange(offset.size)]
-        bits = max(self.n - 1, 1).bit_length()
-        edge = np.sort((upper << bits) | lower)
-        edge = edge[_firsts(edge)]
-        return edge >> bits, edge & ((1 << bits) - 1), crowded
+        least = np.full(self.n, self.n)
+        greatest = np.full(self.n, -1)
+        np.minimum.at(least, upper, lower)
+        np.maximum.at(greatest, upper, lower)
+        return upper, lower, least, greatest, crowded
 
 
 def _firsts(values: np.ndarray) -> np.ndarray:
@@ -299,13 +310,12 @@ def _cell_pass(
         geom = _Geometry(np.concatenate([s.columns for s in structures]), world, sid)
 
     cells = geom.sorted_cells()
-    key, brick, _, starts = cells
-    upper, lower, crowded = geom.support(cells)
-    supported = np.bincount(upper, minlength=n)
+    _, brick, order, starts, single = cells
+    upper, lower, least, greatest, crowded = geom.support(cells)
     nonground = ~geom.ground
     # When every brick off the ground rests on one below it, every brick is
     # grounded by induction on the layer, and only is_connected reads the labels.
-    all_grounded = (supported[nonground] > 0).all()
+    all_grounded = (greatest[nonground] >= 0).all()
     label = _components(n, upper, lower) if full or not all_grounded else None
     grounded = None
     if not all_grounded:
@@ -313,27 +323,27 @@ def _cell_pass(
         root[label[geom.ground]] = True
         grounded = root[label]
 
-    head = brick[starts]  # one brick of each run
+    # One cell of each run: its brick and its place in cell order.
+    head, cell = (brick, order) if single else (brick[starts], order[starts])
     z = geom.z[head]
     voxel = z >= 0
     vz = z[voxel]
-    flat = key[starts][voxel] // geom.layer_span * world.dim_z + vz
+    flat = geom.column[cell[voxel]] * world.dim_z + vz
     vsid = None
     if sid is not None:
         vsid = sid[head[voxel]]
         flat -= vsid.astype(flat.dtype, copy=False) * world.n_voxels
-    # A run that goes on past its first cell is a colliding voxel.
-    collides = ~np.append(starts, True)[1:][starts]
 
     occupied = [vz.size] if sid is None else np.bincount(vsid, minlength=k).tolist()
-    n_col = _count(collides[voxel], vsid, k)
+    # A run that goes on past its first cell is a colliding voxel.
+    n_col = [0] * k if single else _count(~np.append(starts, True)[1:][starts][voxel], vsid, k)
     if grounded is None:
         disconnected = [0] * k
     else:
-        alone = ~np.logical_or.reduceat(grounded[brick], np.flatnonzero(starts))[voxel]
-        disconnected = _count(alone, vsid, k)
+        covered = grounded[brick] if single else np.logical_or.reduceat(grounded[brick], np.flatnonzero(starts))
+        disconnected = _count(~covered[voxel], vsid, k)
     clipped = _count(~geom.in_bounds, sid, k)
-    interlocked = _count(((supported >= 2) | crowded) & nonground, sid, k)
+    interlocked = _count(((least < greatest) | crowded) & nonground, sid, k)
     off_ground = _count(nonground, sid, k)
     if full:
         # A label is the lowest brick index in its component, so a structure is
@@ -373,15 +383,14 @@ def _seam_coverage(geom: _Geometry, cells: tuple, voxel: np.ndarray, vz: np.ndar
     neighbor is no seam, so it is not searched.
     """
     dim_x, dim_y, dim_z = geom.world.shape
-    key, brick, order, starts = cells
-    first = np.flatnonzero(starts)
-    single = first.size == key.size
+    key, brick, order, starts, single = cells
+    first = None if single else np.flatnonzero(starts)
 
     def per_voxel(values: np.ndarray, reduce: np.ufunc) -> np.ndarray:
         """Per voxel, values (in key order) reduced over its run."""
         return (values if single else reduce.reduceat(values, first))[voxel]
 
-    vkey = key[first][voxel]
+    vkey = (key if single else key[first])[voxel]
     owner = per_voxel(brick, np.minimum)
     below_top = vz < dim_z - 1
     total, covered = [], []
@@ -419,11 +428,12 @@ def _close_gaps(values: np.ndarray) -> np.ndarray:
     sort and subtract as integers, and no rank exceeds twice the number
     of distinct values.
     """
-    distinct = np.sort(values)
-    distinct = distinct[_firsts(distinct)]
-    small = np.zeros(distinct.size, dtype=np.int64)
-    small[1:] = np.minimum(np.diff(distinct), 2)
-    return np.cumsum(small)[np.searchsorted(distinct, values)]
+    order = np.argsort(values, kind="stable")
+    step = np.zeros(values.size, dtype=np.int64)
+    step[1:] = np.minimum(np.diff(values[order]), 2)
+    rank = np.empty(values.size, dtype=np.int64)
+    rank[order] = np.cumsum(step)
+    return rank
 
 
 def interlock_score(
@@ -449,7 +459,8 @@ def _components(n: int, upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
     Each round hooks the larger of two differing labels on an edge onto
     the smaller, then jumps every pointer twice; a label never grows, so
     the rounds end, and then each label is the lowest brick index of its
-    component.
+    component. An edge may repeat: hooking twice on one edge is hooking
+    once.
     """
     label = np.arange(n)
     while True:

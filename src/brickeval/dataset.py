@@ -107,7 +107,11 @@ def encode_target_voxels(grid: np.ndarray) -> str:
 
 
 def decode_target_voxels(s: str, world: WorldConfig = DEFAULT_WORLD) -> np.ndarray:
-    """Exact inverse of encode_target_voxels for the given world size."""
+    """Exact inverse of encode_target_voxels for the given world size.
+
+    The grid is a read-only bool view of the inflated bytes, which are
+    checked to be 0 or 1 first: it is never copied.
+    """
     try:
         compressed = base64.b64decode(s, validate=True)
     except (binascii.Error, ValueError) as exc:
@@ -128,7 +132,7 @@ def decode_target_voxels(s: str, world: WorldConfig = DEFAULT_WORLD) -> np.ndarr
     flat = np.frombuffer(raw, dtype=np.uint8)
     if flat.max(initial=0) > 1:
         raise BadValue("voxel bytes must be 0 or 1")
-    return flat.reshape(world.shape).astype(bool)
+    return flat.reshape(world.shape).view(bool)
 
 
 @dataclass(frozen=True)

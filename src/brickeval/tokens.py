@@ -58,18 +58,23 @@ _BRICK_RE = re.compile(
 # header line, parses exactly as it would line by line: every token is a
 # brick and nothing is rejected unless a dimension is unknown. It is
 # checked with one full match and its integers are read in one pass.
-_PLAIN_TOKEN = r"\d{1,9}+x\d{1,9}+[ \t]*+\(\d{1,9}+[ \t]*+,[ \t]*+\d{1,9}+[ \t]*+,[ \t]*+\d{1,9}+\)"
+_PLAIN_TOKEN = r"[0-9]{1,9}+x[0-9]{1,9}+[ \t]*+\([0-9]{1,9}+[ \t]*+,[ \t]*+[0-9]{1,9}+[ \t]*+,[ \t]*+[0-9]{1,9}+\)"
 # Every repeat is possessive, which keeps the language. Each run of one
 # class (spaces and tabs, digits, the blank lines before the header) is
 # followed by a pattern that cannot start with a character of that
-# class, and a token, line body or line given back would leave a ",", a
-# digit or a "\n" where only "\n" or the end of the text may follow. So
-# the texts accepted and the header span are those of plain repeats. A
-# possessive repeat keeps no backtracking state per iteration (a plain
-# line repeat holds about 1.2 KiB a line) and is faster to run.
+# class, and a token, line body or "\n"-led line given back would leave
+# a ",", a digit or a "\n" where only "\n" or the end of the text may
+# follow. So the texts accepted and the header span are those of plain
+# repeats. A possessive repeat keeps no backtracking state per iteration
+# (a plain line repeat holds about 1.2 KiB a line) and is faster to run.
+# Digits are the range [0-9], the same class as \d under re.ASCII, which
+# the regex engine tests faster than the digit category. The lines are
+# LINE(\nLINE)*, not (LINE\n)*LINE: the latter matches the last line
+# twice, first as a repeat that fails at the end of the text, and a
+# one-line completion, as a comma-inline one is, is all last line.
 _PLAIN_LINE = rf"[ \t]*+(?:{_PLAIN_TOKEN}(?:[ \t]*+,[ \t]*+{_PLAIN_TOKEN})*+[ \t]*+)?+"
 _PLAIN_RE = re.compile(
-    rf"([ \t\n]*+{re.escape(OUTPUT_HEADER)}[ \t]*+\n)?(?:{_PLAIN_LINE}\n)*+{_PLAIN_LINE}", re.ASCII
+    rf"([ \t\n]*+{re.escape(OUTPUT_HEADER)}[ \t]*+\n)?{_PLAIN_LINE}(?:\n{_PLAIN_LINE})*+", re.ASCII
 )
 _PLAIN_SEPARATORS = str.maketrans("x(),\t\n", "      ")
 _POINT_RE = re.compile(r"\((\d+)\s*,\s*(\d+)\s*,\s*(\d+)\)", re.ASCII)

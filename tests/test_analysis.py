@@ -1,5 +1,6 @@
 """Rasterization, collisions, connectivity, interlock, and seam coverage."""
 
+import json
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -27,6 +28,7 @@ from brickeval import (
 )
 from brickeval.analysis import StructureAnalysis, _Geometry, analyze_chunk
 from brickeval.rewards import reward_breakdown, score_completions
+from brickeval.service import max_line_bytes
 
 from helpers import (
     collision_free_structure,
@@ -48,8 +50,19 @@ def struct(*specs):
 
 
 def support_edges(s, world):
-    upper, lower, _ = _Geometry(s.columns, world).support()
-    return list(zip(upper.tolist(), lower.tolist()))
+    # The support graph's edges as a set, sorted: the join may repeat an edge.
+    upper, lower, *_ = _Geometry(s.columns, world).support()
+    return sorted(set(zip(upper.tolist(), lower.tolist())))
+
+
+def rests_on(s, world):
+    # Per brick, from support's bounds: 0, 1 or 2 for no brick below, one, or two or more.
+    _, _, least, greatest, crowded = _Geometry(s.columns, world).support()
+    return ((greatest >= 0).astype(int) + ((least < greatest) | crowded)).tolist()
+
+
+def oracle_rests_on(s, world):
+    return [min(len(oracle_supports_below(s, i, world)), 2) for i in range(len(s))]
 
 
 def stacked_copies(rng, s):
@@ -149,7 +162,9 @@ def test_collision_list_sorted(world):
 
 
 def test_support_edge_adjacent_layers(world):
-    assert support_edges(struct((1, 2, 0, 0, 0), (1, 2, 0, 0, 1)), world) == [(1, 0)]
+    s = struct((1, 2, 0, 0, 0), (1, 2, 0, 0, 1))
+    assert support_edges(s, world) == [(1, 0)]
+    assert rests_on(s, world) == oracle_rests_on(s, world) == [0, 1]
 
 
 def test_no_edge_across_layer_gap(world):
@@ -158,15 +173,18 @@ def test_no_edge_across_layer_gap(world):
 
 def test_bridge_has_two_supports(world, perfect_fixture):
     assert support_edges(perfect_fixture, world) == [(2, 0), (2, 1)]
+    assert rests_on(perfect_fixture, world) == oracle_rests_on(perfect_fixture, world) == [0, 0, 2]
 
 
 def test_support_graph_matches_oracle(world):
     # Edges run from each brick to the bricks one layer below it, also
-    # on layers past the world and on layers far apart. With no two
-    # bricks on one cell they are the oracle's exactly. Otherwise stacked
-    # runs are joined as stars: every edge is a support, a brick has an
-    # edge iff it has a support, and it has two edges or is crowded iff
-    # it has two supports or more.
+    # on layers past the world and on layers far apart, and may repeat.
+    # With no two bricks on one cell their set is the oracle's exactly.
+    # Otherwise stacked runs are joined as stars: every edge is a
+    # support, and a brick has an edge iff it has a support. A brick's
+    # bounds are the least and greatest brick its edges reach, and its
+    # least is below its greatest, or it is crowded, iff it has two
+    # supports or more.
     tiny = WorldConfig(5, 5, 3)
     rng = np.random.default_rng(25)
     kinds = set()
@@ -180,18 +198,19 @@ def test_support_graph_matches_oracle(world):
             s = stacked_copies(rng, s)
         if k >= 80:
             s = far_layers(rng, s)
-        upper, lower, crowded = _Geometry(s.columns, w).support()
-        edges = list(zip(upper.tolist(), lower.tolist()))
-        assert edges == sorted(set(edges))
+        upper, lower, least, greatest, crowded = _Geometry(s.columns, w).support()
+        edges = set(zip(upper.tolist(), lower.tolist()))
         collides = shares_a_cell(s, w)
         kinds.add(collides)
         for i in range(len(s)):
-            got, want = [j for u, j in edges if u == i], oracle_supports_below(s, i, w)
+            got, want = sorted(j for u, j in edges if u == i), oracle_supports_below(s, i, w)
             if collides:
                 assert set(got) <= set(want) and bool(got) == bool(want)
             else:
                 assert got == want and not crowded[i]
-            assert (len(got) >= 2 or crowded[i]) == (len(want) >= 2)
+            assert (least[i], greatest[i]) == (min(got, default=len(s)), max(got, default=-1))
+            assert (greatest[i] >= 0) == bool(want)
+            assert (least[i] < greatest[i] or crowded[i]) == (len(want) >= 2)
     assert kinds == {False, True}
 
 
@@ -216,9 +235,10 @@ def lines_run(module, fn, *args, **kwargs):
 
 def test_copies_of_one_brick_analyze_like_the_oracles(world):
     # A completion that repeats one line puts thousands of bricks on one
-    # cell, one run of the sorted cells. The join makes one edge per brick
-    # and brick directly under it and takes no Python step per copy: the
-    # pass runs as many lines of analysis for 3000 copies as for two.
+    # cell, one run of the sorted cells. The join reaches each brick
+    # directly under a brick, and its bounds say that only the top brick
+    # rests on two or more. It takes no Python step per copy: the pass
+    # runs as many lines of analysis for 3000 copies as for two.
     def build(copies):
         return struct(*[(2, 4, 0, 0, 0)] * copies, (1, 1, 5, 5, 0), *[(1, 1, 5, 5, 1)] * copies, (2, 2, 0, 0, 1))
 
@@ -232,13 +252,42 @@ def test_copies_of_one_brick_analyze_like_the_oracles(world):
         top = 2 * copies + 1
         edges = [(u, copies) for u in range(copies + 1, top)] + [(top, j) for j in range(copies)]
         assert support_edges(s, world) == edges
+        rests = rests_on(s, world)
+        assert rests == [0] * (copies + 1) + [1] * copies + [2]
         # Only the top brick interlocks; the oracles are quadratic, so they check the smaller builds.
         fields[copies] = {**vars(got), "interlock_score": None, "brick_count": None}
         assert got.interlock_score == 1 / (copies + 1) and got.brick_count == len(s)
         if copies < 3000:
             assert vars(got) == oracle_analysis(s, world)
+            assert rests == oracle_rests_on(s, world)
     assert fields[3000] == fields[300] == fields[2]
     assert lines[3000, True] == lines[2, True] and lines[3000, False] == lines[2, False]
+
+
+def test_one_hostile_line_scores_in_bounded_memory(world):
+    # A request line just under max_line_bytes of 2x6 bricks placed at
+    # random in the 20^3 world: 72,298 bricks, about 740,000 cells, most
+    # of them colliding. The reward-mode pass on it traced a peak of
+    # 108.2 MiB (118.9 MiB with the sorted, distinct edge list it had
+    # before); the bound leaves about 5% above the measured peak.
+    rng = np.random.default_rng(11)
+    tokens = [f"2x6 ({x},{y},{z})" for x, y, z in rng.integers(0, 20, (80000, 3)).tolist()]
+    room = max_line_bytes(world) - len(json.dumps({"id": "h", "completion": "", "target_points": "(0,0,0)"}))
+    count = np.searchsorted(np.cumsum([len(t) + 2 for t in tokens]) - 2, room)  # "\n" is two bytes in JSON
+    completion = "\n".join(tokens[:count])
+    assert len(json.dumps({"id": "h", "completion": completion, "target_points": "(0,0,0)"})) < max_line_bytes(world)
+    s, report = parse_structure(completion)
+    assert report.parsed_ok and len(s) == count > 72000
+    target = np.zeros(world.shape, dtype=bool)
+    want = analyze_chunk([s], [target], world, full=False)  # warm caches
+    tracemalloc.start()
+    try:
+        got = analyze_chunk([s], [target], world, full=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want and got[0][0].brick_count == count
+    assert peak < 113.5 * (1 << 20), peak / (1 << 20)
 
 
 def test_copies_stacked_on_copies_cost_their_cells(world):

@@ -17,7 +17,7 @@ from brickeval import (
     serialize_pointcloud,
     serialize_structure,
 )
-from brickeval.tokens import OUTPUT_HEADER, MalformedEntry, _parse_plain, _parse_plain_points
+from brickeval.tokens import _PLAIN_RE, OUTPUT_HEADER, MalformedEntry, _parse_plain, _parse_plain_points
 from helpers import collision_free_structure, oracle_pointcloud, oracle_structure, random_structure
 
 
@@ -271,6 +271,51 @@ def test_one_pass_parse_of_a_maximal_line_holds_no_state_per_line():
         (bricks, report), peak = traced_peak(parse_structure, text)
         assert report.parsed_ok and report.brick_count == count and bricks.columns[-1].tolist() == last
         assert peak < 16 << 20, peak
+
+
+# The one-pass brick grammar with \d for digits and its lines as (LINE\n)*LINE:
+# the reference for the language of _PLAIN_RE, which writes [0-9] and LINE(\nLINE)*.
+REFERENCE_TOKEN = r"\d{1,9}+x\d{1,9}+[ \t]*+\(\d{1,9}+[ \t]*+,[ \t]*+\d{1,9}+[ \t]*+,[ \t]*+\d{1,9}+\)"
+REFERENCE_LINE = rf"[ \t]*+(?:{REFERENCE_TOKEN}(?:[ \t]*+,[ \t]*+{REFERENCE_TOKEN})*+[ \t]*+)?+"
+REFERENCE_PLAIN_RE = re.compile(
+    rf"([ \t\n]*+{re.escape(OUTPUT_HEADER)}[ \t]*+\n)?(?:{REFERENCE_LINE}\n)*+{REFERENCE_LINE}", re.ASCII
+)
+
+
+@pytest.mark.parametrize("world", [WorldConfig(20, 20, 20), WorldConfig(6, 6, 6), WorldConfig(3, 9, 5)], ids=str)
+def test_plain_grammar_accepts_what_the_reference_accepts(world):
+    # The mutant corpus of test_parse_structure_matches_oracle_on_mutants,
+    # one-line comma-inline texts in several dresses, integers of 9 and
+    # 10 digits and unicode digits: both patterns accept the same texts,
+    # with the same header span.
+    rng = np.random.default_rng(19)
+    texts = []
+    for i in range(600):
+        s = random_structure(rng, world, 30, in_bounds=bool(i % 3))
+        text = serialize_structure(s, ("one_per_line", "comma_inline")[i % 2])
+        if i // 2 % 2:
+            text = OUTPUT_HEADER + "\n" + text
+        for _ in range(1 + i % 3):
+            text = mutate_brick_text(rng, text)
+        texts.append(text)
+    for i in range(100):
+        inline = serialize_structure(random_structure(rng, world, 12), "comma_inline")
+        if i % 2:
+            inline = inline.replace(", ", "\t,  ").replace(" (", "\t(")
+        texts += [inline, inline + "\n", OUTPUT_HEADER + "\n" + inline, "\n \n" + OUTPUT_HEADER + "\t\n\n" + inline + "\n\n",
+                  "\t" + inline + " \t", inline + "\n\t\n"]
+    for digits in ("1" * 9, "0" * 9, "1" * 10, "0" * 10, "\u0661", "\uff11", "1\u0660"):
+        for at in range(5):  # at each integer of a token
+            h, w, x, y, z = [digits if i == at else "1" for i in range(5)]
+            texts += [f"{h}x{w} ({x},{y},{z})", f"1x2 (0,0,0), {h}x{w} ({x}, {y}, {z})\n"]
+    accepted = 0
+    for text in texts:
+        got, want = _PLAIN_RE.fullmatch(text), REFERENCE_PLAIN_RE.fullmatch(text)
+        assert (got is None) == (want is None), text[:300]
+        if got is not None:
+            assert got.span(1) == want.span(1), text[:300]
+            accepted += 1
+    assert 0 < accepted < len(texts)
 
 
 def test_serialize_empty_structure():
