@@ -42,6 +42,7 @@ from .metrics import AggregateReport, EmptyInput, SampleMetrics, aggregate, emit
 from .rewards import (
     FAILED_CONSTRUCTION,
     RewardBreakdown,
+    reward_breakdown,
     reward_collision,
     reward_shape,
     score_completion,

@@ -43,18 +43,23 @@ Brick.
 
 One pass computes every analysis, the empty build's included:
 analyze, analyze_with_occupancy and interlock_score run it on one
-structure. analyze_chunk, the evaluation core that the rewards and the
-metrics call, runs it on many at once, whose cell keys then carry a
-structure id. It works on the sorted cells and the support edges between
-them, never on a world grid, so its cost and memory follow those, not
-the world. The rewards and interlock_score ask it only for the fields a
+structure. chunk_rows, the evaluation core that the rewards call
+directly and the metrics through analyze_chunk, runs it on many at once,
+whose cell keys then carry a structure id. It works on the sorted cells
+and the support edges between them, never on a world grid, so its cost
+and memory follow those, not the world. The rewards and interlock_score ask it only for the fields a
 reward term reads (full=False): it then skips the seam search, and the
 component labels too when every brick off the ground rests on one below.
+It counts each structure into one row, the StructureAnalysis fields in
+order as plain Python values. Only analyze, analyze_with_occupancy and
+analyze_chunk make a record of a row; the rewards (through chunk_rows)
+and interlock_score read it as it is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -113,50 +118,50 @@ class _Geometry:
 
     def __init__(self, columns: np.ndarray, world: WorldConfig, structure: np.ndarray | None = None):
         dim_x, dim_y, dim_z = world.shape
-        self.n = len(columns)
+        self.n = n = len(columns)
         self.world = world
-        self.layer = _close_gaps(columns[:, 4]) + 2
-        self.layer_span = int(self.layer.max(initial=1)) + 1
-        k = 1 if structure is None else int(structure.max(initial=0)) + 1
-        dtype = np.int64 if dim_x * dim_y * k * max(self.layer_span, dim_z) < 1 << 63 else object
-        h, w, x, y, z = (columns if dtype is np.int64 else columns.astype(object)).T
-        hs, ws = h.astype(np.int64, copy=False), w.astype(np.int64, copy=False)
-        x0 = np.minimum(x, dim_x).astype(dtype, copy=False)
-        y0 = np.minimum(y, dim_y).astype(dtype, copy=False)
-        ch = np.minimum(hs, dim_x - x0).astype(np.int64, copy=False)
-        cw = np.minimum(ws, dim_y - y0).astype(np.int64, copy=False)
-
+        self.layer, self.layer_span = _close_gaps(columns[:, 4])
+        k = 1 if structure is None or not n else int(structure[-1]) + 1
+        exact = dim_x * dim_y * k * max(self.layer_span, dim_z) < 1 << 63
+        h, w, x, y, z = (columns if exact else columns.astype(object)).T
+        x0, y0 = np.minimum(x, dim_x), np.minimum(y, dim_y)
+        ch, cw = np.minimum(h, dim_x - x0), np.minimum(w, dim_y - y0)
         # Each brick's layer in the world, or -1 outside it.
-        self.z = zc = np.where((0 <= z) & (z < dim_z), z, -1).astype(dtype, copy=False)
+        zc = np.where((0 <= z) & (z < dim_z), z, -1)
+        if h.dtype == object:
+            # Sides fit in int64 in any world; clamped anchors and layers, in one within the bound.
+            h, w, ch, cw = np.array((h, w, ch, cw), dtype=np.int64)
+            if exact:
+                x0, y0, zc = np.array((x0, y0, zc), dtype=np.int64)
+        self.z = zc
         self.ground = zc == 0
 
         # Cell i of a brick's clipped ch x cw footprint is (x0 + i // cw, y0 + i % cw).
         count = ch * cw
         # A brick is in bounds when nothing of it is clipped: all its cells are voxels.
-        self.in_bounds = (count == hs * ws) & (zc >= 0)
-        brick = np.repeat(np.arange(self.n), count)
-        i = np.arange(brick.size) - np.repeat(np.cumsum(count) - count, count)
-        cw = cw[brick]
-        dx, dy = np.divmod(i, cw)
+        self.in_bounds = (count == h * w) & (zc >= 0)
+        brick = np.arange(n).repeat(count)
+        dx, dy = np.divmod(np.arange(brick.size) - (count.cumsum() - count)[brick], cw[brick])
         base = x0 * dim_y + y0  # each brick's first column
         if structure is not None:
-            base += structure.astype(dtype, copy=False) * (dim_x * dim_y)
+            base += (structure if exact else structure.astype(object)) * (dim_x * dim_y)
         self.brick = brick
-        self.column = base[brick] + dx.astype(dtype, copy=False) * dim_y + dy
+        self.column = base[brick] + (dx if exact else dx.astype(object)) * dim_y + dy
         self.key_span = dim_x * dim_y * k * self.layer_span  # every cell key is below it
-        self._offsets = dx, dy, ch, cw
+        # Per brick, for the seam search alone: a cell's offsets in its footprint follow from its column.
+        self._base, self._sides = base, (ch, cw)
 
     @property
     def pair_x(self) -> np.ndarray:
         """Per cell: its +x neighbor is a cell of the same brick."""
-        dx, _, ch, _ = self._offsets
-        return dx < ch[self.brick] - 1
+        dx = (self.column - self._base[self.brick]) // self.world.dim_y
+        return dx < self._sides[0][self.brick] - 1
 
     @property
     def pair_y(self) -> np.ndarray:
         """Per cell: its +y neighbor is a cell of the same brick."""
-        _, dy, _, cw = self._offsets
-        return dy < cw - 1
+        dy = (self.column - self._base[self.brick]) % self.world.dim_y
+        return dy < self._sides[1][self.brick] - 1
 
     @property
     def lin(self) -> np.ndarray:
@@ -178,10 +183,10 @@ class _Geometry:
         depends on the order within a run.
         """
         key = self.column * self.layer_span + self.layer[self.brick]
-        order = np.argsort(key.astype(np.uint16), kind="stable") if self.key_span <= 1 << 16 else np.argsort(key)
+        order = key.astype(np.uint16).argsort(kind="stable") if self.key_span <= 1 << 16 else key.argsort()
         key = key[order]
         starts = _firsts(key)
-        return key, self.brick[order], order, starts, bool(starts.all())
+        return key, self.brick[order], order, starts, np.count_nonzero(starts) == key.size
 
     def support(self, cells: tuple | None = None) -> tuple[np.ndarray, ...]:
         """Support edges (upper brick, lower brick), each brick's least and greatest brick below, and which bricks are crowded.
@@ -243,15 +248,15 @@ def collision_stats(counts: np.ndarray) -> tuple[int, list[tuple[int, int, int]]
 
 def analyze(structure: BrickStructure, world: WorldConfig) -> StructureAnalysis:
     """Every structural predicate of one structure, seam coverage included."""
-    return _cell_pass([structure], world, full=True)[0][0]
+    return StructureAnalysis(*_cell_pass([structure], world, full=True)[0][0])
 
 
 def analyze_with_occupancy(structure: BrickStructure, world: WorldConfig) -> tuple[StructureAnalysis, np.ndarray]:
     """analyze() plus the occupied grid, from the same pass."""
-    (result,), flat, _ = _cell_pass([structure], world, full=True)
+    (row,), flat, _ = _cell_pass([structure], world, full=True)
     occupied = np.zeros(world.n_voxels, dtype=bool)
     occupied[flat] = True
-    return result, occupied.reshape(world.shape)
+    return StructureAnalysis(*row), occupied.reshape(world.shape)
 
 
 def analyze_chunk(
@@ -259,55 +264,70 @@ def analyze_chunk(
 ) -> list[tuple[StructureAnalysis, float] | None]:
     """The analysis of each parsed structure (None: failed to parse) and the IoU of its occupancy with its target.
 
-    The evaluation core of the rewards and the metrics. Every target's
-    shape is checked first, so a bad target raises whether or not its
-    completion parsed. The parsed structures share one pass (see
-    _cell_pass), each looked up in its own target grid. With full=False,
-    as the rewards ask, seam_coverage and is_connected are None: the seam
-    search is skipped, and so are the component labels unless some brick
-    off the ground rests on nothing.
+    The evaluation core of the metrics: chunk_rows, with each row made a
+    StructureAnalysis.
+    """
+    return [None if result is None else (StructureAnalysis(*result[0]), result[1])
+            for result in chunk_rows(structures, targets, world, full=full)]
+
+
+def chunk_rows(
+    structures: list[BrickStructure | None], targets: list[np.ndarray], world: WorldConfig, *, full: bool = True
+) -> list[tuple[tuple, float] | None]:
+    """Each parsed structure's row (None: failed to parse) and the IoU of its occupancy with its target.
+
+    A row holds a StructureAnalysis's fields in order, as plain Python
+    values. The evaluation core of the rewards and, through
+    analyze_chunk, the metrics. Every target's shape is checked first,
+    so a bad target raises whether or not its completion parsed. The
+    parsed structures share one pass (see _cell_pass), each looked up in
+    its own target grid. With full=False, as the rewards ask,
+    seam_coverage and is_connected are None: the seam search is skipped,
+    and so are the component labels unless some brick off the ground
+    rests on nothing.
     """
     for target in targets:
         check_target_shape(target, world)
-    analyses, flat, ends = _cell_pass([s for s in structures if s is not None], world, full)
-    found = iter(zip(analyses, [0, *ends], ends))
+    rows, flat, ends = _cell_pass([s for s in structures if s is not None], world, full)
+    found = iter(zip(rows, [0, *ends], ends))
     results = []
     for structure, target in zip(structures, targets, strict=True):
         if structure is None:
             results.append(None)
             continue
-        a, lo, hi = next(found)
+        row, lo, hi = next(found)
         grid = target.reshape(-1)
         inter = int(np.count_nonzero(grid[flat[lo:hi]]))
-        union = a.occupied_count + int(np.count_nonzero(grid)) - inter
-        results.append((a, inter / union if union else 0.0))
+        union = row[2] + int(np.count_nonzero(grid)) - inter
+        results.append((row, inter / union if union else 0.0))
     return results
 
 
 def _cell_pass(
     structures: list[BrickStructure], world: WorldConfig, full: bool
-) -> tuple[list[StructureAnalysis], np.ndarray, list[int]]:
-    """The analysis of each structure, and the flat indices of its voxels.
+) -> tuple[list[tuple], np.ndarray, list[int]]:
+    """The row of each structure's StructureAnalysis fields, and the flat indices of its voxels.
 
-    Returns the analyses, the flat voxel indices of every structure in
-    turn, each structure's in ascending order, and where each
-    structure's indices end. Two or more structures share one geometry,
-    whose cell keys carry a structure id, so every step runs once for
-    all of them. Voxels are the runs of equal keys among the sorted
-    cells on in-world layers; per-structure totals count flags over
-    bricks or voxels by structure id.
+    Returns one row per structure, the fields in StructureAnalysis order
+    as plain Python values (so a caller that reads a few of them builds
+    no record), the flat voxel indices of every structure in turn, each
+    structure's in ascending order, and where each structure's indices
+    end. Two or more structures share one geometry, whose cell keys carry
+    a structure id, so every step runs once for all of them. Voxels are
+    the runs of equal keys among the sorted cells on in-world layers;
+    per-structure totals count flags over bricks or voxels by structure id.
     """
     k = len(structures)
     if k == 0:
         return [], np.zeros(0, dtype=np.int64), []
     sizes = [len(s) for s in structures]
-    n = sum(sizes)
     if k == 1:
         sid = None
         geom = _Geometry(structures[0].columns, world)
     else:
-        sid = np.repeat(np.arange(k), sizes)
+        sid = np.arange(k).repeat(sizes)
         geom = _Geometry(np.concatenate([s.columns for s in structures]), world, sid)
+    n = geom.n
 
     cells = geom.sorted_cells()
     _, brick, order, starts, single = cells
@@ -315,7 +335,7 @@ def _cell_pass(
     nonground = ~geom.ground
     # When every brick off the ground rests on one below it, every brick is
     # grounded by induction on the layer, and only is_connected reads the labels.
-    all_grounded = (greatest[nonground] >= 0).all()
+    all_grounded = np.count_nonzero((greatest >= 0) | geom.ground) == n
     label = _components(n, upper, lower) if full or not all_grounded else None
     grounded = None
     if not all_grounded:
@@ -355,21 +375,10 @@ def _cell_pass(
     else:
         connected = coverage = [None] * k
 
-    analyses = [
-        StructureAnalysis(
-            n_col=n_col[i],
-            fully_in_bounds=clipped[i] == 0,
-            occupied_count=occupied[i],
-            disconnected_count=disconnected[i],
-            conn_score=1.0 - disconnected[i] / max(occupied[i], 1),
-            is_connected=connected[i],
-            interlock_score=interlocked[i] / max(off_ground[i], 1),
-            seam_coverage=coverage[i],
-            brick_count=sizes[i],
-        )
-        for i in range(k)
-    ]
-    return analyses, flat, np.cumsum(occupied).tolist()
+    rows = [(col, clip == 0, occ, dis, 1.0 - dis / max(occ, 1), linked, inter / max(off, 1), cover, size)
+            for col, clip, occ, dis, linked, inter, off, cover, size
+            in zip(n_col, clipped, occupied, disconnected, connected, interlocked, off_ground, coverage, sizes)]
+    return rows, flat, list(accumulate(occupied))
 
 
 def _seam_coverage(geom: _Geometry, cells: tuple, voxel: np.ndarray, vz: np.ndarray,
@@ -420,20 +429,24 @@ def _count(flags: np.ndarray, ids: np.ndarray | None, k: int) -> list[int]:
     return np.bincount(ids[flags], minlength=k).tolist()
 
 
-def _close_gaps(values: np.ndarray) -> np.ndarray:
-    """The int64 rank of each value with every gap between consecutive distinct values capped at 2.
+def _close_gaps(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Layer keys from 2 up, and one past the largest key (2 with no values).
 
-    The smallest value maps to 0, and consecutive values keep their
-    distance of 1. It is exact on object arrays of Python ints too: they
-    sort and subtract as integers, and no rank exceeds twice the number
-    of distinct values.
+    A key is its value's int64 rank with every gap between consecutive
+    distinct values capped at 2: the smallest value maps to 2, and
+    consecutive values keep their distance of 1. It is exact on object
+    arrays of Python ints too: they sort and subtract as integers, and no
+    key exceeds twice the number of distinct values.
     """
-    order = np.argsort(values, kind="stable")
-    step = np.zeros(values.size, dtype=np.int64)
-    step[1:] = np.minimum(np.diff(values[order]), 2)
-    rank = np.empty(values.size, dtype=np.int64)
-    rank[order] = np.cumsum(step)
-    return rank
+    order = values.argsort(kind="stable")
+    ordered = values[order]
+    step = np.empty(values.size, dtype=np.int64)
+    step[:1] = 2
+    step[1:] = np.minimum(ordered[1:] - ordered[:-1], 2)
+    keys = step.cumsum()
+    rank = np.empty_like(keys)
+    rank[order] = keys
+    return rank, int(keys[-1]) + 1 if keys.size else 2
 
 
 def interlock_score(
@@ -450,7 +463,7 @@ def interlock_score(
     if world is None:
         h, w, x, y, _ = structure.columns.astype(object).T
         world = WorldConfig((x + h).max(initial=1), (y + w).max(initial=1), 1)
-    return _cell_pass([structure], world, full=False)[0][0].interlock_score
+    return _cell_pass([structure], world, full=False)[0][0][6]
 
 
 def _components(n: int, upper: np.ndarray, lower: np.ndarray) -> np.ndarray:

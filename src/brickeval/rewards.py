@@ -16,11 +16,11 @@ and the other components zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .analysis import StructureAnalysis, analyze_chunk
+from .analysis import StructureAnalysis, chunk_rows
 from .core import DimensionMismatch, WorldConfig
 from .tokens import parse_structure
 
@@ -56,6 +56,7 @@ FAILED_CONSTRUCTION = RewardBreakdown(
     in_bounds=False,
     brick_count=0,
 )
+_FAILED_TERMS = astuple(FAILED_CONSTRUCTION)
 
 
 def reward_collision(n_col: int) -> float:
@@ -73,26 +74,26 @@ def reward_shape(gen: np.ndarray, target: np.ndarray) -> tuple[float, float]:
     return 5.0 * iou, iou
 
 
+def reward_terms(row: tuple, iou: float) -> tuple:
+    """The RewardBreakdown fields, in order, of a parsed structure from its analysis row and its IoU with the target.
+
+    A row is a StructureAnalysis's fields in order (see
+    analysis.chunk_rows); only n_col, fully_in_bounds, conn_score,
+    interlock_score and brick_count are read.
+    """
+    n_col, in_bounds, _, _, conn_score, _, interlock, _, brick_count = row
+    feasible = n_col == 0 and in_bounds
+    r_col = reward_collision(n_col)
+    r_shape = 5.0 * iou
+    r_inter = 3.0 * interlock if feasible else 0.0
+    r_conn = 2.0 * conn_score if feasible else 0.0
+    total = r_col + r_shape + r_inter + r_conn
+    return r_col, r_shape, r_inter, r_conn, total, False, feasible, iou, n_col, in_bounds, brick_count
+
+
 def reward_breakdown(a: StructureAnalysis, iou: float) -> RewardBreakdown:
     """The four reward terms of a parsed structure from its analysis and its IoU with the target."""
-    feasible = a.n_col == 0 and a.fully_in_bounds
-    r_col = reward_collision(a.n_col)
-    r_shape = 5.0 * iou
-    r_inter = 3.0 * a.interlock_score if feasible else 0.0
-    r_conn = 2.0 * a.conn_score if feasible else 0.0
-    return RewardBreakdown(
-        r_col=r_col,
-        r_shape=r_shape,
-        r_inter=r_inter,
-        r_conn=r_conn,
-        total=r_col + r_shape + r_inter + r_conn,
-        parse_failed=False,
-        feasible=feasible,
-        iou=iou,
-        n_col=a.n_col,
-        in_bounds=a.fully_in_bounds,
-        brick_count=a.brick_count,
-    )
+    return RewardBreakdown(*reward_terms(astuple(a), iou))
 
 
 def score_completion(
@@ -113,13 +114,18 @@ CHUNK_SIZE = 32
 def score_completions(
     completions: list[str], targets: list[np.ndarray], world: WorldConfig
 ) -> list[RewardBreakdown]:
-    """Each completion's four reward terms against its target.
+    """Each completion's four reward terms against its target: score_terms, each row made a RewardBreakdown."""
+    return [RewardBreakdown(*terms) for terms in score_terms(completions, targets, world)]
 
-    A completion that fails to parse scores FAILED_CONSTRUCTION; the
-    parsed ones are scored together in one analyze_chunk call. No term
+
+def score_terms(completions: list[str], targets: list[np.ndarray], world: WorldConfig) -> list[tuple]:
+    """Each completion's RewardBreakdown fields, in order, against its target.
+
+    A completion that fails to parse scores FAILED_CONSTRUCTION's fields;
+    the parsed ones are analyzed together in one chunk_rows call. No term
     reads seam coverage or is_connected, so the analysis skips the seam
     search, and the component labels when every brick is grounded.
     """
     structures = [s if report.parsed_ok else None for s, report in map(parse_structure, completions)]
-    return [FAILED_CONSTRUCTION if result is None else reward_breakdown(*result)
-            for result in analyze_chunk(structures, targets, world, full=False)]
+    return [_FAILED_TERMS if result is None else reward_terms(*result)
+            for result in chunk_rows(structures, targets, world, full=False)]

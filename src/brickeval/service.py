@@ -18,15 +18,18 @@ eval still do).
 With one worker (the default) requests are scored in order in the
 serving thread. With N > 1 (capped at the usable CPU cores, since
 scoring is CPU-bound), a pool of that many spawned processes scores
-them in chunks of at most 32 request lines. While some worker holds
-none of the stream's chunks, whatever has arrived is sent as soon as
-nothing else waits, so no line waits for a chunk to fill. While every
-worker holds one, arriving lines gather and go as one chunk when a
-worker finishes, or once 32 have gathered, so a stream under load pays
-for few, large chunks. A worker reads each line of a chunk on its own
-and hands the completions to rewards.score_completions, which parses
-each of them and analyzes all of the chunk's structures in one batched
-pass; every response is the one handle_request_line gives. If that
+them in chunks of at most 32 request lines and at most max_line_bytes
+between them (a longer line goes alone), so a worker analyzes about one
+maximal line's cells at most. While some worker holds none of the
+stream's chunks, whatever has arrived is sent as soon as nothing else
+waits, so no line waits for a chunk to fill. While every worker holds
+one, arriving lines gather and go as one chunk when a worker finishes,
+or once the chunk is full, so a stream under load pays for few, large
+chunks. A worker reads each line of a chunk on its own and hands the
+completions to rewards.score_terms, which parses each of them and
+analyzes all of the chunk's structures in one batched pass; every
+response is the one handle_request_line gives, filled into one
+template in place of a dict and json.dumps. If that
 batched call raises, its traceback goes to stderr once and every line
 of the chunk is answered by handle_request_line itself. A lone
 request while none of its stream's requests is at a worker is scored
@@ -58,7 +61,7 @@ from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator
 
 from .core import WorldConfig, DEFAULT_WORLD
 from .dataset import BadRecord, CodecError, decode_target_voxels, read_pair, read_record
-from .rewards import CHUNK_SIZE, RewardBreakdown, score_completion, score_completions
+from .rewards import CHUNK_SIZE, score_completion, score_terms
 from .tokens import MalformedPointToken, OutOfWorldCoordinate, parse_pointcloud
 
 if TYPE_CHECKING:
@@ -71,30 +74,22 @@ _MAX_PENDING_BYTES = 8 << 20  # request bytes in flight before intake stalls
 # Stands in for a line over the length bound: it is not UTF-8, so it is
 # answered as any undecodable line is, with bad_request and a null id.
 _OVER_LONG = b"\xff over-long line"
-_RESPONSE_FIELDS = (
-    "total",
-    "r_col",
-    "r_shape",
-    "r_inter",
-    "r_conn",
-    "iou",
-    "n_col",
-    "parse_failed",
-    "feasible",
-    "in_bounds",
-    "brick_count",
-)
+# A scored response, as json.dumps writes the id and a breakdown's fields:
+# floats by repr, as json writes them, and bools as true or false.
+_RESPONSE = ('{"id": %s, "total": %r, "r_col": %r, "r_shape": %r, "r_inter": %r, "r_conn": %r, "iou": %r, '
+             '"n_col": %d, "parse_failed": %s, "feasible": %s, "in_bounds": %s, "brick_count": %d}')
+_JSON_BOOL = {False: "false", True: "true"}
 
 
 def _error(request_id: str | None, code: str) -> str:
     return json.dumps({"id": request_id, "error_code": code})
 
 
-def _response(request_id: str, breakdown: RewardBreakdown) -> str:
-    record: dict = {"id": request_id}
-    for name in _RESPONSE_FIELDS:
-        record[name] = getattr(breakdown, name)
-    return json.dumps(record)
+def _response(request_id: str, terms: tuple) -> str:
+    """The response to a scored request, from its RewardBreakdown fields in order (see rewards.score_terms)."""
+    r_col, r_shape, r_inter, r_conn, total, parse_failed, feasible, iou, n_col, in_bounds, brick_count = terms
+    return _RESPONSE % (json.dumps(request_id), total, r_col, r_shape, r_inter, r_conn, iou, n_col,
+                        _JSON_BOOL[parse_failed], _JSON_BOOL[feasible], _JSON_BOOL[in_bounds], brick_count)
 
 
 def _read_request(line: str | bytes, world: WorldConfig) -> str | tuple[str, str, np.ndarray]:
@@ -125,7 +120,8 @@ def handle_request_line(line: str | bytes, world: WorldConfig) -> str:
         return request
     request_id, completion, target = request
     try:
-        return _response(request_id, score_completion(completion, target, world))
+        breakdown = score_completion(completion, target, world)
+        return _response(request_id, tuple(vars(breakdown).values()))  # its fields, in order
     except Exception:  # a program bug, not a bad request: the traceback says which
         traceback.print_exc()
         return _error(request_id, "bad_request")
@@ -160,19 +156,20 @@ def _handle_chunk(world: WorldConfig, lines: list[str | bytes]) -> list[str]:
     """handle_request_line's response to each line, with the lines' completions scored together.
 
     Each line is read once, as handle_request_line reads it;
-    score_completions then parses and scores the completions of all
-    readable lines in one call, which analyzes them in one pass. If that
+    score_terms then parses and scores the completions of all readable
+    lines in one call, which analyzes them in one pass, and each response
+    is filled from its terms with no RewardBreakdown built. If that
     call raises, its traceback goes to stderr once and every line of the
     chunk is answered by handle_request_line.
     """
     requests = [_read_request(line, world) for line in lines]
     scored = [request for request in requests if not isinstance(request, str)]
     try:
-        breakdowns = iter(score_completions([r[1] for r in scored], [r[2] for r in scored], world))
+        terms = iter(score_terms([r[1] for r in scored], [r[2] for r in scored], world))
     except Exception:
         traceback.print_exc()
         return [handle_request_line(line, world) for line in lines]
-    return [r if isinstance(r, str) else _response(r[0], next(breakdowns)) for r in requests]
+    return [r if isinstance(r, str) else _response(r[0], next(terms)) for r in requests]
 
 
 def _worker_init() -> None:
@@ -256,9 +253,9 @@ def _pump(
     line's share comes back as its response is written, so a slow reader
     throttles intake in lines and in bytes. This thread owns every
     write: it collects arriving lines and finished chunks from one
-    queue, and sends the collected lines on when CHUNK_SIZE have
-    gathered, or when nothing else is waiting and fewer than count of
-    this stream's chunks are at the workers. So while every worker is
+    queue, and sends the collected lines on in chunks: a full chunk at
+    once, and the rest when nothing else is waiting and fewer than count
+    of this stream's chunks are at the workers. So while every worker is
     busy with the stream, its lines gather into the next chunk, which
     leaves when a chunk comes back. Once a worker has died the pool
     is broken, and this thread scores every chunk itself; the first time
@@ -305,6 +302,8 @@ def _pump(
 
     threading.Thread(target=read, daemon=True).start()
     pending: list[str | bytes] = []
+    pending_bytes = 0
+    limit = max_line_bytes(world)
     in_flight = 0
     ended = False
     error: BaseException | None = None
@@ -313,6 +312,7 @@ def _pump(
             kind, item = events.get()
             if kind == "line":
                 pending.append(item)
+                pending_bytes += len(item)
             elif kind == "done":
                 in_flight -= 1
                 chunk, future = item
@@ -323,27 +323,44 @@ def _pump(
                 write(chunk, responses)
             else:
                 ended, error = True, item
-            if pending and (len(pending) >= CHUNK_SIZE or events.empty() and in_flight < count):
+            # A chunk holds at most CHUNK_SIZE lines and at most limit bytes
+            # between them, and a longer line goes alone. A full chunk leaves
+            # at once; the rest, when nothing else waits and a worker is free.
+            while pending and (len(pending) >= CHUNK_SIZE or pending_bytes >= limit
+                               or events.empty() and in_flight < count):
                 # A lone line with none of this stream at the workers is
                 # scored here, which saves its two trips between processes.
-                if in_flight or len(pending) > 1:
+                lone = not in_flight and len(pending) == 1
+                size = _chunk_length(pending, limit)
+                chunk, pending = pending[:size], pending[size:]
+                pending_bytes -= sum(map(len, chunk))
+                if not lone:
                     try:
-                        future = workers.submit(_handle_chunk, world, pending)
+                        future = workers.submit(_handle_chunk, world, chunk)
                     except BrokenProcessPool:
-                        write(pending, score_here(pending))
+                        write(chunk, score_here(chunk))
                     else:
                         future.add_done_callback(
-                            lambda f, chunk=pending: events.put(("done", (chunk, f))))
+                            lambda f, chunk=chunk: events.put(("done", (chunk, f))))
                         in_flight += 1
                 else:
-                    write(pending, _handle_chunk(world, pending))
-                pending = []
+                    write(chunk, _handle_chunk(world, chunk))
     finally:
         stopping.set()
         with room:
             room.notify()  # unblock the reader if it waits for room
     if error is not None:
         raise error
+
+
+def _chunk_length(lines: list[str | bytes], limit: int) -> int:
+    """How many lines from the front make the next chunk, by the chunk rule stated in _pump."""
+    total = 0
+    for size, line in enumerate(lines[:CHUNK_SIZE]):
+        total += len(line)
+        if total > limit:
+            return size or 1
+    return min(len(lines), CHUNK_SIZE)
 
 
 class RewardTCPServer(socketserver.ThreadingTCPServer):

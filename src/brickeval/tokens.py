@@ -82,7 +82,8 @@ _POINT_RE = re.compile(r"\((\d+)\s*,\s*(\d+)\s*,\s*(\d+)\)", re.ASCII)
 # ASCII whitespace around it and around its commas, parses exactly as the
 # token loop reads it, unless a point lies outside the world. It is
 # checked with one full match and its integers are read in one pass.
-_PLAIN_POINT = r"\(\d{1,9}+\s*+,\s*+\d{1,9}+\s*+,\s*+\d{1,9}+\)"
+# Digits are the range [0-9], as in _PLAIN_TOKEN.
+_PLAIN_POINT = r"\([0-9]{1,9}+\s*+,\s*+[0-9]{1,9}+\s*+,\s*+[0-9]{1,9}+\)"
 _PLAIN_POINTS_RE = re.compile(rf"\s*+{_PLAIN_POINT}(?:\s*+,\s*+{_PLAIN_POINT})*+\s*+", re.ASCII)
 _POINT_SEPARATORS = str.maketrans("(),\t\n\r\x0b\x0c", "        ")
 _SEPARATOR_RE = re.compile(r"\s*,\s*", re.ASCII)

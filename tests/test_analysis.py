@@ -26,7 +26,7 @@ from brickeval import (
     score_completion,
     serialize_structure,
 )
-from brickeval.analysis import StructureAnalysis, _Geometry, analyze_chunk
+from brickeval.analysis import StructureAnalysis, _Geometry, analyze_chunk, chunk_rows
 from brickeval.rewards import reward_breakdown, score_completions
 from brickeval.service import max_line_bytes
 
@@ -268,8 +268,9 @@ def test_one_hostile_line_scores_in_bounded_memory(world):
     # A request line just under max_line_bytes of 2x6 bricks placed at
     # random in the 20^3 world: 72,298 bricks, about 740,000 cells, most
     # of them colliding. The reward-mode pass on it traced a peak of
-    # 108.2 MiB (118.9 MiB with the sorted, distinct edge list it had
-    # before); the bound leaves about 5% above the measured peak.
+    # 92.3 MiB (108.2 MiB while the geometry kept every cell's footprint
+    # offsets, 118.9 MiB with the sorted, distinct edge list before that);
+    # the bound leaves about 5% above the measured peak.
     rng = np.random.default_rng(11)
     tokens = [f"2x6 ({x},{y},{z})" for x, y, z in rng.integers(0, 20, (80000, 3)).tolist()]
     room = max_line_bytes(world) - len(json.dumps({"id": "h", "completion": "", "target_points": "(0,0,0)"}))
@@ -287,7 +288,7 @@ def test_one_hostile_line_scores_in_bounded_memory(world):
     finally:
         tracemalloc.stop()
     assert got == want and got[0][0].brick_count == count
-    assert peak < 113.5 * (1 << 20), peak / (1 << 20)
+    assert peak < 97.0 * (1 << 20), peak / (1 << 20)
 
 
 def test_copies_stacked_on_copies_cost_their_cells(world):
@@ -778,10 +779,10 @@ def test_reward_path_skips_only_seams_and_connectedness(world, monkeypatch):
 
     def chunk(*args, **kwargs):
         chunk_calls.append(kwargs)
-        return analyze_chunk(*args, **kwargs)
+        return chunk_rows(*args, **kwargs)
 
     monkeypatch.setattr(analysis, "_seam_coverage", no_seam_pass)
-    monkeypatch.setattr(rewards, "analyze_chunk", chunk)
+    monkeypatch.setattr(rewards, "chunk_rows", chunk)
     assert [score_completion(text, target, world) for text, target in zip(texts, targets)] == alone
     assert score_completions(texts, targets, world) == chunked == alone
     assert chunk_calls and chunk_calls == [{"full": False}] * len(chunk_calls)

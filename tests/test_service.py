@@ -1,5 +1,6 @@
 """Reward service: request handling, concurrency, stdio, and TCP."""
 
+import importlib.util
 import io
 import json
 import multiprocessing
@@ -13,7 +14,9 @@ import threading
 import time
 import tracemalloc
 from concurrent.futures import Future
+from dataclasses import astuple
 from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,11 +24,13 @@ import pytest
 from brickeval import (
     BrickStructure,
     ConstructorOptions,
+    RewardBreakdown,
     encode_target_voxels,
     legalize,
     make_brick,
     random_target,
     rasterize,
+    score_completion,
     serialize_pointcloud,
     serialize_structure,
 )
@@ -73,6 +78,44 @@ def test_response_field_order(perfect_fixture):
         "id", "total", "r_col", "r_shape", "r_inter", "r_conn",
         "iou", "n_col", "parse_failed", "feasible", "in_bounds", "brick_count",
     ]
+
+
+def dumped_response(request_id, breakdown):
+    # What json.dumps writes for a scored request: the id, then the breakdown's fields in wire order.
+    names = ("total", "r_col", "r_shape", "r_inter", "r_conn", "iou", "n_col",
+             "parse_failed", "feasible", "in_bounds", "brick_count")
+    return json.dumps({"id": request_id, **{name: getattr(breakdown, name) for name in names}})
+
+
+def perfbench_inputs():
+    # perfbench's seeded request generators, loaded from their file.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_response_template_writes_what_json_dumps_writes():
+    inputs = perfbench_inputs()
+    pool = inputs.rollout_pool(7, inputs.ROLLOUT_MIX, 300)
+    lines = [request.line(f"r{i}") for i, request in enumerate(pool)] + list(golden_requests())
+    scored = 0
+    for line in lines:
+        request = service._read_request(line, WORLD)
+        if not isinstance(request, str):
+            request_id, completion, target = request
+            want = dumped_response(request_id, score_completion(completion, target, WORLD))
+            assert handle_request_line(line, WORLD) == want
+            scored += 1
+    assert scored > 350
+    # Floats whose repr json keeps as it is, and ids that json escapes.
+    for i, value in enumerate((-0.0, 1e-05, 2 / 3, 5e-324, 1e16)):
+        breakdown = RewardBreakdown(r_col=value, r_shape=value, r_inter=-value, r_conn=value, total=value,
+                                    parse_failed=i % 2 == 0, feasible=i % 2 == 1, iou=value, n_col=i,
+                                    in_bounds=i < 2, brick_count=i * 1000)
+        for request_id in ('say "hi"', "back\\slash", "Grüße, 積木", "line\u2028separator", ""):
+            assert service._response(request_id, astuple(breakdown)) == dumped_response(request_id, breakdown)
 
 
 def test_empty_completion(perfect_fixture):
@@ -234,7 +277,7 @@ def test_chunk_whose_batch_raises_is_answered_line_by_line(monkeypatch, capsys):
 
     lines = list(rollout_requests()[:32])
     want = [handle_request_line(line, WORLD) for line in lines]
-    monkeypatch.setattr(service, "score_completions", fail)
+    monkeypatch.setattr(service, "score_terms", fail)
     assert service._handle_chunk(WORLD, lines) == want
     assert len(calls) == 1
     captured = capsys.readouterr()
@@ -522,6 +565,64 @@ def test_pump_holds_lines_while_every_worker_is_busy(perfect_fixture):
     seq = []
     serve_lines(iter(lines), seq.append, WORLD, threads=1)
     assert sorted(out) == sorted(seq)
+
+
+def test_pump_caps_a_chunk_at_the_line_bound():
+    # Eight lines just under max_line_bytes fit the 8 MiB in-flight budget
+    # together, but a chunk holds at most max_line_bytes between its lines,
+    # so each of them goes to the pool alone.
+    limit = max_line_bytes(WORLD)
+
+    def long_line(i):
+        head = f'{{"id": "long-{i}", "completion": "", "target_points": ""'
+        return head + " " * (limit - 64 - len(head) - 1) + "}"
+
+    lines = [json.dumps({"id": "lone", "completion": "", "target_points": ""})]
+    lines += [long_line(i) for i in range(8)]
+    assert all(limit - 64 == len(line) for line in lines[1:])
+    feed, taken = queue.Queue(), [0]
+    gate, writing = threading.Event(), threading.Event()
+    out = []
+
+    def stream():
+        while (line := feed.get()) is not None:
+            yield line
+            taken[0] += 1
+
+    def write_line(text):
+        writing.set()
+        gate.wait(timeout=30)
+        out.append(text)
+
+    pool = HandPool()
+    server = threading.Thread(target=serve_lines, args=(stream(), write_line, WORLD),
+                              kwargs={"workers": (pool, 2)}, daemon=True)
+    server.start()
+    try:
+        feed.put(lines[0])
+        assert writing.wait(timeout=30)  # the lone line is scored here and its write waits
+        for line in lines[1:]:
+            feed.put(line)
+        wait_for(lambda: taken[0] == len(lines))  # all eight are in flight at once
+        gate.set()
+        feed.put(None)
+        finished = 0
+        while len(out) < len(lines):
+            wait_for(lambda: len(pool.chunks) > finished or len(out) == len(lines))
+            for chunk in pool.chunks[finished:]:
+                assert sum(map(len, chunk)) <= limit, [len(c) for c in pool.chunks]
+                pool.finish(finished)
+                finished += 1
+        server.join(timeout=30)
+        assert not server.is_alive()
+    finally:
+        gate.set()
+        feed.put(None)
+    # Each of the first seven leaves as soon as the next one is pending; the
+    # last goes to a worker, or is scored here when it finds none of the
+    # stream's chunks at the workers.
+    assert pool.chunks[:7] == [[line] for line in lines[1:8]]
+    assert sorted(json.loads(text)["id"] for text in out) == sorted(["lone"] + [f"long-{i}" for i in range(8)])
 
 
 def test_one_worker_imports_no_process_machinery():

@@ -17,7 +17,14 @@ from brickeval import (
     serialize_pointcloud,
     serialize_structure,
 )
-from brickeval.tokens import _PLAIN_RE, OUTPUT_HEADER, MalformedEntry, _parse_plain, _parse_plain_points
+from brickeval.tokens import (
+    _PLAIN_POINTS_RE,
+    _PLAIN_RE,
+    OUTPUT_HEADER,
+    MalformedEntry,
+    _parse_plain,
+    _parse_plain_points,
+)
 from helpers import collision_free_structure, oracle_pointcloud, oracle_structure, random_structure
 
 
@@ -315,6 +322,41 @@ def test_plain_grammar_accepts_what_the_reference_accepts(world):
         if got is not None:
             assert got.span(1) == want.span(1), text[:300]
             accepted += 1
+    assert 0 < accepted < len(texts)
+
+
+# The one-pass point grammar with \d for digits: the reference for the
+# language of _PLAIN_POINTS_RE, which writes [0-9].
+REFERENCE_POINT = r"\(\d{1,9}+\s*+,\s*+\d{1,9}+\s*+,\s*+\d{1,9}+\)"
+REFERENCE_POINTS_RE = re.compile(rf"\s*+{REFERENCE_POINT}(?:\s*+,\s*+{REFERENCE_POINT})*+\s*+", re.ASCII)
+
+
+@pytest.mark.parametrize("world", [WorldConfig(20, 20, 20), WorldConfig(3, 9, 5)], ids=str)
+def test_plain_point_grammar_accepts_what_the_reference_accepts(world):
+    # Valid lists and their mutants, every ASCII whitespace character
+    # around the commas and the list, integers of 9 and 10 digits, unicode
+    # digits, a trailing comma and the empty text: both patterns accept
+    # the same texts.
+    rng = np.random.default_rng(27)
+    texts = ["", " ", ","]
+    for i in range(400):
+        grid = np.zeros(world.shape, dtype=bool)
+        grid.flat[rng.choice(world.n_voxels, min(int(rng.choice([1, 3, 20])), world.n_voxels))] = True
+        text = serialize_pointcloud(grid)
+        for _ in range(i % 3):
+            text = mutate_point_list(rng, text, world)
+        texts += [text, text + ",", text + " ,"]
+    for space in " \t\n\r\x0b\x0c":
+        texts += [f"(1,2,3){space},{space}(4,5,6)", f"{space}(1,2,3),(4,5,6){space}", f"(1,2,3){space}, (4,5,6),{space}"]
+    for digits in ("1" * 9, "0" * 9, "1" * 10, "0" * 10, "\u0661", "\uff11", "1\u0660"):
+        for at in range(3):  # at each integer of a point
+            x, y, z = [digits if i == at else "1" for i in range(3)]
+            texts += [f"({x},{y},{z})", f"(0,0,0), ({x}, {y}, {z})\n"]
+    accepted = 0
+    for text in texts:
+        got, want = _PLAIN_POINTS_RE.fullmatch(text), REFERENCE_POINTS_RE.fullmatch(text)
+        assert (got is None) == (want is None), repr(text[:300])
+        accepted += got is not None
     assert 0 < accepted < len(texts)
 
 
