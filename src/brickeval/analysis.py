@@ -43,31 +43,28 @@ Brick.
 
 One pass computes every analysis, the empty build's included:
 analyze, analyze_with_occupancy and interlock_score run it on one
-structure. chunk_rows, the evaluation core that the rewards call
-directly and the metrics through analyze_chunk, runs it on many at once,
-whose cell keys then carry a structure id. It works on the sorted cells
-and the support edges between them, never on a world grid, so its cost
-and memory follow those, not the world. The rewards and interlock_score ask it only for the fields a
-reward term reads (full=False): it then skips the seam search, and the
-component labels too when every brick off the ground rests on one below.
-It counts each structure into one row, the StructureAnalysis fields in
-order as plain Python values. Only analyze, analyze_with_occupancy and
-analyze_chunk make a record of a row; the rewards (through chunk_rows)
-and interlock_score read it as it is.
+structure. analyze_chunk, the evaluation core of the rewards and the
+metrics, runs it on many at once, whose cell keys then carry a
+structure id. It works on the sorted cells and the support edges
+between them, never on a world grid, so its cost and memory follow
+those, not the world. The rewards and interlock_score ask it only for
+the fields a reward term reads (full=False): it then skips the seam
+search, and the component labels too when every brick off the ground
+rests on one below. It counts each structure into one StructureAnalysis,
+a NamedTuple of plain Python values, which every caller reads as it is.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import BrickStructure, WorldConfig, check_target_shape
 
 
-@dataclass(frozen=True)
-class StructureAnalysis:
+class StructureAnalysis(NamedTuple):
     """All structural predicates of one brick structure.
 
     seam_coverage and is_connected are None only when the caller asked
@@ -188,11 +185,11 @@ class _Geometry:
         starts = _firsts(key)
         return key, self.brick[order], order, starts, np.count_nonzero(starts) == key.size
 
-    def support(self, cells: tuple | None = None) -> tuple[np.ndarray, ...]:
+    def support(self, cells: tuple) -> tuple[np.ndarray, ...]:
         """Support edges (upper brick, lower brick), each brick's least and greatest brick below, and which bricks are crowded.
 
-        From sorted_cells() if given. A run of bricks on one cell that rests
-        on the run below is joined to it as a star: every upper cell to the
+        From sorted_cells(). A run of bricks on one cell that rests on
+        the run below is joined to it as a star: every upper cell to the
         first lower cell, the first upper cell to every lower cell. The
         edges come as the join makes them, so one may repeat (a brick
         resting on another over several cells); the components are exact
@@ -201,24 +198,31 @@ class _Geometry:
         least 0, and on two or more iff its least is below its greatest
         or it is crowded: some cell of it has two or more under it.
         """
-        key, brick, _, starts, single = cells or self.sorted_cells()
+        key, brick, _, starts, single = cells
         crowded = np.zeros(self.n, dtype=bool)
         if single:
             stacked = key[1:] - key[:-1] == 1
             upper, lower = brick[1:][stacked], brick[:-1][stacked]
         else:
+            # Per-cell arrays go after their last read: on many colliding cells they are most of the pass's memory.
             first = np.flatnonzero(starts)
             size = np.diff(np.append(first, key.size))
-            run = np.cumsum(starts) - 1
-            stacked = np.zeros(first.size, dtype=bool)
-            stacked[1:] = key[first[1:]] - key[first[:-1]] == 1
-            on = stacked[run]  # per cell: its run rests on the run below
-            below = run - 1
-            crowded[brick[on & (size[below] > 1)]] = True
-            take = np.where(on & starts, size[below], on)
-            offset = np.repeat(first[below] - (np.cumsum(take) - take), take)
+            under = np.zeros(first.size, dtype=bool)  # per run: the next run rests on it; never the last
+            under[:-1] = key[first[1:]] - key[first[:-1]] == 1
+            below = np.cumsum(starts)
+            below -= 2  # per cell: the run below its own; -1, the last run, for the first run's cells
+            on = under[below]  # per cell: its run rests on the run below
+            below_size = size[below]
+            crowded[brick[on & (below_size > 1)]] = True
+            take = np.where(on & starts, below_size, on)
+            offset = first[below]
+            del on, below_size, below
+            offset -= np.cumsum(take) - take
+            offset = np.repeat(offset, take)
+            offset += np.arange(offset.size)
+            lower = brick[offset]
+            del offset
             upper = np.repeat(brick, take)
-            lower = brick[offset + np.arange(offset.size)]
         least = np.full(self.n, self.n)
         greatest = np.full(self.n, -1)
         np.minimum.at(least, upper, lower)
@@ -248,15 +252,15 @@ def collision_stats(counts: np.ndarray) -> tuple[int, list[tuple[int, int, int]]
 
 def analyze(structure: BrickStructure, world: WorldConfig) -> StructureAnalysis:
     """Every structural predicate of one structure, seam coverage included."""
-    return StructureAnalysis(*_cell_pass([structure], world, full=True)[0][0])
+    return _cell_pass([structure], world, full=True)[0][0]
 
 
 def analyze_with_occupancy(structure: BrickStructure, world: WorldConfig) -> tuple[StructureAnalysis, np.ndarray]:
     """analyze() plus the occupied grid, from the same pass."""
-    (row,), flat, _ = _cell_pass([structure], world, full=True)
+    (a,), flat, _ = _cell_pass([structure], world, full=True)
     occupied = np.zeros(world.n_voxels, dtype=bool)
     occupied[flat] = True
-    return StructureAnalysis(*row), occupied.reshape(world.shape)
+    return a, occupied.reshape(world.shape)
 
 
 def analyze_chunk(
@@ -264,58 +268,43 @@ def analyze_chunk(
 ) -> list[tuple[StructureAnalysis, float] | None]:
     """The analysis of each parsed structure (None: failed to parse) and the IoU of its occupancy with its target.
 
-    The evaluation core of the metrics: chunk_rows, with each row made a
-    StructureAnalysis.
-    """
-    return [None if result is None else (StructureAnalysis(*result[0]), result[1])
-            for result in chunk_rows(structures, targets, world, full=full)]
-
-
-def chunk_rows(
-    structures: list[BrickStructure | None], targets: list[np.ndarray], world: WorldConfig, *, full: bool = True
-) -> list[tuple[tuple, float] | None]:
-    """Each parsed structure's row (None: failed to parse) and the IoU of its occupancy with its target.
-
-    A row holds a StructureAnalysis's fields in order, as plain Python
-    values. The evaluation core of the rewards and, through
-    analyze_chunk, the metrics. Every target's shape is checked first,
-    so a bad target raises whether or not its completion parsed. The
-    parsed structures share one pass (see _cell_pass), each looked up in
-    its own target grid. With full=False, as the rewards ask,
-    seam_coverage and is_connected are None: the seam search is skipped,
-    and so are the component labels unless some brick off the ground
-    rests on nothing.
+    The evaluation core of the rewards and the metrics. Every target's
+    shape is checked first, so a bad target raises whether or not its
+    completion parsed. The parsed structures share one pass (see
+    _cell_pass), each looked up in its own target grid. With full=False,
+    as the rewards ask, seam_coverage and is_connected are None: the seam
+    search is skipped, and so are the component labels unless some brick
+    off the ground rests on nothing.
     """
     for target in targets:
         check_target_shape(target, world)
-    rows, flat, ends = _cell_pass([s for s in structures if s is not None], world, full)
-    found = iter(zip(rows, [0, *ends], ends))
+    analyses, flat, ends = _cell_pass([s for s in structures if s is not None], world, full)
+    found = iter(zip(analyses, [0, *ends], ends))
     results = []
     for structure, target in zip(structures, targets, strict=True):
         if structure is None:
             results.append(None)
             continue
-        row, lo, hi = next(found)
+        a, lo, hi = next(found)
         grid = target.reshape(-1)
         inter = int(np.count_nonzero(grid[flat[lo:hi]]))
-        union = row[2] + int(np.count_nonzero(grid)) - inter
-        results.append((row, inter / union if union else 0.0))
+        union = a.occupied_count + int(np.count_nonzero(grid)) - inter
+        results.append((a, inter / union if union else 0.0))
     return results
 
 
 def _cell_pass(
     structures: list[BrickStructure], world: WorldConfig, full: bool
-) -> tuple[list[tuple], np.ndarray, list[int]]:
-    """The row of each structure's StructureAnalysis fields, and the flat indices of its voxels.
+) -> tuple[list[StructureAnalysis], np.ndarray, list[int]]:
+    """Each structure's StructureAnalysis, and the flat indices of its voxels.
 
-    Returns one row per structure, the fields in StructureAnalysis order
-    as plain Python values (so a caller that reads a few of them builds
-    no record), the flat voxel indices of every structure in turn, each
-    structure's in ascending order, and where each structure's indices
-    end. Two or more structures share one geometry, whose cell keys carry
-    a structure id, so every step runs once for all of them. Voxels are
-    the runs of equal keys among the sorted cells on in-world layers;
-    per-structure totals count flags over bricks or voxels by structure id.
+    Returns one analysis per structure, the flat voxel indices of every
+    structure in turn, each structure's in ascending order, and where
+    each structure's indices end. Two or more structures share one
+    geometry, whose cell keys carry a structure id, so every step runs
+    once for all of them. Voxels are the runs of equal keys among the
+    sorted cells on in-world layers; per-structure totals count flags
+    over bricks or voxels by structure id.
     """
     k = len(structures)
     if k == 0:
@@ -375,10 +364,11 @@ def _cell_pass(
     else:
         connected = coverage = [None] * k
 
-    rows = [(col, clip == 0, occ, dis, 1.0 - dis / max(occ, 1), linked, inter / max(off, 1), cover, size)
-            for col, clip, occ, dis, linked, inter, off, cover, size
-            in zip(n_col, clipped, occupied, disconnected, connected, interlocked, off_ground, coverage, sizes)]
-    return rows, flat, list(accumulate(occupied))
+    analyses = [StructureAnalysis(col, clip == 0, occ, dis, 1.0 - dis / max(occ, 1), linked, inter / max(off, 1),
+                                  cover, size)
+                for col, clip, occ, dis, linked, inter, off, cover, size
+                in zip(n_col, clipped, occupied, disconnected, connected, interlocked, off_ground, coverage, sizes)]
+    return analyses, flat, list(accumulate(occupied))
 
 
 def _seam_coverage(geom: _Geometry, cells: tuple, voxel: np.ndarray, vz: np.ndarray,
@@ -463,7 +453,7 @@ def interlock_score(
     if world is None:
         h, w, x, y, _ = structure.columns.astype(object).T
         world = WorldConfig((x + h).max(initial=1), (y + w).max(initial=1), 1)
-    return _cell_pass([structure], world, full=False)[0][0][6]
+    return _cell_pass([structure], world, full=False)[0][0].interlock_score
 
 
 def _components(n: int, upper: np.ndarray, lower: np.ndarray) -> np.ndarray:

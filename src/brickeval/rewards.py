@@ -20,7 +20,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .analysis import StructureAnalysis, chunk_rows
+from .analysis import StructureAnalysis, analyze_chunk
 from .core import DimensionMismatch, WorldConfig
 from .tokens import parse_structure
 
@@ -74,26 +74,21 @@ def reward_shape(gen: np.ndarray, target: np.ndarray) -> tuple[float, float]:
     return 5.0 * iou, iou
 
 
-def reward_terms(row: tuple, iou: float) -> tuple:
-    """The RewardBreakdown fields, in order, of a parsed structure from its analysis row and its IoU with the target.
-
-    A row is a StructureAnalysis's fields in order (see
-    analysis.chunk_rows); only n_col, fully_in_bounds, conn_score,
-    interlock_score and brick_count are read.
-    """
-    n_col, in_bounds, _, _, conn_score, _, interlock, _, brick_count = row
+def reward_terms(a: StructureAnalysis, iou: float) -> tuple:
+    """The RewardBreakdown fields, in order, of a parsed structure from its analysis and its IoU with the target."""
+    n_col, in_bounds = a.n_col, a.fully_in_bounds
     feasible = n_col == 0 and in_bounds
     r_col = reward_collision(n_col)
     r_shape = 5.0 * iou
-    r_inter = 3.0 * interlock if feasible else 0.0
-    r_conn = 2.0 * conn_score if feasible else 0.0
+    r_inter = 3.0 * a.interlock_score if feasible else 0.0
+    r_conn = 2.0 * a.conn_score if feasible else 0.0
     total = r_col + r_shape + r_inter + r_conn
-    return r_col, r_shape, r_inter, r_conn, total, False, feasible, iou, n_col, in_bounds, brick_count
+    return r_col, r_shape, r_inter, r_conn, total, False, feasible, iou, n_col, in_bounds, a.brick_count
 
 
 def reward_breakdown(a: StructureAnalysis, iou: float) -> RewardBreakdown:
     """The four reward terms of a parsed structure from its analysis and its IoU with the target."""
-    return RewardBreakdown(*reward_terms(astuple(a), iou))
+    return RewardBreakdown(*reward_terms(a, iou))
 
 
 def score_completion(
@@ -114,7 +109,7 @@ CHUNK_SIZE = 32
 def score_completions(
     completions: list[str], targets: list[np.ndarray], world: WorldConfig
 ) -> list[RewardBreakdown]:
-    """Each completion's four reward terms against its target: score_terms, each row made a RewardBreakdown."""
+    """Each completion's four reward terms against its target: score_terms, each made a RewardBreakdown."""
     return [RewardBreakdown(*terms) for terms in score_terms(completions, targets, world)]
 
 
@@ -122,10 +117,10 @@ def score_terms(completions: list[str], targets: list[np.ndarray], world: WorldC
     """Each completion's RewardBreakdown fields, in order, against its target.
 
     A completion that fails to parse scores FAILED_CONSTRUCTION's fields;
-    the parsed ones are analyzed together in one chunk_rows call. No term
+    the parsed ones are analyzed together in one analyze_chunk call. No term
     reads seam coverage or is_connected, so the analysis skips the seam
     search, and the component labels when every brick is grounded.
     """
     structures = [s if report.parsed_ok else None for s, report in map(parse_structure, completions)]
     return [_FAILED_TERMS if result is None else reward_terms(*result)
-            for result in chunk_rows(structures, targets, world, full=False)]
+            for result in analyze_chunk(structures, targets, world, full=False)]

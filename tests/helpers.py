@@ -44,6 +44,14 @@ def oracle_counts(structure: BrickStructure, world: WorldConfig) -> dict[tuple[i
     return counts
 
 
+def oracle_occupied(structure: BrickStructure, world: WorldConfig) -> np.ndarray:
+    """The occupied grid, from oracle_counts."""
+    grid = np.zeros(world.shape, dtype=bool)
+    for v in oracle_counts(structure, world):
+        grid[v] = True
+    return grid
+
+
 def oracle_supports_below(
     structure: BrickStructure, i: int, world: WorldConfig | None
 ) -> list[int]:

@@ -3,7 +3,6 @@
 import json
 import sys
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +25,7 @@ from brickeval import (
     score_completion,
     serialize_structure,
 )
-from brickeval.analysis import StructureAnalysis, _Geometry, analyze_chunk, chunk_rows
+from brickeval.analysis import StructureAnalysis, _Geometry, analyze_chunk
 from brickeval.rewards import reward_breakdown, score_completions
 from brickeval.service import max_line_bytes
 
@@ -38,6 +37,7 @@ from helpers import (
     oracle_footprint,
     oracle_interlock,
     oracle_iou,
+    oracle_occupied,
     oracle_seam_coverage,
     oracle_supports_below,
     oracle_voxels,
@@ -51,13 +51,15 @@ def struct(*specs):
 
 def support_edges(s, world):
     # The support graph's edges as a set, sorted: the join may repeat an edge.
-    upper, lower, *_ = _Geometry(s.columns, world).support()
+    geom = _Geometry(s.columns, world)
+    upper, lower, *_ = geom.support(geom.sorted_cells())
     return sorted(set(zip(upper.tolist(), lower.tolist())))
 
 
 def rests_on(s, world):
     # Per brick, from support's bounds: 0, 1 or 2 for no brick below, one, or two or more.
-    _, _, least, greatest, crowded = _Geometry(s.columns, world).support()
+    geom = _Geometry(s.columns, world)
+    _, _, least, greatest, crowded = geom.support(geom.sorted_cells())
     return ((greatest >= 0).astype(int) + ((least < greatest) | crowded)).tolist()
 
 
@@ -198,7 +200,8 @@ def test_support_graph_matches_oracle(world):
             s = stacked_copies(rng, s)
         if k >= 80:
             s = far_layers(rng, s)
-        upper, lower, least, greatest, crowded = _Geometry(s.columns, w).support()
+        geom = _Geometry(s.columns, w)
+        upper, lower, least, greatest, crowded = geom.support(geom.sorted_cells())
         edges = set(zip(upper.tolist(), lower.tolist()))
         collides = shares_a_cell(s, w)
         kinds.add(collides)
@@ -248,17 +251,17 @@ def test_copies_of_one_brick_analyze_like_the_oracles(world):
         s = build(copies)
         got, lines[copies, True] = lines_run(analysis, analyze, s, world)
         _, lines[copies, False] = lines_run(analysis, analyze_chunk, [s, s], [target] * 2, world, full=False)
-        assert vars(analyze_chunk([s], [target], world)[0][0]) == vars(got)
+        assert analyze_chunk([s], [target], world)[0][0] == got
         top = 2 * copies + 1
         edges = [(u, copies) for u in range(copies + 1, top)] + [(top, j) for j in range(copies)]
         assert support_edges(s, world) == edges
         rests = rests_on(s, world)
         assert rests == [0] * (copies + 1) + [1] * copies + [2]
         # Only the top brick interlocks; the oracles are quadratic, so they check the smaller builds.
-        fields[copies] = {**vars(got), "interlock_score": None, "brick_count": None}
+        fields[copies] = {**got._asdict(), "interlock_score": None, "brick_count": None}
         assert got.interlock_score == 1 / (copies + 1) and got.brick_count == len(s)
         if copies < 3000:
-            assert vars(got) == oracle_analysis(s, world)
+            assert got._asdict() == oracle_analysis(s, world)
             assert rests == oracle_rests_on(s, world)
     assert fields[3000] == fields[300] == fields[2]
     assert lines[3000, True] == lines[2, True] and lines[3000, False] == lines[2, False]
@@ -268,9 +271,8 @@ def test_one_hostile_line_scores_in_bounded_memory(world):
     # A request line just under max_line_bytes of 2x6 bricks placed at
     # random in the 20^3 world: 72,298 bricks, about 740,000 cells, most
     # of them colliding. The reward-mode pass on it traced a peak of
-    # 92.3 MiB (108.2 MiB while the geometry kept every cell's footprint
-    # offsets, 118.9 MiB with the sorted, distinct edge list before that);
-    # the bound leaves about 5% above the measured peak.
+    # 60.1 MiB (92.3 MiB while support kept its per-cell temporaries to
+    # the end); the bound leaves about 5% above the measured peak.
     rng = np.random.default_rng(11)
     tokens = [f"2x6 ({x},{y},{z})" for x, y, z in rng.integers(0, 20, (80000, 3)).tolist()]
     room = max_line_bytes(world) - len(json.dumps({"id": "h", "completion": "", "target_points": "(0,0,0)"}))
@@ -288,7 +290,7 @@ def test_one_hostile_line_scores_in_bounded_memory(world):
     finally:
         tracemalloc.stop()
     assert got == want and got[0][0].brick_count == count
-    assert peak < 97.0 * (1 << 20), peak / (1 << 20)
+    assert peak < 63.0 * (1 << 20), peak / (1 << 20)
 
 
 def test_copies_stacked_on_copies_cost_their_cells(world):
@@ -305,7 +307,7 @@ def test_copies_stacked_on_copies_cost_their_cells(world):
         tracemalloc.stop()
     assert peak < 8 << 20
     small = parse_structure("1x1 (0,0,0)\n" * 3 + "1x1 (0,0,1)\n" * 2)[0]
-    assert vars(got) == {**oracle_analysis(small, world), "brick_count": 4000}
+    assert got._asdict() == {**oracle_analysis(small, world), "brick_count": 4000}
     assert got.interlock_score == 1.0 and got.n_col == 2 and got.is_connected
 
 
@@ -503,7 +505,7 @@ def test_empty_structure_analysis(world):
     target = random_target(0, grounded=True, world=world)
     for chunk in ([empty], [empty, empty], [real[0], empty, real[1], empty], [None, None], [None, empty, None]):
         for full in (True, False):
-            want = EMPTY_ANALYSIS if full else replace(EMPTY_ANALYSIS, seam_coverage=None, is_connected=None)
+            want = EMPTY_ANALYSIS if full else EMPTY_ANALYSIS._replace(seam_coverage=None, is_connected=None)
             results = analyze_chunk(chunk, [target] * len(chunk), world, full=full)
             for s, result in zip(chunk, results, strict=True):
                 if s is None:
@@ -579,7 +581,7 @@ def test_cell_keys_across_2_63_stay_exact():
     for dc in range(-2, 3):
         x, y = divmod(2**63 // 5 + dc, world.dim_y)
         s = struct(*[(1, 1, x, y, z) for z in range(3)])
-        assert vars(analyze(s, world)) == oracle_analysis(s, world), dc
+        assert analyze(s, world)._asdict() == oracle_analysis(s, world), dc
         assert interlock_score(s, world) == oracle_interlock(s, world), dc
 
 
@@ -590,7 +592,7 @@ def test_world_dimension_past_int64(axis, size):
     shape[axis] = size
     world = WorldConfig(*shape)
     s = struct((1, 2, 0, 0, 0), (1, 2, 0, 1, 1), (2, 2, 1, 0, 0))
-    assert vars(analyze(s, world)) == oracle_analysis(s, world)
+    assert analyze(s, world)._asdict() == oracle_analysis(s, world)
     assert interlock_score(s, world) == oracle_interlock(s, world)
 
 
@@ -680,13 +682,6 @@ def chunk_builds(rng, world, k, first_kind):
 FOUR_WORLDS = [WorldConfig(20, 20, 20), WorldConfig(7, 70, 3), WorldConfig(5, 7, 3), WorldConfig(1, 1, 1)]
 
 
-def oracle_occupied(s, world):
-    grid = np.zeros(world.shape, dtype=bool)
-    for v in oracle_counts(s, world):
-        grid[v] = True
-    return grid
-
-
 def assert_chunk_pass_matches_oracles(builds, targets, world):
     # Every field and the IoU against the oracles, with the types a
     # StructureAnalysis declares; a chunk also gives what each of its
@@ -694,10 +689,9 @@ def assert_chunk_pass_matches_oracles(builds, targets, world):
     chunked = analyze_chunk(builds, targets, world)
     for s, target, (a, iou) in zip(builds, targets, chunked, strict=True):
         want = oracle_analysis(s, world)
-        assert vars(a) == want
+        assert a._asdict() == want
         assert iou == oracle_iou(oracle_occupied(s, world), target)
-        assert [type(v) for v in (*vars(a).values(), iou)] == [int, bool, int, int, float, bool, float, float, int,
-                                                                 float]
+        assert [type(v) for v in (*a, iou)] == [int, bool, int, int, float, bool, float, float, int, float]
         assert analyze_chunk([s], [target], world) == [(a, iou)]
 
 
@@ -739,7 +733,7 @@ def test_cell_keys_on_each_side_of_16_bits(top, largest_key):
     for s in builds:
         assert _Geometry(s.columns, world).sorted_cells()[0].max() == largest_key
         a, occupied = analyze_with_occupancy(s, world)
-        assert vars(a) == oracle_analysis(s, world)
+        assert a._asdict() == oracle_analysis(s, world)
         assert (occupied == oracle_occupied(s, world)).all()
     assert_chunk_pass_matches_oracles(builds, [oracle_occupied(s, world) for s in builds[::-1]], world)
 
@@ -779,10 +773,10 @@ def test_reward_path_skips_only_seams_and_connectedness(world, monkeypatch):
 
     def chunk(*args, **kwargs):
         chunk_calls.append(kwargs)
-        return chunk_rows(*args, **kwargs)
+        return analyze_chunk(*args, **kwargs)
 
     monkeypatch.setattr(analysis, "_seam_coverage", no_seam_pass)
-    monkeypatch.setattr(rewards, "chunk_rows", chunk)
+    monkeypatch.setattr(rewards, "analyze_chunk", chunk)
     assert [score_completion(text, target, world) for text, target in zip(texts, targets)] == alone
     assert score_completions(texts, targets, world) == chunked == alone
     assert chunk_calls and chunk_calls == [{"full": False}] * len(chunk_calls)
@@ -793,7 +787,7 @@ def test_reward_path_skips_only_seams_and_connectedness(world, monkeypatch):
     for (a, iou), (b, iou_b) in zip(results, in_full, strict=True):
         assert a.seam_coverage is None and a.is_connected is None
         assert b.seam_coverage is not None and b.is_connected is not None
-        assert (replace(a, seam_coverage=b.seam_coverage, is_connected=b.is_connected), iou) == (b, iou_b)
+        assert (a._replace(seam_coverage=b.seam_coverage, is_connected=b.is_connected), iou) == (b, iou_b)
 
 
 @pytest.mark.parametrize("world", [WorldConfig(20, 20, 20), WorldConfig(7, 70, 3)], ids=str)
@@ -825,7 +819,7 @@ def test_reward_path_labels_components_only_when_a_brick_rests_on_nothing(world,
         assert [score_completion(text, target, world) for text, target in zip(texts, targets)] == scored
         interlock = [(interlock_score(s, world), interlock_score(s)) for s in grounded]
         assert analyze_chunk([empty, *grounded], [targets[0], *targets], world, full=False)[0] == (
-            replace(EMPTY_ANALYSIS, seam_coverage=None, is_connected=None), 0.0)
+            EMPTY_ANALYSIS._replace(seam_coverage=None, is_connected=None), 0.0)
         assert interlock_score(empty, world) == interlock_score(empty) == 0.0
         for s in floating:
             for call in (lambda: score_completion(serialize_structure(s), targets[1], world),

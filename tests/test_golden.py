@@ -83,7 +83,8 @@ def _value(v) -> str:
 
 
 def _fields(obj) -> str:
-    return " ".join(f"{f.name}={_value(getattr(obj, f.name))}" for f in fields(obj))
+    names = obj._fields if isinstance(obj, tuple) else [f.name for f in fields(obj)]
+    return " ".join(f"{name}={_value(getattr(obj, name))}" for name in names)
 
 
 def _cli(*argv: str) -> str:

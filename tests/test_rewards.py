@@ -2,7 +2,6 @@
 
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,9 +20,9 @@ from brickeval import (
     serialize_structure,
 )
 from brickeval.analysis import analyze_chunk
-from brickeval.rewards import score_completions
+from brickeval.rewards import RewardBreakdown, score_completions
 
-from helpers import collision_free_structure, oracle_iou, random_structure
+from helpers import collision_free_structure, oracle_analysis, oracle_iou, oracle_occupied, random_structure
 
 
 # ------------------------------------------------------------ reward_collision
@@ -167,7 +166,7 @@ def test_wrong_target_shape_raises(world):
     with pytest.raises(DimensionMismatch):
         analyze_chunk([None, structure, None], [good, good, bad], world)
     assert analyze_chunk([None, structure, None], [good] * 3, world, full=False) == [
-        None, (replace(analyze(structure, world), seam_coverage=None, is_connected=None), 0.0), None]
+        None, (analyze(structure, world)._replace(seam_coverage=None, is_connected=None), 0.0), None]
 
 
 def test_self_iou_is_one(world):
@@ -230,6 +229,38 @@ def test_small_world_scoring():
     rb = score_completion("2x2 (0,0,0)", target, tiny)
     assert (rb.r_col, rb.r_shape, rb.r_inter, rb.r_conn) == (0.0, 5.0, 0.0, 2.0)
     assert rb.total == 7.0 and rb.feasible
+
+
+def oracle_breakdown(structure, target, world):
+    # The README's reward table, term by term, on the oracles' analysis.
+    a = oracle_analysis(structure, world)
+    iou = oracle_iou(oracle_occupied(structure, world), target)
+    feasible = a["n_col"] == 0 and a["fully_in_bounds"]
+    terms = (max(-10.0, -2.0 * a["n_col"]), 5.0 * iou, 3.0 * a["interlock_score"] * feasible,
+             2.0 * a["conn_score"] * feasible)
+    return RewardBreakdown(*terms, sum(terms), False, feasible, iou, a["n_col"], a["fully_in_bounds"], len(structure))
+
+
+def test_what_the_reward_pays_for(world):
+    # The README's worked example: an 8x8 slab on layer 0 as the target,
+    # its exact build of 16 2x2 bricks, and that build with bricks added.
+    target = np.zeros(world.shape, dtype=bool)
+    target[:8, :8, 0] = True
+    exact = [f"2x2 ({x},{y},0)" for x in range(0, 8, 2) for y in range(0, 8, 2)]
+    staggered = [f"2x2 ({x},{y},1)" for x in (1, 3, 5) for y in (1, 3, 5)]
+    builds = {
+        "exact": (exact, (0.0, 5.0, 0.0, 2.0), 7.0, 1.0, True),
+        "staggered": (exact + staggered, (0.0, 3.2, 3.0, 2.0), 8.2, 0.64, True),
+        "floating": (exact + ["1x1 (15,15,3)"], (0.0, 5 * 64 / 65, 0.0, 2 * 64 / 65), 6.8923, 64 / 65, True),
+        "colliding": (exact + ["2x2 (0,0,0)"], (-8.0, 5.0, 0.0, 0.0), -3.0, 1.0, False),
+        "past the world": (exact + ["2x4 (19,0,0)"], (0.0, 5 * 64 / 68, 0.0, 0.0), 4.7059, 64 / 68, False),
+    }
+    for name, (tokens, terms, total, iou, feasible) in builds.items():
+        text = "\n".join(tokens)
+        rb = score_completion(text, target, world)
+        assert rb == oracle_breakdown(parse_structure(text)[0], target, world), name
+        assert (rb.r_col, rb.r_shape, rb.r_inter, rb.r_conn) == pytest.approx(terms), name
+        assert (rb.total, rb.iou, rb.feasible) == (pytest.approx(total, abs=1e-4), pytest.approx(iou), feasible), name
 
 
 def test_one_brick_in_a_large_world_costs_its_cells_not_the_world():

@@ -1,5 +1,5 @@
 """The program's source: every imported name is read, but for perfbench's hooks,
-and every top-level definition is read or exported."""
+and every top-level definition is read or exported; every name the tests import is read."""
 
 import ast
 from pathlib import Path
@@ -16,6 +16,7 @@ WRAPPED_BY_PERFBENCH = {
     ("rewards", "analyze_with_occupancy"),
 }
 PACKAGE = Path(brickeval.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def read_names(tree: ast.AST) -> set[str]:
@@ -58,6 +59,12 @@ def test_every_import_is_read_but_perfbench_hooks():
         for name in unread_imports(path.read_text(encoding="utf-8"))
     }
     assert unread == WRAPPED_BY_PERFBENCH
+
+
+def test_every_test_import_is_read():
+    unread = {(path.stem, name) for path in sorted(TESTS.glob("*.py"))
+              for name in unread_imports(path.read_text(encoding="utf-8"))}
+    assert unread == set()
 
 
 def test_every_definition_is_read_or_exported():

@@ -11,7 +11,6 @@ from brickeval import (
     PROMPT_TEMPLATE,
     WorldConfig,
     build_prompt,
-    make_brick,
     parse_pointcloud,
     parse_structure,
     serialize_pointcloud,
