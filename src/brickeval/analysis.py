@@ -25,8 +25,10 @@ Definitions used throughout:
   layer has no layer above and is excluded from the seam total.
 
 The passes are vectorized and share one set of footprint cells: each
-brick's clipped footprint is enumerated exactly, its cells numbered by
-one repeat of the brick index and one arange, with no padding. Support
+brick's clipped footprint is enumerated exactly, with no padding: its
+cells are numbered by one repeat of the brick index and one arange, and
+each cell's offsets in the footprint are read from two constant tables
+indexed by the clipped width and the cell's number. Support
 is a join on those cells (sorted by column and layer, by a radix sort
 when every key fits in 16 bits, as one structure's keys in a 20^3
 world do unless it spans many layers; the cells under a cell are the
@@ -82,6 +84,14 @@ class StructureAnalysis(NamedTuple):
     brick_count: int
 
 
+# The offsets (i // cw, i % cw) of cell i of a footprint clipped to width
+# cw, at cw * _CELLS + i. _CELLS exceeds every library side and every
+# footprint's cell count, so every clipped footprint's cells have a row.
+_CELLS = 16
+_DX, _DY = (table.astype(np.uint8).ravel()
+            for table in np.divmod(np.arange(_CELLS), np.maximum(np.arange(_CELLS), 1)[:, None]))
+
+
 class _Geometry:
     """Per-structure arrays shared by the analysis passes.
 
@@ -133,17 +143,25 @@ class _Geometry:
         self.z = zc
         self.ground = zc == 0
 
-        # Cell i of a brick's clipped ch x cw footprint is (x0 + i // cw, y0 + i % cw).
+        # Cell i of a brick's clipped ch x cw footprint is (x0 + i // cw, y0 + i % cw),
+        # read from the offset tables at cw * _CELLS + i.
         count = ch * cw
         # A brick is in bounds when nothing of it is clipped: all its cells are voxels.
         self.in_bounds = (count == h * w) & (zc >= 0)
-        brick = np.arange(n).repeat(count)
-        dx, dy = np.divmod(np.arange(brick.size) - (count.cumsum() - count)[brick], cw[brick])
+        self.brick = brick = np.arange(n).repeat(count)
+        at = (cw * _CELLS - (count.cumsum() - count))[brick]
+        at += np.arange(brick.size)
+        dx, dy = _DX[at], _DY[at]
+        del at
         base = x0 * dim_y + y0  # each brick's first column
         if structure is not None:
             base += (structure if exact else structure.astype(object)) * (dim_x * dim_y)
-        self.brick = brick
-        self.column = base[brick] + (dx if exact else dx.astype(object)) * dim_y + dy
+        # Per-cell temporaries go after their last read: on a long line they are most of the geometry's memory.
+        column = base[brick]
+        column += np.multiply(dx, dim_y, dtype=np.int64) if exact else dx.astype(object) * dim_y
+        del dx
+        column += dy
+        self.column = column
         self.key_span = dim_x * dim_y * k * self.layer_span  # every cell key is below it
         # Per brick, for the seam search alone: a cell's offsets in its footprint follow from its column.
         self._base, self._sides = base, (ch, cw)

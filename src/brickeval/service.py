@@ -44,7 +44,8 @@ request: its traceback goes to stderr, and the request is still answered
 bad_request with its id. Nothing but responses goes to stdout. In either
 mode at most 128 requests, of 8 MiB at most between them, are in flight
 (a longer line waits until it is alone), so a slow reader throttles
-intake. End of input flushes pending responses and exits cleanly.
+intake. End of input flushes pending responses and exits cleanly;
+SIGINT or SIGTERM stops serve_rewards, workers and all.
 """
 
 from __future__ import annotations
@@ -409,21 +410,34 @@ def serve_rewards(
     world: WorldConfig = DEFAULT_WORLD,
     threads: int = 1,
 ) -> int:
-    """Run the service until end of input (stdio) or interrupt (tcp)."""
-    if transport == "stdio":
-        def write_line(text: str) -> None:
-            sys.stdout.write(text + "\n")
-            sys.stdout.flush()
+    """Run the service until end of input (stdio) or until SIGINT or SIGTERM (either transport); returns 0.
 
-        serve_lines(read_lines(sys.stdin.buffer, world), write_line, world, threads)
-        return 0
-    if transport == "tcp":
-        with RewardTCPServer((host, port), world, threads) as server:
-            print(f"listening on {server.server_address[0]}:{server.server_address[1]}",
-                  file=sys.stderr, flush=True)
-            try:
+    Run it in the main thread, where Python delivers signals. SIGTERM
+    stops the service as SIGINT (Ctrl-C) does: the interrupt unwinds the
+    serving thread, whose cleanup shuts the worker pool down, so no
+    worker outlives the service.
+    """
+    if transport not in ("stdio", "tcp"):
+        raise ValueError(f"unknown transport {transport!r}")
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
+    try:
+        if transport == "stdio":
+            def write_line(text: str) -> None:
+                sys.stdout.write(text + "\n")
+                sys.stdout.flush()
+
+            serve_lines(read_lines(sys.stdin.buffer, world), write_line, world, threads)
+        else:
+            with RewardTCPServer((host, port), world, threads) as server:
+                print(f"listening on {server.server_address[0]}:{server.server_address[1]}",
+                      file=sys.stderr, flush=True)
                 server.serve_forever()
-            except KeyboardInterrupt:
-                pass
-        return 0
-    raise ValueError(f"unknown transport {transport!r}")
+    except KeyboardInterrupt:
+        if transport == "stdio":
+            # With workers, a reader thread may still wait in stdin holding its buffer's lock, which
+            # the interpreter takes at exit to close stdin, and aborts when it cannot. A closed raw
+            # file makes stdin read as closed, so the interpreter does not close it again.
+            sys.stdin.buffer.raw.close()
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    return 0

@@ -59,22 +59,25 @@ _BRICK_RE = re.compile(
 # brick and nothing is rejected unless a dimension is unknown. It is
 # checked with one full match and its integers are read in one pass.
 _PLAIN_TOKEN = r"[0-9]{1,9}+x[0-9]{1,9}+[ \t]*+\([0-9]{1,9}+[ \t]*+,[ \t]*+[0-9]{1,9}+[ \t]*+,[ \t]*+[0-9]{1,9}+\)"
-# Every repeat is possessive, which keeps the language. Each run of one
-# class (spaces and tabs, digits, the blank lines before the header) is
-# followed by a pattern that cannot start with a character of that
-# class, and a token, line body or "\n"-led line given back would leave
-# a ",", a digit or a "\n" where only "\n" or the end of the text may
-# follow. So the texts accepted and the header span are those of plain
-# repeats. A possessive repeat keeps no backtracking state per iteration
-# (a plain line repeat holds about 1.2 KiB a line) and is faster to run.
-# Digits are the range [0-9], the same class as \d under re.ASCII, which
-# the regex engine tests faster than the digit category. The lines are
-# LINE(\nLINE)*, not (LINE\n)*LINE: the latter matches the last line
-# twice, first as a repeat that fails at the end of the text, and a
-# one-line completion, as a comma-inline one is, is all last line.
-_PLAIN_LINE = rf"[ \t]*+(?:{_PLAIN_TOKEN}(?:[ \t]*+,[ \t]*+{_PLAIN_TOKEN})*+[ \t]*+)?+"
+# The body is one flat repeat of tokens, each joined to the next by a
+# comma or by a run of line ends and blank lines, with spaces and tabs
+# around either; whitespace of the three kinds may lead and trail it. That
+# is the language of blank or comma-list lines joined by "\n", with no
+# line repeat to enter and leave once a line. Every repeat is possessive,
+# which keeps the language: what follows a run of one class (spaces and
+# tabs, digits, whitespace with line ends) cannot start with a character
+# of that class, or is a run of no wider class, which is empty either
+# way; and a token or a separator with its token given back would leave
+# a digit, a "," or a line end where only whitespace and the end of the
+# text may follow. So the texts accepted and the header span are those of
+# plain repeats. A possessive repeat keeps no backtracking state per
+# iteration (a plain line repeat holds about 1.2 KiB a line) and is
+# faster to run. Digits are the range [0-9], the same class as \d under
+# re.ASCII, which the regex engine tests faster than the digit category.
 _PLAIN_RE = re.compile(
-    rf"([ \t\n]*+{re.escape(OUTPUT_HEADER)}[ \t]*+\n)?{_PLAIN_LINE}(?:\n{_PLAIN_LINE})*+", re.ASCII
+    rf"([ \t\n]*+{re.escape(OUTPUT_HEADER)}[ \t]*+\n)?[ \t\n]*+"
+    rf"(?:{_PLAIN_TOKEN}(?:[ \t]*+(?:,|\n[ \t\n]*+)[ \t]*+{_PLAIN_TOKEN})*+)?+[ \t\n]*+",
+    re.ASCII,
 )
 _PLAIN_SEPARATORS = str.maketrans("x(),\t\n", "      ")
 _POINT_RE = re.compile(r"\((\d+)\s*,\s*(\d+)\s*,\s*(\d+)\)", re.ASCII)

@@ -8,7 +8,6 @@ is tolerance-tuned at runtime.
 
 import json
 import subprocess
-import sys
 import time
 
 import numpy as np
@@ -42,6 +41,7 @@ from helpers import (
     oracle_iou,
     random_structure,
 )
+from servers import serve_process
 
 WORLD = WorldConfig()
 
@@ -262,14 +262,13 @@ def test_c12_throughput(capsys):
         for i in range(5000)
     ) + "\n"
     start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "brickeval", "serve", "--threads", "4"],
-        input=requests, capture_output=True, text=True, timeout=300,
-    )
+    with serve_process("--threads", "4", stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                       stderr=subprocess.PIPE, text=True) as proc:
+        stdout, _ = proc.communicate(requests, timeout=300)
     serve_s = time.perf_counter() - start
     rate = 5000 / serve_s
     ok = (scoring_s <= 5.0 and proc.returncode == 0
-          and len(proc.stdout.splitlines()) == 5000 and rate >= 1000.0)
+          and len(stdout.splitlines()) == 5000 and rate >= 1000.0)
     verdict(capsys, 12,
             f"1000 dense structures scored in {scoring_s:.2f}s (<= 5s); "
             f"stdio service at {rate:.0f} req/s (>= 1000)",

@@ -9,6 +9,7 @@ import pytest
 
 from brickeval import analysis, rewards
 from brickeval import (
+    BRICK_LIBRARY,
     BrickStructure,
     ConstructorOptions,
     WorldConfig,
@@ -267,12 +268,10 @@ def test_copies_of_one_brick_analyze_like_the_oracles(world):
     assert lines[3000, True] == lines[2, True] and lines[3000, False] == lines[2, False]
 
 
-def test_one_hostile_line_scores_in_bounded_memory(world):
+def hostile_line_structure(world):
     # A request line just under max_line_bytes of 2x6 bricks placed at
     # random in the 20^3 world: 72,298 bricks, about 740,000 cells, most
-    # of them colliding. The reward-mode pass on it traced a peak of
-    # 60.1 MiB (92.3 MiB while support kept its per-cell temporaries to
-    # the end); the bound leaves about 5% above the measured peak.
+    # of them colliding.
     rng = np.random.default_rng(11)
     tokens = [f"2x6 ({x},{y},{z})" for x, y, z in rng.integers(0, 20, (80000, 3)).tolist()]
     room = max_line_bytes(world) - len(json.dumps({"id": "h", "completion": "", "target_points": "(0,0,0)"}))
@@ -281,6 +280,15 @@ def test_one_hostile_line_scores_in_bounded_memory(world):
     assert len(json.dumps({"id": "h", "completion": completion, "target_points": "(0,0,0)"})) < max_line_bytes(world)
     s, report = parse_structure(completion)
     assert report.parsed_ok and len(s) == count > 72000
+    return s
+
+
+def test_one_hostile_line_scores_in_bounded_memory(world):
+    # The reward-mode pass on the hostile line traced a peak of 60.1 MiB
+    # (92.3 MiB while support kept its per-cell temporaries to the end);
+    # the bound leaves about 5% above the measured peak.
+    s = hostile_line_structure(world)
+    count = len(s)
     target = np.zeros(world.shape, dtype=bool)
     want = analyze_chunk([s], [target], world, full=False)  # warm caches
     tracemalloc.start()
@@ -291,6 +299,22 @@ def test_one_hostile_line_scores_in_bounded_memory(world):
         tracemalloc.stop()
     assert got == want and got[0][0].brick_count == count
     assert peak < 63.0 * (1 << 20), peak / (1 << 20)
+
+
+def test_one_hostile_line_geometry_in_bounded_memory(world):
+    # The footprint enumeration on the hostile line traced a peak of
+    # 23.0 MiB, against 32.8 MiB while every per-cell temporary of a
+    # divmod enumeration was alive at once; it keeps 14.2 MiB.
+    s = hostile_line_structure(world)
+    _Geometry(s.columns, world)  # warm caches
+    tracemalloc.start()
+    try:
+        geom = _Geometry(s.columns, world)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert geom.column.size > 700_000
+    assert peak < 25.0 * (1 << 20), peak / (1 << 20)
 
 
 def test_copies_stacked_on_copies_cost_their_cells(world):
@@ -884,6 +908,17 @@ def test_cell_builder_enumerates_clipped_footprints(world):
                 assert got.tolist() == want, name
                 assert got.dtype == (bool if name in ("pair_x", "pair_y") else np.int64), name
     assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+
+
+def test_cell_offset_tables_cover_every_clipped_footprint():
+    # A clipped footprint is no wider and holds no more cells than its
+    # brick, so rows of _CELLS entries hold every cell's offsets.
+    cells = analysis._CELLS
+    assert cells > max(max(d.h, d.w) for d in BRICK_LIBRARY)
+    assert cells > max(d.area for d in BRICK_LIBRARY)
+    for cw in range(1, cells):
+        for i in range(cells):
+            assert (analysis._DX[cw * cells + i], analysis._DY[cw * cells + i]) == divmod(i, cw)
 
 
 def test_chunk_pass_memory_grows_with_cells_not_world():

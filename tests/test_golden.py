@@ -70,6 +70,7 @@ from brickeval.cli import cli_dispatch
 from brickeval.rewards import CHUNK_SIZE, RewardBreakdown, reward_breakdown, score_completions
 from brickeval.service import serve_lines
 from helpers import collision_free_structure, oracle_analysis, oracle_counts, random_structure
+from servers import serve_process
 
 GOLDEN_SHA256 = "635128ce22910283d94fbaa4666ee594c2b2a4cd140c14014bec3cfc5e40b1e3"
 CONVERT_SHA256 = "3b35cb65588de58c2eb4dad20a20ac3152744e521813f5650dd0b5ee91e175cb"
@@ -211,10 +212,12 @@ def test_two_worker_stdio_service_writes_the_golden_responses():
     # Two workers score chunks in their own order, so the responses may
     # leave in another order; as a set they are the pinned ones.
     stdin = b"".join((line if isinstance(line, bytes) else line.encode()) + b"\n" for line in _requests())
-    proc = subprocess.run([sys.executable, "-m", "brickeval", "serve", "--threads", "2"],
-                          input=stdin, capture_output=True, timeout=120, check=True)
-    assert sorted(proc.stdout.decode().splitlines()) == sorted(_served())
-    assert proc.stderr == b""
+    with serve_process("--threads", "2", stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                       stderr=subprocess.PIPE) as proc:
+        stdout, stderr = proc.communicate(stdin, timeout=120)
+    assert proc.returncode == 0
+    assert sorted(stdout.decode().splitlines()) == sorted(_served())
+    assert stderr == b""
 
 
 def _oracle_breakdown(structure: BrickStructure, target: np.ndarray, world: WorldConfig) -> RewardBreakdown:

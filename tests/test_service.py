@@ -45,6 +45,7 @@ from brickeval.service import (
     serve_lines,
     start_workers,
 )
+from servers import group_members, ready_workers, serve_process, wait_until
 from test_golden import _requests as golden_requests
 
 WORLD = DEFAULT_WORLD
@@ -410,40 +411,40 @@ def test_client_that_stops_reading_bounds_server_memory():
     # 46 MiB here. Once the client reads, every request is answered.
     import fcntl
 
-    proc = subprocess.Popen([sys.executable, "-m", "brickeval", "serve", "--threads", "2"],
-                            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
-    answer = b'{"id": null, "error_code": "bad_request"}\n'
-    tiny = fcntl.fcntl(proc.stdout.fileno(), fcntl.F_SETPIPE_SZ, 1) // len(answer) + 1
-    padding = b"x" * 1_000_000
-    sent = []
+    with serve_process("--threads", "2", stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                       stderr=subprocess.DEVNULL) as proc:
+        answer = b'{"id": null, "error_code": "bad_request"}\n'
+        tiny = fcntl.fcntl(proc.stdout.fileno(), fcntl.F_SETPIPE_SZ, 1) // len(answer) + 1
+        padding = b"x" * 1_000_000
+        sent = []
 
-    def send():
+        def send():
+            try:
+                proc.stdin.writelines([b"{}\n"] * tiny)
+                for i in range(130):
+                    proc.stdin.write(b'{"id": "b%d", "completion": "%s"}\n' % (i, padding))
+                    sent.append(i)
+                proc.stdin.flush()
+            except (BrokenPipeError, ValueError):  # the server died, or stdin was closed
+                pass
+
+        writer = threading.Thread(target=send, daemon=True)
         try:
-            proc.stdin.writelines([b"{}\n"] * tiny)
-            for i in range(130):
-                proc.stdin.write(b'{"id": "b%d", "completion": "%s"}\n' % (i, padding))
-                sent.append(i)
-            proc.stdin.flush()
-        except (BrokenPipeError, ValueError):  # the server died, or stdin was closed
-            pass
-
-    writer = threading.Thread(target=send, daemon=True)
-    try:
-        writer.start()
-        last = -1
-        deadline = time.monotonic() + 30
-        while time.monotonic() < deadline and (len(sent) != last or not sent):
-            last = len(sent)
-            time.sleep(1.0)  # the server stops reading once its budget is full
-        assert 0 < len(sent) < 130
-        answered = [json.loads(proc.stdout.readline()) for _ in range(tiny + 130)]
-        with open(f"/proc/{proc.pid}/status") as f:
-            peak_mib = next(int(line.split()[1]) for line in f if line.startswith("VmHWM:")) / 1024
-        proc.stdin.close()
-        assert proc.wait(timeout=60) == 0
-    finally:
-        proc.kill()
-        writer.join(timeout=10)
+            writer.start()
+            last = -1
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline and (len(sent) != last or not sent):
+                last = len(sent)
+                time.sleep(1.0)  # the server stops reading once its budget is full
+            assert 0 < len(sent) < 130
+            answered = [json.loads(proc.stdout.readline()) for _ in range(tiny + 130)]
+            with open(f"/proc/{proc.pid}/status") as f:
+                peak_mib = next(int(line.split()[1]) for line in f if line.startswith("VmHWM:")) / 1024
+            proc.stdin.close()
+            assert proc.wait(timeout=60) == 0
+        finally:
+            proc.kill()
+            writer.join(timeout=10)
     assert answered.count(json.loads(answer)) == tiny
     assert sorted(r["id"] for r in answered if r["id"]) == sorted(f"b{i}" for i in range(130))
     assert peak_mib < 80
@@ -768,6 +769,59 @@ def test_stdio_survives_invalid_utf8(perfect_fixture):
     )
     assert proc.returncode == 0, proc.stderr
     assert_invalid_utf8_answered(proc.stdout)
+
+
+def pool_size(threads):
+    # The workers `serve --threads` starts: none when it scores in the serving process.
+    count = service._worker_count(threads)
+    return count if count > 1 else 0
+
+
+def wait_serving(proc, transport, threads, stderr):
+    # Until a stdio server has answered a request or a TCP one listens, and its pool's workers are ready.
+    if transport == "stdio":
+        proc.stdin.write(b'{"id": "up", "completion": "1x1 (0,0,0)", "target_points": "(0,0,0)"}\n')
+        proc.stdin.flush()
+        assert json.loads(proc.stdout.readline())["id"] == "up"
+    else:
+        assert wait_until(lambda: b"listening on" in stderr.read_bytes(), 60)
+    assert wait_until(lambda: len(ready_workers(proc)) == pool_size(threads), 60)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads the server's processes from /proc")
+@pytest.mark.parametrize("transport", ["stdio", "tcp"])
+def test_sigterm_stops_serve_and_its_workers(transport, tmp_path):
+    # subprocess.terminate(), docker stop and systemd all send SIGTERM. It once
+    # killed the server (exit -15) and left its two workers and the resource
+    # tracker running, so a trainer that restarted its reward server leaked
+    # three processes each time. Now it stops the server as Ctrl-C does.
+    stderr = tmp_path / "stderr"
+    with open(stderr, "wb") as err, serve_process("--transport", transport, "--threads", "2", stdin=subprocess.PIPE,
+                                                  stdout=subprocess.PIPE, stderr=err) as proc:
+        wait_serving(proc, transport, 2, stderr)
+        proc.terminate()
+        assert proc.wait(timeout=30) == 0
+        assert wait_until(lambda: not group_members(proc.pid), 10), group_members(proc.pid)
+    assert b"Traceback" not in stderr.read_bytes()
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads the server's processes from /proc")
+@pytest.mark.parametrize("threads", [1, 2])
+def test_ctrl_c_stops_stdio_serve_quietly(threads, tmp_path):
+    # Ctrl-C signals the terminal's whole foreground group. The stdio server
+    # once died of it with a KeyboardInterrupt traceback (exit -2), and at two
+    # workers about one run in two by SIGABRT (exit -6): the interpreter could
+    # not close stdin at exit while the reader thread still waited in it.
+    stderr = tmp_path / "stderr"
+    for _ in range(3 if threads > 1 else 1):
+        with open(stderr, "wb") as err, serve_process("--threads", str(threads), stdin=subprocess.PIPE,
+                                                      stdout=subprocess.PIPE, stderr=err) as proc:
+            wait_serving(proc, "stdio", threads, stderr)
+            os.killpg(proc.pid, signal.SIGINT)
+            assert proc.wait(timeout=30) == 0
+            assert wait_until(lambda: not group_members(proc.pid), 10), group_members(proc.pid)
+            assert proc.stdout.read() == b""
+        assert stderr.read_bytes() == b""
 
 
 def tcp_exchange(server, payload):

@@ -280,7 +280,8 @@ def test_one_pass_parse_of_a_maximal_line_holds_no_state_per_line():
 
 
 # The one-pass brick grammar with \d for digits and its lines as (LINE\n)*LINE:
-# the reference for the language of _PLAIN_RE, which writes [0-9] and LINE(\nLINE)*.
+# the reference for the language of _PLAIN_RE, which writes [0-9] and one
+# flat repeat of tokens joined by a comma or a run of line ends.
 REFERENCE_TOKEN = r"\d{1,9}+x\d{1,9}+[ \t]*+\(\d{1,9}+[ \t]*+,[ \t]*+\d{1,9}+[ \t]*+,[ \t]*+\d{1,9}+\)"
 REFERENCE_LINE = rf"[ \t]*+(?:{REFERENCE_TOKEN}(?:[ \t]*+,[ \t]*+{REFERENCE_TOKEN})*+[ \t]*+)?+"
 REFERENCE_PLAIN_RE = re.compile(
@@ -314,6 +315,17 @@ def test_plain_grammar_accepts_what_the_reference_accepts(world):
         for at in range(5):  # at each integer of a token
             h, w, x, y, z = [digits if i == at else "1" for i in range(5)]
             texts += [f"{h}x{w} ({x},{y},{z})", f"1x2 (0,0,0), {h}x{w} ({x}, {y}, {z})\n"]
+    # Joins where a flat token repeat differs in structure from lines:
+    # blank lines of spaces and tabs, a comma at a line end or start,
+    # "\r\n" line ends, and runs of line ends around the header.
+    joins = [", ", "\n", "\n \t\n\t\n", "\n\n\n", ",\n", "\n,", " ,\n ", "\n , ", ",\n\n", "\r\n", "\n\r\n", " \t\n"]
+    heads = ["", "\n\n", "\n \n\t\n", OUTPUT_HEADER + "\n\n\n", "\n\n" + OUTPUT_HEADER + " \t\n \t\n",
+             "\n\n\n" + OUTPUT_HEADER + "\n", OUTPUT_HEADER + "\r\n", "\n\n" + OUTPUT_HEADER]
+    tails = ["", "\n\n\n", "\n\t \n", ",", "\n,", "\r\n", " \t"]
+    for i in range(300):
+        tokens = serialize_structure(random_structure(rng, world, 6)).split("\n")
+        body = tokens[0] + "".join(joins[j] + t for j, t in zip(rng.integers(len(joins) if i % 2 else 4, size=6), tokens[1:]))
+        texts.append(heads[i % len(heads)] + body + tails[i // 2 % len(tails)])
     accepted = 0
     for text in texts:
         got, want = _PLAIN_RE.fullmatch(text), REFERENCE_PLAIN_RE.fullmatch(text)
