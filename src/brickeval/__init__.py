@@ -42,7 +42,6 @@ from .metrics import AggregateReport, EmptyInput, SampleMetrics, aggregate, emit
 from .rewards import (
     FAILED_CONSTRUCTION,
     RewardBreakdown,
-    reward_breakdown,
     reward_collision,
     reward_shape,
     score_completion,
@@ -60,6 +59,8 @@ from .tokens import (
     serialize_structure,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+from types import ModuleType as _Module
+
+__all__ = [name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _Module)]
 
 __version__ = "0.1.0"

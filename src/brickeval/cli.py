@@ -29,8 +29,8 @@ from .dataset import (
 )
 from .metrics import AggregateReport, aggregate, emit_report, sample_metrics_batch
 from .metrics import sample_metrics  # not called here; perfbench wraps it by name until ROADMAP direction 2
-from .rewards import CHUNK_SIZE, score_completion
-from .service import serve_rewards
+from .rewards import CHUNK_SIZE, chunk_length, score_completion
+from .service import max_line_bytes, serve_rewards
 from .tokens import (
     MalformedPointToken,
     OutOfWorldCoordinate,
@@ -198,38 +198,36 @@ def _cmd_score(args) -> int:
     return 0
 
 
+def _read_eval_pair(args, line_number: int, line: str) -> tuple[str, np.ndarray, float]:
+    """An eval pair's completion, decoded target and wall time."""
+    try:
+        obj = read_record(line)
+        completion, voxels, points = read_pair(obj)
+        target = (decode_target_voxels(voxels, args.world) if voxels is not None
+                  else parse_pointcloud(points, args.world))
+        wall = obj.get("wall_time_s", 0.0)
+        if type(wall) not in (int, float):  # bool is neither
+            raise ValueError(f"wall_time_s must be a number, got {type(wall).__name__}")
+        wall = float(wall)
+        if not 0.0 <= wall < math.inf:
+            raise ValueError(f"wall_time_s must be finite and non-negative, got {wall}")
+    except (OverflowError, ValueError) as exc:  # OverflowError: an integer past float range
+        raise _DataError(f"{args.pairs}:{line_number}: bad pair record ({exc})")
+    return completion, target, wall
+
+
 def _cmd_eval(args) -> int:
-    samples = []
-    pending = []  # (completion, target, wall_time_s) of pairs read but not yet scored
-
-    def score_pending() -> None:
-        completions, targets, walls = zip(*pending)
-        samples.extend(sample_metrics_batch(completions, targets, args.world, walls))
-        pending.clear()
-
-    for line_number, line in enumerate(_read_text(args.pairs).split("\n"), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = read_record(line)
-            completion, voxels, points = read_pair(obj)
-            target = (decode_target_voxels(voxels, args.world) if voxels is not None
-                      else parse_pointcloud(points, args.world))
-            wall = obj.get("wall_time_s", 0.0)
-            if type(wall) not in (int, float):  # bool is neither
-                raise ValueError(f"wall_time_s must be a number, got {type(wall).__name__}")
-            wall = float(wall)
-            if not 0.0 <= wall < math.inf:
-                raise ValueError(f"wall_time_s must be finite and non-negative, got {wall}")
-        except (OverflowError, ValueError) as exc:  # OverflowError: an integer past float range
-            raise _DataError(f"{args.pairs}:{line_number}: bad pair record ({exc})")
-        pending.append((completion, target, wall))
-        if len(pending) == CHUNK_SIZE:
-            score_pending()
-    if pending:
-        score_pending()
-    if not samples:
+    numbered = [(n, line) for n, line in enumerate(_read_text(args.pairs).split("\n"), start=1) if line.strip()]
+    if not numbered:
         raise _DataError(f"{args.pairs}: no pairs found")
+    limit = max_line_bytes(args.world)
+    samples = []
+    start = 0
+    while start < len(numbered):  # one batched pass per chunk, by the service's chunk rule
+        end = start + chunk_length([line for _, line in numbered[start:start + CHUNK_SIZE]], limit)
+        completions, targets, walls = zip(*(_read_eval_pair(args, n, line) for n, line in numbered[start:end]))
+        samples.extend(sample_metrics_batch(completions, targets, args.world, walls))
+        start = end
     report = aggregate(samples)
     fmt = "tabular_text" if args.format == "tabular" else "structured_records"
     _write_text(args.out, emit_report(report, samples, fmt).decode("utf-8"))

@@ -12,11 +12,17 @@ total = r_col + r_shape + r_inter + r_conn, always within [-10, 10]:
 A completion that fails to parse (empty, or any malformed token) is a
 failed construction: total -10, with the collision term at its floor
 and the other components zero.
+
+score_terms scores completions in one pass, each as RewardBreakdown's
+fields in order; score_completion is it on a chunk of one. reward_terms
+states the arithmetic, and chunk_length what one pass holds (the
+service's worker chunks and eval's batches).
 """
 
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -86,31 +92,31 @@ def reward_terms(a: StructureAnalysis, iou: float) -> tuple:
     return r_col, r_shape, r_inter, r_conn, total, False, feasible, iou, n_col, in_bounds, a.brick_count
 
 
-def reward_breakdown(a: StructureAnalysis, iou: float) -> RewardBreakdown:
-    """The four reward terms of a parsed structure from its analysis and its IoU with the target."""
-    return RewardBreakdown(*reward_terms(a, iou))
-
-
 def score_completion(
     completion_text: str, target: np.ndarray, world: WorldConfig
 ) -> RewardBreakdown:
-    """Parse, analyze, and compose the four reward terms.
-
-    It is score_completions on a chunk of one.
-    """
-    return score_completions([completion_text], [target], world)[0]
+    """Parse, analyze, and compose the four reward terms: score_terms on a chunk of one."""
+    return RewardBreakdown(*score_terms([completion_text], [target], world)[0])
 
 
-# Structures evaluated together at most: a service worker's chunk of
-# request lines, and eval's chunk of pairs.
+# Items in one batched pass at most: a service worker's chunk of request
+# lines, and eval's chunk of pairs.
 CHUNK_SIZE = 32
 
 
-def score_completions(
-    completions: list[str], targets: list[np.ndarray], world: WorldConfig
-) -> list[RewardBreakdown]:
-    """Each completion's four reward terms against its target: score_terms, each made a RewardBreakdown."""
-    return [RewardBreakdown(*terms) for terms in score_terms(completions, targets, world)]
+def chunk_length(items: Sequence[str | bytes], limit: int) -> int:
+    """How many items (request lines or eval pairs) from the front make the next batched pass.
+
+    A pass holds at most CHUNK_SIZE items, whose lengths sum to at most
+    limit (the service and eval pass max_line_bytes(world)); a longer item
+    goes alone. So a pass analyzes about one maximal item's cells at most.
+    """
+    total = 0
+    for count, item in enumerate(items[:CHUNK_SIZE]):
+        total += len(item)
+        if total > limit:
+            return count or 1
+    return min(len(items), CHUNK_SIZE)
 
 
 def score_terms(completions: list[str], targets: list[np.ndarray], world: WorldConfig) -> list[tuple]:

@@ -20,7 +20,8 @@ serving thread. With N > 1 (capped at the usable CPU cores, since
 scoring is CPU-bound), a pool of that many spawned processes scores
 them in chunks of at most 32 request lines and at most max_line_bytes
 between them (a longer line goes alone), so a worker analyzes about one
-maximal line's cells at most. While some worker holds none of the
+maximal line's cells at most; rewards.chunk_length states that rule, and
+eval batches its pairs by it too. While some worker holds none of the
 stream's chunks, whatever has arrived is sent as soon as nothing else
 waits, so no line waits for a chunk to fill. While every worker holds
 one, arriving lines gather and go as one chunk when a worker finishes,
@@ -62,7 +63,7 @@ from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator
 
 from .core import WorldConfig, DEFAULT_WORLD
 from .dataset import BadRecord, CodecError, decode_target_voxels, read_pair, read_record
-from .rewards import CHUNK_SIZE, score_completion, score_terms
+from .rewards import CHUNK_SIZE, chunk_length, score_completion, score_terms
 from .tokens import MalformedPointToken, OutOfWorldCoordinate, parse_pointcloud
 
 if TYPE_CHECKING:
@@ -198,7 +199,9 @@ def start_workers(count: int) -> ProcessPoolExecutor:
     hundred milliseconds to import the scorer, so all of them are started
     now. A script that starts workers must do so under
     `if __name__ == "__main__":`, since each worker imports the script's
-    main module again.
+    main module again. Shut the pool down waiting: at exit, the
+    interpreter wakes each pool's manager thread through a pipe that the
+    thread, if still running, may be closing (EBADF on stderr).
     """
     import multiprocessing  # only a multi-worker service pays for these
     from concurrent.futures import ProcessPoolExecutor
@@ -236,7 +239,7 @@ def serve_lines(
     try:
         _pump(lines, write_line, world, pool, count)
     finally:
-        pool.shutdown(wait=False, cancel_futures=True)
+        pool.shutdown(cancel_futures=True)
 
 
 def _pump(
@@ -324,15 +327,14 @@ def _pump(
                 write(chunk, responses)
             else:
                 ended, error = True, item
-            # A chunk holds at most CHUNK_SIZE lines and at most limit bytes
-            # between them, and a longer line goes alone. A full chunk leaves
-            # at once; the rest, when nothing else waits and a worker is free.
+            # A full chunk (rewards.chunk_length) leaves at once; the rest,
+            # when nothing else waits and a worker is free.
             while pending and (len(pending) >= CHUNK_SIZE or pending_bytes >= limit
                                or events.empty() and in_flight < count):
                 # A lone line with none of this stream at the workers is
                 # scored here, which saves its two trips between processes.
                 lone = not in_flight and len(pending) == 1
-                size = _chunk_length(pending, limit)
+                size = chunk_length(pending, limit)
                 chunk, pending = pending[:size], pending[size:]
                 pending_bytes -= sum(map(len, chunk))
                 if not lone:
@@ -352,16 +354,6 @@ def _pump(
             room.notify()  # unblock the reader if it waits for room
     if error is not None:
         raise error
-
-
-def _chunk_length(lines: list[str | bytes], limit: int) -> int:
-    """How many lines from the front make the next chunk, by the chunk rule stated in _pump."""
-    total = 0
-    for size, line in enumerate(lines[:CHUNK_SIZE]):
-        total += len(line)
-        if total > limit:
-            return size or 1
-    return min(len(lines), CHUNK_SIZE)
 
 
 class RewardTCPServer(socketserver.ThreadingTCPServer):
@@ -385,7 +377,7 @@ class RewardTCPServer(socketserver.ThreadingTCPServer):
     def server_close(self) -> None:
         super().server_close()
         if self.workers is not None:
-            self.workers.shutdown(wait=False, cancel_futures=True)
+            self.workers.shutdown(cancel_futures=True)
             self.workers = None
 
 
@@ -426,18 +418,18 @@ def serve_rewards(
                 sys.stdout.write(text + "\n")
                 sys.stdout.flush()
 
-            serve_lines(read_lines(sys.stdin.buffer, world), write_line, world, threads)
+            # A reader of its own, never closed: the pump's reader thread may still wait in it at exit,
+            # holding its lock, which the interpreter would abort on if it were sys.stdin's. And fd 0
+            # stays open, so that thread never reads a descriptor some other file has taken.
+            stdin = open(sys.stdin.fileno(), "rb", closefd=False)
+            serve_lines(read_lines(stdin, world), write_line, world, threads)
         else:
             with RewardTCPServer((host, port), world, threads) as server:
                 print(f"listening on {server.server_address[0]}:{server.server_address[1]}",
                       file=sys.stderr, flush=True)
                 server.serve_forever()
     except KeyboardInterrupt:
-        if transport == "stdio":
-            # With workers, a reader thread may still wait in stdin holding its buffer's lock, which
-            # the interpreter takes at exit to close stdin, and aborts when it cannot. A closed raw
-            # file makes stdin read as closed, so the interpreter does not close it again.
-            sys.stdin.buffer.raw.close()
+        pass
     finally:
         signal.signal(signal.SIGTERM, previous)
     return 0

@@ -17,6 +17,7 @@ from brickeval import (
     analyze_with_occupancy,
     Brick,
     collision_stats,
+    encode_target_voxels,
     interlock_score,
     legalize,
     make_brick,
@@ -27,7 +28,8 @@ from brickeval import (
     serialize_structure,
 )
 from brickeval.analysis import StructureAnalysis, _Geometry, analyze_chunk
-from brickeval.rewards import reward_breakdown, score_completions
+from brickeval.cli import cli_dispatch
+from brickeval.rewards import RewardBreakdown, reward_terms, score_terms
 from brickeval.service import max_line_bytes
 
 from helpers import (
@@ -268,18 +270,23 @@ def test_copies_of_one_brick_analyze_like_the_oracles(world):
     assert lines[3000, True] == lines[2, True] and lines[3000, False] == lines[2, False]
 
 
-def hostile_line_structure(world):
-    # A request line just under max_line_bytes of 2x6 bricks placed at
-    # random in the 20^3 world: 72,298 bricks, about 740,000 cells, most
-    # of them colliding.
+def hostile_line_completion(world):
+    # The completion of a request line just under max_line_bytes: 2x6
+    # bricks placed at random in the 20^3 world, 72,298 bricks, about
+    # 740,000 cells, most of them colliding.
     rng = np.random.default_rng(11)
     tokens = [f"2x6 ({x},{y},{z})" for x, y, z in rng.integers(0, 20, (80000, 3)).tolist()]
     room = max_line_bytes(world) - len(json.dumps({"id": "h", "completion": "", "target_points": "(0,0,0)"}))
     count = np.searchsorted(np.cumsum([len(t) + 2 for t in tokens]) - 2, room)  # "\n" is two bytes in JSON
     completion = "\n".join(tokens[:count])
     assert len(json.dumps({"id": "h", "completion": completion, "target_points": "(0,0,0)"})) < max_line_bytes(world)
+    return completion
+
+
+def hostile_line_structure(world):
+    completion = hostile_line_completion(world)
     s, report = parse_structure(completion)
-    assert report.parsed_ok and len(s) == count > 72000
+    assert report.parsed_ok and len(s) == completion.count("\n") + 1 > 72000
     return s
 
 
@@ -315,6 +322,28 @@ def test_one_hostile_line_geometry_in_bounded_memory(world):
         tracemalloc.stop()
     assert geom.column.size > 700_000
     assert peak < 25.0 * (1 << 20), peak / (1 << 20)
+
+
+def test_eval_of_hostile_pairs_in_bounded_memory(world, tmp_path):
+    # eval once batched 32 pairs whatever their size, so its traced peak grew
+    # by a hostile pass per hostile pair: 227.8 MiB for two against 113.3 for
+    # one. Now a batch holds at most max_line_bytes of pairs, or one pair.
+    line = json.dumps({"completion": hostile_line_completion(world),
+                       "target_voxels": encode_target_voxels(np.zeros(world.shape, dtype=bool))})
+    peaks = []
+    for count in (1, 2):
+        pairs = tmp_path / f"pairs{count}.jsonl"
+        pairs.write_text((line + "\n") * count)
+        argv = ["eval", "--pairs", str(pairs), "--out", str(tmp_path / "report.jsonl")]
+        if count == 1:
+            assert cli_dispatch(argv) == 0  # warm caches
+        tracemalloc.start()
+        try:
+            assert cli_dispatch(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.05 * peaks[0], [peak / (1 << 20) for peak in peaks]
 
 
 def test_copies_stacked_on_copies_cost_their_cells(world):
@@ -784,11 +813,11 @@ def test_reward_path_skips_only_seams_and_connectedness(world, monkeypatch):
     texts = [serialize_structure(s) for s in builds]
     targets = [grids[i % 4] for i in range(len(builds))]
     alone = [score_completion(text, target, world) for text, target in zip(texts, targets)]
-    chunked = score_completions(texts, targets, world)
+    chunked = [RewardBreakdown(*terms) for terms in score_terms(texts, targets, world)]
     in_full = analyze_chunk(builds, targets, world)
     for s, target, breakdown in zip(builds[:-1], targets, alone):
         want = StructureAnalysis(**oracle_analysis(s, world))
-        assert breakdown == reward_breakdown(want, oracle_iou(oracle_occupied(s, world), target))
+        assert breakdown == RewardBreakdown(*reward_terms(want, oracle_iou(oracle_occupied(s, world), target)))
 
     def no_seam_pass(*args):
         raise AssertionError("seam pass called")
@@ -802,7 +831,7 @@ def test_reward_path_skips_only_seams_and_connectedness(world, monkeypatch):
     monkeypatch.setattr(analysis, "_seam_coverage", no_seam_pass)
     monkeypatch.setattr(rewards, "analyze_chunk", chunk)
     assert [score_completion(text, target, world) for text, target in zip(texts, targets)] == alone
-    assert score_completions(texts, targets, world) == chunked == alone
+    assert [RewardBreakdown(*terms) for terms in score_terms(texts, targets, world)] == chunked == alone
     assert chunk_calls and chunk_calls == [{"full": False}] * len(chunk_calls)
     with pytest.raises(AssertionError, match="seam pass called"):
         analyze(builds[0], world)
@@ -839,7 +868,7 @@ def test_reward_path_labels_components_only_when_a_brick_rests_on_nothing(world,
     with monkeypatch.context() as m:
         m.setattr(analysis, "_components", no_labels)
         texts = [serialize_structure(s) for s in grounded]
-        scored = score_completions(texts, targets, world)
+        scored = [RewardBreakdown(*terms) for terms in score_terms(texts, targets, world)]
         assert [score_completion(text, target, world) for text, target in zip(texts, targets)] == scored
         interlock = [(interlock_score(s, world), interlock_score(s)) for s in grounded]
         assert analyze_chunk([empty, *grounded], [targets[0], *targets], world, full=False)[0] == (
@@ -853,13 +882,15 @@ def test_reward_path_labels_components_only_when_a_brick_rests_on_nothing(world,
         with pytest.raises(AssertionError, match="component labels"):
             analyze(grounded[1], world)
     floating_targets = targets[1::2]
-    scored += score_completions([serialize_structure(s) for s in floating], floating_targets, world)
+    floating_texts = [serialize_structure(s) for s in floating]
+    scored += [RewardBreakdown(*terms) for terms in score_terms(floating_texts, floating_targets, world)]
     interlock += [(interlock_score(s, world), interlock_score(s)) for s in floating]
 
     for s, target, breakdown, pair in zip(grounded + floating, targets + floating_targets, scored, interlock,
                                           strict=True):
         want = oracle_analysis(s, world)
-        assert breakdown == reward_breakdown(StructureAnalysis(**want), oracle_iou(oracle_occupied(s, world), target))
+        iou = oracle_iou(oracle_occupied(s, world), target)
+        assert breakdown == RewardBreakdown(*reward_terms(StructureAnalysis(**want), iou))
         assert pair == (want["interlock_score"], oracle_interlock(s, None))
         assert analyze(s, world).is_connected == want["is_connected"]
     # Each floating brick is ungrounded, and a feasible build pays for it.

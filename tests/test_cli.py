@@ -32,6 +32,8 @@ from brickeval import (
 )
 from brickeval import cli
 from brickeval.cli import cli_dispatch
+from brickeval.metrics import sample_metrics_batch
+from brickeval.service import max_line_bytes
 
 
 def run(capsys, *argv):
@@ -406,13 +408,15 @@ def test_eval_empty_pairs(tmp_path, capsys):
 
 
 # The kinds of perfbench's eval mix, plus dense builds (over 1/16 of the
-# world's voxels in brick area) and anchors past int64.
-EVAL_KINDS = ("valid", "points_target", "colliding", "malformed", "empty", "out_of_bounds", "dense", "huge")
+# world's voxels in brick area), anchors past int64, and builds padded with
+# 400 KB of trailing blanks, of which three pass a chunk's byte bound.
+EVAL_KINDS = ("valid", "points_target", "colliding", "malformed", "empty", "out_of_bounds", "dense", "huge",
+              "padded")
 
 
 @cache
 def eval_corpus(world: WorldConfig) -> tuple[tuple[str, np.ndarray, float], ...]:
-    """65 pairs as (JSON line, target grid, wall time), every kind in every run of 8."""
+    """65 pairs as (JSON line, target grid, wall time), every kind in every run of 9."""
     rng = np.random.default_rng([3, world.n_voxels])
     pairs = []
     for i in range(65):
@@ -431,6 +435,8 @@ def eval_corpus(world: WorldConfig) -> tuple[tuple[str, np.ndarray, float], ...]
             text = "3x3 (1,1,0)\n" + text
         elif kind == "empty":
             text = ""
+        elif kind == "padded":
+            text += " " * 400_000
         wall = float(rng.uniform(0.0, 3.0))
         pair = {"completion": text, "wall_time_s": wall}
         if kind == "points_target":
@@ -443,10 +449,17 @@ def eval_corpus(world: WorldConfig) -> tuple[tuple[str, np.ndarray, float], ...]
 
 @pytest.mark.parametrize("world", [WorldConfig(20, 20, 20), WorldConfig(7, 70, 3)], ids=str)
 @pytest.mark.parametrize("size", [1, 2, 31, 32, 33, 65])
-def test_eval_records_equal_one_pair_metrics(tmp_path, capsys, world, size):
-    # eval scores its pairs in chunks; the records must be those of one
-    # sample_metrics call per pair, byte for byte.
+def test_eval_records_equal_one_pair_metrics(tmp_path, capsys, monkeypatch, world, size):
+    # eval scores its pairs in chunks by the service's rule; the records must
+    # be those of one sample_metrics call per pair, byte for byte.
     pairs = eval_corpus(world)[:size]
+    batches = []
+
+    def record(completions, *args):
+        batches.append(len(completions))
+        return sample_metrics_batch(completions, *args)
+
+    monkeypatch.setattr(cli, "sample_metrics_batch", record)
     samples = [sample_metrics(json.loads(line)["completion"], target, world, wall) for line, target, wall in pairs]
     want = [json.dumps({"record": "sample", **asdict(m)}) for m in samples]
     want.append(json.dumps({"record": "aggregate", **asdict(aggregate(samples))}))
@@ -457,6 +470,12 @@ def test_eval_records_equal_one_pair_metrics(tmp_path, capsys, world, size):
                        "--out", str(out))
     assert code == 0, err
     assert out.read_bytes() == ("\n".join(want) + "\n").encode("utf-8")
+    # A batch holds at most 32 pairs and max_line_bytes of pair text, or one pair.
+    assert sum(batches) == size
+    ends = np.cumsum(batches)
+    for count, end in zip(batches, ends):
+        text = sum(len(line) for line, _, _ in pairs[end - count:end])
+        assert count == 1 or count <= 32 and text <= max_line_bytes(world), (batches, text)
 
 
 def test_eval_bad_pair_in_second_chunk_writes_nothing(tmp_path, capsys):

@@ -32,8 +32,8 @@ term stays the same when the build, its target and the world are
 transposed in x/y, or an in-bounds build and its target are mirrored
 in x or in y. Nor does the chunk check: the same fuzzed
 completions, scored per world in chunks of rewards.CHUNK_SIZE by
-score_completions, give score_completion's terms bit for bit, and those
-of the oracles in tests/helpers.py.
+score_terms, give score_completion's terms bit for bit, and those of
+the oracles in tests/helpers.py.
 
 Rule: a change that moves GOLDEN_SHA256 or CONVERT_SHA256 says in
 CHANGES.md which output changed and why. A refactor never changes them.
@@ -67,7 +67,7 @@ from brickeval import (
 )
 from brickeval.analysis import StructureAnalysis
 from brickeval.cli import cli_dispatch
-from brickeval.rewards import CHUNK_SIZE, RewardBreakdown, reward_breakdown, score_completions
+from brickeval.rewards import CHUNK_SIZE, RewardBreakdown, reward_terms, score_terms
 from brickeval.service import serve_lines
 from helpers import collision_free_structure, oracle_analysis, oracle_counts, random_structure
 from servers import serve_process
@@ -225,7 +225,7 @@ def _oracle_breakdown(structure: BrickStructure, target: np.ndarray, world: Worl
     wanted = set(map(tuple, np.argwhere(target).tolist()))
     union = len(occupied | wanted)
     iou = len(occupied & wanted) / union if union else 0.0
-    return reward_breakdown(StructureAnalysis(**oracle_analysis(structure, world)), iou)
+    return RewardBreakdown(*reward_terms(StructureAnalysis(**oracle_analysis(structure, world)), iou))
 
 
 def test_chunked_scores_equal_single_scores():
@@ -238,7 +238,7 @@ def test_chunked_scores_equal_single_scores():
     for world, items in by_world.items():
         for lo in range(0, len(items), CHUNK_SIZE):
             texts, targets = zip(*items[lo:lo + CHUNK_SIZE])
-            got = score_completions(list(texts), list(targets), world)
+            got = [RewardBreakdown(*terms) for terms in score_terms(list(texts), list(targets), world)]
             want = [score_completion(text, target, world) for text, target in zip(texts, targets)]
             assert [_fields(b) for b in got] == [_fields(b) for b in want], (world, lo)
             for text, target, breakdown in zip(texts, targets, got):

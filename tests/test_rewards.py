@@ -20,7 +20,7 @@ from brickeval import (
     serialize_structure,
 )
 from brickeval.analysis import analyze_chunk
-from brickeval.rewards import RewardBreakdown, score_completions
+from brickeval.rewards import RewardBreakdown, score_terms
 
 from helpers import collision_free_structure, oracle_analysis, oracle_iou, oracle_occupied, random_structure
 
@@ -161,7 +161,7 @@ def test_wrong_target_shape_raises(world):
         with pytest.raises(DimensionMismatch):
             score_completion(completion, bad, world)
         with pytest.raises(DimensionMismatch):
-            score_completions(["1x1 (0,0,0)", completion], [good, bad], world)
+            score_terms(["1x1 (0,0,0)", completion], [good, bad], world)
     structure = parse_structure("1x1 (0,0,0)")[0]
     with pytest.raises(DimensionMismatch):
         analyze_chunk([None, structure, None], [good, good, bad], world)

@@ -802,7 +802,8 @@ def test_sigterm_stops_serve_and_its_workers(transport, tmp_path):
         proc.terminate()
         assert proc.wait(timeout=30) == 0
         assert wait_until(lambda: not group_members(proc.pid), 10), group_members(proc.pid)
-    assert b"Traceback" not in stderr.read_bytes()
+    errors = stderr.read_bytes()
+    assert b"Traceback" not in errors, errors.decode(errors="replace")
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads the server's processes from /proc")
@@ -821,7 +822,8 @@ def test_ctrl_c_stops_stdio_serve_quietly(threads, tmp_path):
             assert proc.wait(timeout=30) == 0
             assert wait_until(lambda: not group_members(proc.pid), 10), group_members(proc.pid)
             assert proc.stdout.read() == b""
-        assert stderr.read_bytes() == b""
+        errors = stderr.read_bytes()
+        assert errors == b"", errors.decode(errors="replace")
 
 
 def tcp_exchange(server, payload):

@@ -3,6 +3,7 @@ and every top-level definition is read or exported; every name the tests import 
 
 import ast
 from pathlib import Path
+from types import ModuleType
 
 import brickeval
 
@@ -65,6 +66,10 @@ def test_every_test_import_is_read():
     unread = {(path.stem, name) for path in sorted(TESTS.glob("*.py"))
               for name in unread_imports(path.read_text(encoding="utf-8"))}
     assert unread == set()
+
+
+def test_no_module_is_exported():
+    assert [name for name in brickeval.__all__ if isinstance(getattr(brickeval, name), ModuleType)] == []
 
 
 def test_every_definition_is_read_or_exported():
