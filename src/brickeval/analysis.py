@@ -32,12 +32,12 @@ indexed by the clipped width and the cell's number. Support
 is a join on those cells (sorted by column and layer, by a radix sort
 when every key fits in 16 bits, as one structure's keys in a 20^3
 world do unless it spans many layers; the cells under a cell are the
-run of equal keys just before it, and a run is joined to that run as
-a star, so stacked copies cost their cells). The join's edges are
-kept as they come, repeats and all: components come from hooking and
-pointer jumping over them, which repeats do not change, and whether a
-brick rests on one brick or on two or more comes from the least and
-greatest brick under it. Voxels are the runs of equal keys among the
+run of equal keys just before it). Every brick of a run rests on every
+brick of the run below, so a brick's least and greatest brick below
+come from the runs' bounds, and a cell is joined to the first brick
+of the run below and of the run above: stacked copies cost their cells.
+Components come from hooking and pointer jumping over the edges, which
+repeats do not change. Voxels are the runs of equal keys among the
 sorted cells, and a seam's neighbor is found by a binary search of the
 voxel keys. The bricks come in as the structure's columns, its one
 stored form, so no pass loops over bricks in Python and none builds a
@@ -49,11 +49,13 @@ structure. analyze_chunk, the evaluation core of the rewards and the
 metrics, runs it on many at once, whose cell keys then carry a
 structure id. It works on the sorted cells and the support edges
 between them, never on a world grid, so its cost and memory follow
-those, not the world. The rewards and interlock_score ask it only for
-the fields a reward term reads (full=False): it then skips the seam
-search, and the component labels too when every brick off the ground
-rests on one below. It counts each structure into one StructureAnalysis,
-a NamedTuple of plain Python values, which every caller reads as it is.
+those, not the world. The rewards ask it only for the fields a reward
+term reads (full=False): it then skips the seam search, joins each cell
+to the one before it alone, and leaves the support fields of an
+infeasible structure, whose support no reward reads, as None; it skips
+the component labels too when every other brick off the ground rests
+on one below. It counts each structure into one StructureAnalysis, a
+NamedTuple of plain Python values, which every caller reads as it is.
 """
 
 from __future__ import annotations
@@ -70,16 +72,17 @@ class StructureAnalysis(NamedTuple):
     """All structural predicates of one brick structure.
 
     seam_coverage and is_connected are None only when the caller asked
-    for the reward fields alone (full=False).
+    for the reward fields alone (full=False), and then the support fields
+    too on an infeasible structure (a colliding voxel or a clipped brick).
     """
 
     n_col: int
     fully_in_bounds: bool
     occupied_count: int
-    disconnected_count: int
-    conn_score: float
+    disconnected_count: int | None
+    conn_score: float | None
     is_connected: bool | None
-    interlock_score: float
+    interlock_score: float | None
     seam_coverage: float | None
     brick_count: int
 
@@ -203,49 +206,40 @@ class _Geometry:
         starts = _firsts(key)
         return key, self.brick[order], order, starts, np.count_nonzero(starts) == key.size
 
-    def support(self, cells: tuple) -> tuple[np.ndarray, ...]:
-        """Support edges (upper brick, lower brick), each brick's least and greatest brick below, and which bricks are crowded.
+    def support(self, cells: tuple, full: bool = True) -> tuple[np.ndarray, ...]:
+        """Support edges (upper brick, lower brick), and each brick's least and greatest brick below (n and -1: none).
 
-        From sorted_cells(). A run of bricks on one cell that rests on
-        the run below is joined to it as a star: every upper cell to the
-        first lower cell, the first upper cell to every lower cell. The
-        edges come as the join makes them, so one may repeat (a brick
-        resting on another over several cells); the components are exact
-        all the same. A brick's bounds are n and -1 when it rests on
-        nothing. It rests on one brick or more iff its greatest is at
-        least 0, and on two or more iff its least is below its greatest
-        or it is crowded: some cell of it has two or more under it.
+        From sorted_cells(). Every brick of a run (the bricks on one
+        cell) rests on every brick of the run below it, so a brick's
+        bounds are those of the runs under its cells, and about one edge
+        a cell gives the components: each cell to the first brick of the
+        run below, each but a run's first to the first of the run above.
+        When every run is one cell, or with full=False, each cell is
+        joined to the cell before it alone, which is exact on a structure
+        where no two bricks share a cell. Edges may repeat.
         """
         key, brick, _, starts, single = cells
-        crowded = np.zeros(self.n, dtype=bool)
-        if single:
+        if single or not full:
             stacked = key[1:] - key[:-1] == 1
             upper, lower = brick[1:][stacked], brick[:-1][stacked]
+            resting, low, high = upper, lower, lower
         else:
-            # Per-cell arrays go after their last read: on many colliding cells they are most of the pass's memory.
             first = np.flatnonzero(starts)
-            size = np.diff(np.append(first, key.size))
-            under = np.zeros(first.size, dtype=bool)  # per run: the next run rests on it; never the last
-            under[:-1] = key[first[1:]] - key[first[:-1]] == 1
-            below = np.cumsum(starts)
-            below -= 2  # per cell: the run below its own; -1, the last run, for the first run's cells
-            on = under[below]  # per cell: its run rests on the run below
-            below_size = size[below]
-            crowded[brick[on & (below_size > 1)]] = True
-            take = np.where(on & starts, below_size, on)
-            offset = first[below]
-            del on, below_size, below
-            offset -= np.cumsum(take) - take
-            offset = np.repeat(offset, take)
-            offset += np.arange(offset.size)
-            lower = brick[offset]
-            del offset
-            upper = np.repeat(brick, take)
+            head, lo, hi = brick[first], np.minimum.reduceat(brick, first), np.maximum.reduceat(brick, first)
+            on = np.zeros(first.size + 1, dtype=bool)  # at r: run r rests on run r - 1
+            on[1:-1] = key[first[1:]] - key[first[:-1]] == 1
+            run = np.cumsum(starts) - 1  # per cell: its run
+            rests, up = on[run], on[1:][run]  # per cell: its run rests on the run below; the run above on it
+            up[first] = False  # a run's first cell is joined to the run above by that run's own cells
+            below = run[rests] - 1
+            upper = np.concatenate((brick[rests], head[run[up] + 1]))
+            lower = np.concatenate((head[below], brick[up]))
+            resting, low, high = upper[:below.size], lo[below], hi[below]
         least = np.full(self.n, self.n)
         greatest = np.full(self.n, -1)
-        np.minimum.at(least, upper, lower)
-        np.maximum.at(greatest, upper, lower)
-        return upper, lower, least, greatest, crowded
+        np.minimum.at(least, resting, low)
+        np.maximum.at(greatest, resting, high)
+        return upper, lower, least, greatest
 
 
 def _firsts(values: np.ndarray) -> np.ndarray:
@@ -290,9 +284,10 @@ def analyze_chunk(
     shape is checked first, so a bad target raises whether or not its
     completion parsed. The parsed structures share one pass (see
     _cell_pass), each looked up in its own target grid. With full=False,
-    as the rewards ask, seam_coverage and is_connected are None: the seam
-    search is skipped, and so are the component labels unless some brick
-    off the ground rests on nothing.
+    as the rewards ask, seam_coverage and is_connected are None, and so
+    are the support fields of an infeasible structure: the seam search is
+    skipped, and so are the component labels unless some brick off the
+    ground of a feasible structure rests on nothing.
     """
     for target in targets:
         check_target_shape(target, world)
@@ -338,17 +333,7 @@ def _cell_pass(
 
     cells = geom.sorted_cells()
     _, brick, order, starts, single = cells
-    upper, lower, least, greatest, crowded = geom.support(cells)
-    nonground = ~geom.ground
-    # When every brick off the ground rests on one below it, every brick is
-    # grounded by induction on the layer, and only is_connected reads the labels.
-    all_grounded = np.count_nonzero((greatest >= 0) | geom.ground) == n
-    label = _components(n, upper, lower) if full or not all_grounded else None
-    grounded = None
-    if not all_grounded:
-        root = np.zeros(n, dtype=bool)
-        root[label[geom.ground]] = True
-        grounded = root[label]
+    upper, lower, least, greatest = geom.support(cells, full)
 
     # One cell of each run: its brick and its place in cell order.
     head, cell = (brick, order) if single else (brick[starts], order[starts])
@@ -364,19 +349,30 @@ def _cell_pass(
     occupied = [vz.size] if sid is None else np.bincount(vsid, minlength=k).tolist()
     # A run that goes on past its first cell is a colliding voxel.
     n_col = [0] * k if single else _count(~np.append(starts, True)[1:][starts][voxel], vsid, k)
-    if grounded is None:
-        disconnected = [0] * k
-    else:
+    clipped = _count(~geom.in_bounds, sid, k)
+    # The reward mode's join is exact on a feasible structure, the only kind whose support a reward reads.
+    exact = [full or col == clip == 0 for col, clip in zip(n_col, clipped)]
+    # When every brick off the ground rests on one below it, every brick is
+    # grounded by induction on the layer, and only is_connected reads the labels.
+    rested = (greatest >= 0) | geom.ground
+    if not all(exact):
+        rested |= np.repeat(np.logical_not(exact), sizes)
+    all_grounded = np.count_nonzero(rested) == n
+    label = _components(n, upper, lower) if full or not all_grounded else None
+    disconnected = [0] * k
+    if not all_grounded:
+        root = np.zeros(n, dtype=bool)
+        root[label[geom.ground]] = True
+        grounded = root[label]
         covered = grounded[brick] if single else np.logical_or.reduceat(grounded[brick], np.flatnonzero(starts))
         disconnected = _count(~covered[voxel], vsid, k)
-    clipped = _count(~geom.in_bounds, sid, k)
-    interlocked = _count(((least < greatest) | crowded) & nonground, sid, k)
-    off_ground = _count(nonground, sid, k)
+    interlocked = _count((least < greatest) & ~geom.ground, sid, k)
+    off_ground = _count(~geom.ground, sid, k)
     if full:
         # A label is the lowest brick index in its component, so a structure is
         # connected when every brick is grounded and has its first brick's label.
         apart = label != (0 if sid is None else np.repeat(np.cumsum(sizes) - sizes, sizes))
-        split = _count(apart if grounded is None else apart | ~grounded, sid, k)
+        split = _count(apart if all_grounded else apart | ~grounded, sid, k)
         connected = [size > 0 and parts == 0 for size, parts in zip(sizes, split)]
         coverage = _seam_coverage(geom, cells, voxel, vz, flat, vsid, k)
     else:
@@ -384,8 +380,9 @@ def _cell_pass(
 
     analyses = [StructureAnalysis(col, clip == 0, occ, dis, 1.0 - dis / max(occ, 1), linked, inter / max(off, 1),
                                   cover, size)
-                for col, clip, occ, dis, linked, inter, off, cover, size
-                in zip(n_col, clipped, occupied, disconnected, connected, interlocked, off_ground, coverage, sizes)]
+                if ok else StructureAnalysis(col, clip == 0, occ, None, None, linked, None, cover, size)
+                for col, clip, occ, dis, linked, inter, off, cover, size, ok in zip(
+                    n_col, clipped, occupied, disconnected, connected, interlocked, off_ground, coverage, sizes, exact)]
     return analyses, flat, list(accumulate(occupied))
 
 
@@ -471,7 +468,7 @@ def interlock_score(
     if world is None:
         h, w, x, y, _ = structure.columns.astype(object).T
         world = WorldConfig((x + h).max(initial=1), (y + w).max(initial=1), 1)
-    return _cell_pass([structure], world, full=False)[0][0].interlock_score
+    return analyze(structure, world).interlock_score
 
 
 def _components(n: int, upper: np.ndarray, lower: np.ndarray) -> np.ndarray:

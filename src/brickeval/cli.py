@@ -56,9 +56,11 @@ class _ArgumentParser(argparse.ArgumentParser):
 def _parse_world(text: str) -> WorldConfig:
     try:
         x, y, z = (int(p) for p in text.split(","))
-        return WorldConfig(x, y, z)
-    except ValueError as exc:  # also a count of parts other than 3
-        raise argparse.ArgumentTypeError(f"expects X,Y,Z, got {text!r} ({exc})") from None
+        world = WorldConfig(x, y, z)
+        np.empty(world.shape, dtype=bool)  # each command that reads --world holds grids of it
+        return world
+    except (ValueError, MemoryError) as exc:  # also a count of parts other than 3, or a grid numpy cannot hold
+        raise argparse.ArgumentTypeError(f"expects X,Y,Z of a world numpy can hold, got {text!r} ({exc})") from None
 
 
 def _non_negative_int(text: str) -> int:

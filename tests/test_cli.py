@@ -804,9 +804,27 @@ def test_world_flag_both_positions(tmp_path, capsys):
     assert before[1] == after[1] == "1x1 (0,0,0)\n"
 
 
-def test_bad_world_flag(capsys):
+def test_bad_world_flag(capsys, tmp_path):
     code, _, err = run(capsys, "--world", "20,20", "construct", "--grid", "-")
     assert code == 1 and "error:" in err
+    # A world numpy cannot allocate is a usage error too: one line, no traceback.
+    target = tmp_path / "target.txt"
+    target.write_text("(0,0,0)\n")
+    completion = tmp_path / "completion.txt"
+    completion.write_text("1x1 (0,0,0)\n")
+    request = json.dumps({"id": "a", "completion": "1x1 (0,0,0)", "target_points": "(0,0,0)"}) + "\n"
+    for world in ("100000,100000,100000", "3000000000,3000000000,2"):
+        for argv in (["score", "--target", str(target), "--completion", str(completion)],
+                     ["construct", "--grid", str(target)]):
+            code, out, err = run(capsys, "--world", world, *argv)
+            assert code == 1 and out == ""
+            assert err.startswith("error:") and err.count("\n") == 1, err
+        # serve reads its requests from stdin, which pytest's capture gives no file descriptor.
+        proc = subprocess.run([sys.executable, "-m", "brickeval", "serve", "--world", world],
+                              input=request, capture_output=True, text=True, timeout=60)
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 def test_unknown_subcommand(capsys):
