@@ -188,47 +188,48 @@ class _Geometry:
         voxel = z >= 0
         return self.column[voxel] * self.world.dim_z + z[voxel]
 
-    def sorted_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]:
-        """The cells' keys (column, then layer key) in ascending order, their bricks, that order, run starts, and whether every run is one cell.
+    def sorted_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+        """The cells' keys (column, then layer key) in ascending order, their bricks, that order, and where each run starts.
 
-        A run of equal keys holds the bricks colliding on one cell, and
-        starts flags its first cell; when no two bricks share a cell,
-        every run is one cell and the passes skip their per-run steps.
-        The cells one layer below a run are the run just before it, when
-        that run's key is one less. Keys below 2**16 (key_span bounds
-        them) sort as uint16, which numpy's stable sort runs as a radix
-        sort; larger ones, as in most chunks, by an argsort. No result
-        depends on the order within a run.
+        A run of equal keys holds the bricks on one cell: a voxel, and a
+        colliding one when longer than one cell. first holds each run's
+        first index, or is None when every run is one cell, and the passes
+        then skip their per-run steps. The cells one layer below a run are
+        the run just before it, when that run's key is one less. Keys
+        below 2**16 (key_span bounds them) sort as uint16, which numpy's
+        stable sort runs as a radix sort; larger ones, as in most chunks,
+        by an argsort. No result depends on the order within a run.
         """
         key = self.column * self.layer_span + self.layer[self.brick]
         order = key.astype(np.uint16).argsort(kind="stable") if self.key_span <= 1 << 16 else key.argsort()
         key = key[order]
-        starts = _firsts(key)
-        return key, self.brick[order], order, starts, np.count_nonzero(starts) == key.size
+        new = np.empty(key.size, dtype=bool)  # per cell: its key differs from the one before it
+        new[:1] = True
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        return key, self.brick[order], order, None if np.count_nonzero(new) == key.size else new.nonzero()[0]
 
     def support(self, cells: tuple, full: bool = True) -> tuple[np.ndarray, ...]:
         """Support edges (upper brick, lower brick), and each brick's least and greatest brick below (n and -1: none).
 
-        From sorted_cells(). Every brick of a run (the bricks on one
-        cell) rests on every brick of the run below it, so a brick's
-        bounds are those of the runs under its cells, and about one edge
-        a cell gives the components: each cell to the first brick of the
-        run below, each but a run's first to the first of the run above.
-        When every run is one cell, or with full=False, each cell is
-        joined to the cell before it alone, which is exact on a structure
-        where no two bricks share a cell. Edges may repeat.
+        From sorted_cells(), whose run starts it reads. Every brick of a
+        run (the bricks on one cell) rests on every brick of the run below
+        it, so a brick's bounds are those of the runs under its cells, and
+        about one edge a cell gives the components: each cell to the first
+        brick of the run below, each but a run's first to the first of the
+        run above. When every run is one cell, or with full=False, each
+        cell is joined to the cell before it alone, which is exact on a
+        structure where no two bricks share a cell. Edges may repeat.
         """
-        key, brick, _, starts, single = cells
-        if single or not full:
+        key, brick, _, first = cells
+        if first is None or not full:
             stacked = key[1:] - key[:-1] == 1
             upper, lower = brick[1:][stacked], brick[:-1][stacked]
             resting, low, high = upper, lower, lower
         else:
-            first = np.flatnonzero(starts)
             head, lo, hi = brick[first], np.minimum.reduceat(brick, first), np.maximum.reduceat(brick, first)
             on = np.zeros(first.size + 1, dtype=bool)  # at r: run r rests on run r - 1
             on[1:-1] = key[first[1:]] - key[first[:-1]] == 1
-            run = np.cumsum(starts) - 1  # per cell: its run
+            run = np.bincount(first[1:], minlength=key.size).cumsum()  # per cell: its run
             rests, up = on[run], on[1:][run]  # per cell: its run rests on the run below; the run above on it
             up[first] = False  # a run's first cell is joined to the run above by that run's own cells
             below = run[rests] - 1
@@ -240,14 +241,6 @@ class _Geometry:
         np.minimum.at(least, resting, low)
         np.maximum.at(greatest, resting, high)
         return upper, lower, least, greatest
-
-
-def _firsts(values: np.ndarray) -> np.ndarray:
-    """Per entry of a sorted array, whether it differs from the entry before it; the first always does."""
-    first = np.empty(values.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(values[1:], values[:-1], out=first[1:])
-    return first
 
 
 def rasterize(structure: BrickStructure, world: WorldConfig) -> np.ndarray:
@@ -315,8 +308,8 @@ def _cell_pass(
     structure in turn, each structure's in ascending order, and where
     each structure's indices end. Two or more structures share one
     geometry, whose cell keys carry a structure id, so every step runs
-    once for all of them. Voxels are the runs of equal keys among the
-    sorted cells on in-world layers; per-structure totals count flags
+    once for all of them. Voxels are the runs of sorted cells, read at
+    their starts, on in-world layers; per-structure totals count flags
     over bricks or voxels by structure id.
     """
     k = len(structures)
@@ -332,11 +325,11 @@ def _cell_pass(
     n = geom.n
 
     cells = geom.sorted_cells()
-    _, brick, order, starts, single = cells
+    _, brick, order, first = cells
     upper, lower, least, greatest = geom.support(cells, full)
 
     # One cell of each run: its brick and its place in cell order.
-    head, cell = (brick, order) if single else (brick[starts], order[starts])
+    head, cell = (brick, order) if first is None else (brick[first], order[first])
     z = geom.z[head]
     voxel = z >= 0
     vz = z[voxel]
@@ -347,8 +340,8 @@ def _cell_pass(
         flat -= vsid.astype(flat.dtype, copy=False) * world.n_voxels
 
     occupied = [vz.size] if sid is None else np.bincount(vsid, minlength=k).tolist()
-    # A run that goes on past its first cell is a colliding voxel.
-    n_col = [0] * k if single else _count(~np.append(starts, True)[1:][starts][voxel], vsid, k)
+    # A run longer than one cell is a colliding voxel.
+    n_col = [0] * k if first is None else _count((np.append(first[1:], brick.size) - first > 1)[voxel], vsid, k)
     clipped = _count(~geom.in_bounds, sid, k)
     # The reward mode's join is exact on a feasible structure, the only kind whose support a reward reads.
     exact = [full or col == clip == 0 for col, clip in zip(n_col, clipped)]
@@ -364,7 +357,7 @@ def _cell_pass(
         root = np.zeros(n, dtype=bool)
         root[label[geom.ground]] = True
         grounded = root[label]
-        covered = grounded[brick] if single else np.logical_or.reduceat(grounded[brick], np.flatnonzero(starts))
+        covered = grounded[brick] if first is None else np.logical_or.reduceat(grounded[brick], first)
         disconnected = _count(~covered[voxel], vsid, k)
     interlocked = _count((least < greatest) & ~geom.ground, sid, k)
     off_ground = _count(~geom.ground, sid, k)
@@ -393,18 +386,17 @@ def _seam_coverage(geom: _Geometry, cells: tuple, voxel: np.ndarray, vz: np.ndar
     A voxel's neighbor is found by a binary search of the voxel keys (an
     int64 key searched past the last row may wrap below 0, matching no
     key), and the cover of a seam in the next run, the voxel above. When
-    no two bricks share a cell, a voxel whose brick goes on to the
-    neighbor is no seam, so it is not searched.
+    every run is one cell (first is None), a voxel whose brick goes on to
+    the neighbor is no seam, so it is not searched.
     """
     dim_x, dim_y, dim_z = geom.world.shape
-    key, brick, order, starts, single = cells
-    first = None if single else np.flatnonzero(starts)
+    key, brick, order, first = cells
 
     def per_voxel(values: np.ndarray, reduce: np.ufunc) -> np.ndarray:
         """Per voxel, values (in key order) reduced over its run."""
-        return (values if single else reduce.reduceat(values, first))[voxel]
+        return (values if first is None else reduce.reduceat(values, first))[voxel]
 
-    vkey = (key if single else key[first])[voxel]
+    vkey = (key if first is None else key[first])[voxel]
     owner = per_voxel(brick, np.minimum)
     below_top = vz < dim_z - 1
     total, covered = [], []
@@ -413,7 +405,7 @@ def _seam_coverage(geom: _Geometry, cells: tuple, voxel: np.ndarray, vz: np.ndar
         (geom.pair_y, 1, lambda f: f // dim_z % dim_y < dim_y - 1),
     ):
         pair = per_voxel(pair[order], np.logical_or)
-        at = np.flatnonzero(below_top & ~pair if single else below_top)
+        at = np.flatnonzero(below_top & ~pair if first is None else below_top)
         nxt = vkey[at] + step * geom.layer_span
         found = np.minimum(np.searchsorted(vkey, nxt), vkey.size - 1)
         at = at[(vkey[found] == nxt) & (owner[found] != owner[at])]

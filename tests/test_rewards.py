@@ -8,11 +8,16 @@ import pytest
 
 from brickeval import (
     FAILED_CONSTRUCTION,
+    BrickStructure,
+    ConstructorOptions,
     DimensionMismatch,
     WorldConfig,
     analyze,
     interlock_score,
+    legalize,
+    make_brick,
     parse_structure,
+    random_target,
     rasterize,
     reward_collision,
     reward_shape,
@@ -261,6 +266,61 @@ def test_what_the_reward_pays_for(world):
         assert rb == oracle_breakdown(parse_structure(text)[0], target, world), name
         assert (rb.r_col, rb.r_shape, rb.r_inter, rb.r_conn) == pytest.approx(terms), name
         assert (rb.total, rb.iou, rb.feasible) == (pytest.approx(total, abs=1e-4), pytest.approx(iou), feasible), name
+
+
+def local_edits(structure):
+    # Every build one local edit away, with the edit's kind: each brick
+    # dropped, shifted one cell along each axis (anchors stay non-negative),
+    # or given a brick one layer up: a 1x1 on its anchor, and a 2x2 one cell
+    # over in x and y, which may rest on two bricks.
+    bricks = structure.bricks
+    for i, b in enumerate(bricks):
+        yield "drop", bricks[:i] + bricks[i + 1:]
+        for dx, dy, dz in ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)):
+            if min(b.x + dx, b.y + dy, b.z + dz) >= 0:
+                yield "shift", bricks[:i] + (make_brick(b.h, b.w, b.x + dx, b.y + dy, b.z + dz),) + bricks[i + 1:]
+        yield "add 1x1", bricks + (make_brick(1, 1, b.x, b.y, b.z + 1),)
+        yield "add 2x2", bricks + (make_brick(2, 2, b.x + 1, b.y + 1, b.z + 1),)
+
+
+def test_local_edits_that_raise_total_while_they_lower_iou(world):
+    # An audit of what the reward pays for, which changes no reward. Three
+    # seeded families: the slab of test_what_the_reward_pays_for with its
+    # exact build, and legalized builds of grounded targets and of floating
+    # blobs. Every edited build scores as the oracles say, and the edits
+    # that raise total while they lower iou are counted. On the slab, each
+    # 2x2 that rests on two slab bricks pays interlock (7.0 to about 9.7)
+    # for 4 voxels off the target; a 1x1 rests on one brick, so it never
+    # pays. No such edit was found on the legalized builds.
+    slab = np.zeros(world.shape, dtype=bool)
+    slab[:8, :8, 0] = True
+    families = {"slab": [(BrickStructure(tuple(make_brick(2, 2, x, y, 0)
+                                               for x in range(0, 8, 2) for y in range(0, 8, 2))), slab)],
+                "grounded": [], "floating": []}
+    rng = np.random.default_rng(13)
+    for name, grounded in (("grounded", True), ("floating", False)):
+        while len(families[name]) < 3:
+            target = random_target(int(rng.integers(1 << 31)), max_components=1, fill_prob=0.004,
+                                   grounded=grounded, world=world)
+            opts = ConstructorOptions(stagger=bool(rng.integers(2)), seed=int(rng.integers(1 << 31)))
+            s = legalize(target, opts, world)
+            if 10 <= len(s) <= 40:
+                families[name].append((s, target))
+    found, checked = {}, dict.fromkeys(families, 0)
+    for name, builds in families.items():
+        for s, target in builds:
+            base = score_completion(serialize_structure(s), target, world)
+            assert base == oracle_breakdown(s, target, world)
+            kinds, edited = zip(*((kind, BrickStructure(bricks)) for kind, bricks in local_edits(s)))
+            scores = score_terms([serialize_structure(e) for e in edited], [target] * len(edited), world)
+            checked[name] += len(edited)
+            for kind, e, terms in zip(kinds, edited, scores):
+                rb = RewardBreakdown(*terms)
+                assert rb == oracle_breakdown(e, target, world), (name, kind)
+                if rb.total > base.total and rb.iou < base.iou:
+                    found[name, kind] = found.get((name, kind), 0) + 1
+    assert checked == {"slab": 120, "grounded": 508, "floating": 457}
+    assert found == {("slab", "add 2x2"): 15}
 
 
 def test_one_brick_in_a_large_world_costs_its_cells_not_the_world():
