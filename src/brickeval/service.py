@@ -34,13 +34,14 @@ template in place of a dict and json.dumps. If that
 batched call raises, its traceback goes to stderr once and every line
 of the chunk is answered by handle_request_line itself. A lone
 request while none of its stream's requests is at a worker is scored
-in the serving process instead. Responses may then leave in a
-different order than the requests arrived; ids are the correlation key.
-A TCP server shares one pool among all its connections. If a worker
-dies, the pool is broken for good: the serving process scores the chunks
-it lost and every later one itself, so the stream is still answered in
-full, at the speed of one worker, and says so once per stream in a line
-on stderr. An exception raised while scoring is a program bug, not a bad
+in the serving process instead, unless another stream's lone request
+is being scored there. Responses may leave in a different order than
+the requests arrived; ids are the correlation key. All streams borrow
+one pool, which start_workers owns. If a worker dies, the pool is
+broken for good: the serving process scores the chunks it lost and
+every later one itself, so the stream is still answered in full, at
+the speed of one worker, and says so once per stream in a line on
+stderr. An exception raised while scoring is a program bug, not a bad
 request: its traceback goes to stderr, and the request is still answered
 bad_request with its id. Nothing but responses goes to stdout. In either
 mode at most 128 requests, of 8 MiB at most between them, are in flight
@@ -51,6 +52,7 @@ SIGINT or SIGTERM stops serve_rewards, workers and all.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import queue
@@ -73,6 +75,7 @@ if TYPE_CHECKING:
 
 _MAX_PENDING = 128  # requests in flight before intake stalls
 _MAX_PENDING_BYTES = 8 << 20  # request bytes in flight before intake stalls
+_SCORING_HERE = threading.Lock()  # held while some stream scores a lone line in the serving process
 # Stands in for a line over the length bound: it is not UTF-8, so it is
 # answered as any undecodable line is, with bad_request and a null id.
 _OVER_LONG = b"\xff over-long line"
@@ -174,11 +177,6 @@ def _handle_chunk(world: WorldConfig, lines: list[str | bytes]) -> list[str]:
     return [r if isinstance(r, str) else _response(r[0], next(terms)) for r in requests]
 
 
-def _worker_init() -> None:
-    # The serving process owns shutdown; workers just stop with it.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-
-
 def _worker_count(threads: int) -> int:
     """Scoring processes worth running for a requested count: no more than usable cores.
 
@@ -191,26 +189,32 @@ def _worker_count(threads: int) -> int:
     return max(1, min(threads, cores))
 
 
-def start_workers(count: int) -> ProcessPoolExecutor:
-    """A pool of count spawned processes that score chunks of request lines.
+@contextlib.contextmanager
+def start_workers(count: int) -> Iterator[tuple[ProcessPoolExecutor, int] | None]:
+    """(pool, count) for count spawned processes that score chunks of request lines; None for one.
 
-    Spawning starts each worker from a fresh interpreter, which is safe
-    whatever threads the serving process runs, but a worker needs a few
-    hundred milliseconds to import the scorer, so all of them are started
-    now. A script that starts workers must do so under
-    `if __name__ == "__main__":`, since each worker imports the script's
-    main module again. Shut the pool down waiting: at exit, the
-    interpreter wakes each pool's manager thread through a pipe that the
-    thread, if still running, may be closing (EBADF on stderr).
+    The pool's one owner: callers only borrow it, and it is shut down on
+    exit, waiting, since at interpreter exit a running manager thread's
+    wake-up pipe may be closing (EBADF on stderr). A spawned worker is
+    safe whatever threads the serving process runs, but needs a few
+    hundred milliseconds to import the scorer, so all start at once.
+    Workers ignore SIGINT: the serving process owns shutdown. Start them
+    under `if __name__ == "__main__":`, as each imports the main module.
     """
+    if count <= 1:
+        yield None
+        return
     import multiprocessing  # only a multi-worker service pays for these
     from concurrent.futures import ProcessPoolExecutor
 
-    spawn = multiprocessing.get_context("spawn")
-    pool = ProcessPoolExecutor(count, mp_context=spawn, initializer=_worker_init)
-    for _ in range(count):
-        pool.submit(int)  # a submit that finds no idle worker starts one
-    return pool
+    pool = ProcessPoolExecutor(count, mp_context=multiprocessing.get_context("spawn"),
+                               initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN))
+    try:
+        for _ in range(count):
+            pool.submit(int)  # a submit that finds no idle worker starts one
+        yield pool, count
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def serve_lines(
@@ -222,24 +226,18 @@ def serve_lines(
 ) -> None:
     """Pump request lines through the scorer; blocks until input ends.
 
-    Blank lines are skipped. With workers passed in (a pool and its
-    number of processes), or when _worker_count(threads) > 1, lines are
-    scored in worker processes and responses are written as they finish.
+    Blank lines are skipped. With workers passed in (borrowed, as
+    start_workers yields them), or else a pool of _worker_count(threads)
+    > 1 started here, lines are scored by the workers and responses are
+    written as they finish; otherwise each is scored here in turn.
     """
     lines = (line for line in lines if line.strip())
-    if workers is not None:
-        _pump(lines, write_line, world, *workers)
-        return
-    count = _worker_count(threads)
-    if count <= 1:
-        for line in lines:
-            write_line(handle_request_line(line, world))
-        return
-    pool = start_workers(count)
-    try:
-        _pump(lines, write_line, world, pool, count)
-    finally:
-        pool.shutdown(cancel_futures=True)
+    with start_workers(_worker_count(threads)) if workers is None else contextlib.nullcontext(workers) as workers:
+        if workers is None:
+            for line in lines:
+                write_line(handle_request_line(line, world))
+        else:
+            _pump(lines, write_line, world, *workers)
 
 
 def _pump(
@@ -332,22 +330,26 @@ def _pump(
             while pending and (len(pending) >= CHUNK_SIZE or pending_bytes >= limit
                                or events.empty() and in_flight < count):
                 # A lone line with none of this stream at the workers is
-                # scored here, which saves its two trips between processes.
-                lone = not in_flight and len(pending) == 1
+                # scored here, which saves its two trips between processes,
+                # unless another stream's lone line is being scored here.
+                lone = not in_flight and len(pending) == 1 and _SCORING_HERE.acquire(blocking=False)
                 size = chunk_length(pending, limit)
                 chunk, pending = pending[:size], pending[size:]
                 pending_bytes -= sum(map(len, chunk))
-                if not lone:
+                if lone:
                     try:
-                        future = workers.submit(_handle_chunk, world, chunk)
-                    except BrokenProcessPool:
-                        write(chunk, score_here(chunk))
-                    else:
-                        future.add_done_callback(
-                            lambda f, chunk=chunk: events.put(("done", (chunk, f))))
-                        in_flight += 1
+                        responses = _handle_chunk(world, chunk)
+                    finally:
+                        _SCORING_HERE.release()
+                    write(chunk, responses)
+                    continue
+                try:
+                    future = workers.submit(_handle_chunk, world, chunk)
+                except BrokenProcessPool:
+                    write(chunk, score_here(chunk))
                 else:
-                    write(chunk, _handle_chunk(world, chunk))
+                    future.add_done_callback(lambda f, chunk=chunk: events.put(("done", (chunk, f))))
+                    in_flight += 1
     finally:
         stopping.set()
         with room:
@@ -359,26 +361,18 @@ def _pump(
 class RewardTCPServer(socketserver.ThreadingTCPServer):
     """One scoring stream per connection; responses stay on their connection.
 
-    With threads > 1 every connection shares one pool of worker processes.
+    Every connection borrows workers, as start_workers yields them, or
+    scores its lines in its own thread when there are none.
     """
 
     allow_reuse_address = True
     daemon_threads = True
 
-    def __init__(self, address: tuple[str, int], world: WorldConfig, threads: int):
-        # Set before the bind: a failed bind calls server_close, which reads it.
-        self.workers = None
+    def __init__(self, address: tuple[str, int], world: WorldConfig,
+                 workers: tuple[ProcessPoolExecutor, int] | None = None):
         super().__init__(address, _TCPHandler)
         self.world = world
-        self.count = _worker_count(threads)
-        if self.count > 1:
-            self.workers = start_workers(self.count)
-
-    def server_close(self) -> None:
-        super().server_close()
-        if self.workers is not None:
-            self.workers.shutdown(cancel_futures=True)
-            self.workers = None
+        self.workers = workers
 
 
 class _TCPHandler(socketserver.StreamRequestHandler):
@@ -388,9 +382,8 @@ class _TCPHandler(socketserver.StreamRequestHandler):
         def write_line(text: str) -> None:
             self.wfile.write((text + "\n").encode("utf-8"))
 
-        workers = None if server.workers is None else (server.workers, server.count)
         try:
-            serve_lines(read_lines(self.rfile, server.world), write_line, server.world, workers=workers)
+            serve_lines(read_lines(self.rfile, server.world), write_line, server.world, workers=server.workers)
         except (BrokenPipeError, ConnectionResetError):
             pass
 
@@ -424,7 +417,8 @@ def serve_rewards(
             stdin = open(sys.stdin.fileno(), "rb", closefd=False)
             serve_lines(read_lines(stdin, world), write_line, world, threads)
         else:
-            with RewardTCPServer((host, port), world, threads) as server:
+            with (RewardTCPServer((host, port), world) as server,  # bound first: a port in use starts no worker
+                  start_workers(_worker_count(threads)) as server.workers):
                 print(f"listening on {server.server_address[0]}:{server.server_address[1]}",
                       file=sys.stderr, flush=True)
                 server.serve_forever()

@@ -232,11 +232,12 @@ def lines_run(module, fn, *args, **kwargs):
             lines[0] += 1
         return tracer
 
+    outer = sys.gettrace()  # a coverage tool's or debugger's, kept for after
     sys.settrace(tracer)
     try:
         result = fn(*args, **kwargs)
     finally:
-        sys.settrace(None)
+        sys.settrace(outer)
     return result, lines[0]
 
 

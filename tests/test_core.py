@@ -143,6 +143,8 @@ def test_columnar_structure_keeps_the_dataclass_contract(world):
         assert copy == form and hash(copy) == hash(form)
         with pytest.raises(FrozenInstanceError):
             form.bricks = ()
+        with pytest.raises(FrozenInstanceError):
+            del form.columns
         with pytest.raises(ValueError):
             form.columns[0, 2] = 1
     assert parsed.columns.dtype == twin.columns.dtype == np.int64

@@ -451,7 +451,8 @@ def test_client_that_stops_reading_bounds_server_memory():
 
 
 def wait_up(workers, timeout=60):
-    workers.submit(int).result(timeout=timeout)
+    pool, _ = workers
+    pool.submit(int).result(timeout=timeout)
 
 
 def test_lone_request_answered_while_input_open(perfect_fixture):
@@ -459,13 +460,12 @@ def test_lone_request_answered_while_input_open(perfect_fixture):
     # must be answered before more input arrives, and so must a burst.
     feed = queue.Queue()
     answers = queue.Queue()
-    workers = start_workers(2)
-    try:
+    with start_workers(2) as workers:
         wait_up(workers)
         server = threading.Thread(
             target=serve_lines,
             args=(iter(feed.get, None), answers.put, WORLD),
-            kwargs={"workers": (workers, 2)},
+            kwargs={"workers": workers},
             daemon=True,
         )
         server.start()
@@ -479,8 +479,6 @@ def test_lone_request_answered_while_input_open(perfect_fixture):
         feed.put(None)
         server.join(timeout=30)
         assert not server.is_alive()
-    finally:
-        workers.shutdown(wait=False, cancel_futures=True)
 
 
 class HandPool:
@@ -626,6 +624,142 @@ def test_pump_caps_a_chunk_at_the_line_bound():
     assert sorted(json.loads(text)["id"] for text in out) == sorted(["lone"] + [f"long-{i}" for i in range(8)])
 
 
+def test_one_lone_line_at_a_time_is_scored_in_the_serving_process(perfect_fixture, monkeypatch):
+    # Two streams share the workers, as TCP connections do. While stream
+    # 0's lone line is scored in the serving process, stream 1's lone line
+    # goes to the workers, so heavy lines of many connections are not all
+    # scored in the serving process at once.
+    scoring, release = threading.Event(), threading.Event()
+    handle_chunk = service._handle_chunk
+
+    def blocking_handle_chunk(world, lines):
+        scoring.set()
+        release.wait(timeout=30)
+        return handle_chunk(world, lines)
+
+    monkeypatch.setattr(service, "_handle_chunk", blocking_handle_chunk)
+    pool = HandPool()
+    lines = [fixture_request(perfect_fixture, request_id=f"s{i}") for i in range(2)]
+    outs = [[], []]
+    streams = [threading.Thread(target=serve_lines, args=([line], out.append, WORLD),
+                                kwargs={"workers": (pool, 2)}, daemon=True) for line, out in zip(lines, outs)]
+    try:
+        streams[0].start()
+        assert scoring.wait(timeout=30)
+        streams[1].start()
+        wait_for(lambda: pool.chunks == [[lines[1]]], timeout=5)
+        pool.finish(0)
+    finally:
+        release.set()
+    for stream in streams:
+        stream.join(timeout=30)
+        assert not stream.is_alive()
+    assert outs == [[handle_request_line(line, WORLD)] for line in lines]
+
+
+class InlinePool:
+    """A stand-in pool that scores each chunk as it is submitted."""
+
+    def __init__(self):
+        self.chunks = 0
+
+    def submit(self, fn, world, lines):
+        self.chunks += 1
+        future = Future()
+        future.set_result(_handle_chunk(world, lines))
+        return future
+
+
+def test_lone_lines_of_many_streams_are_scored_here_one_at_a_time(perfect_fixture, monkeypatch):
+    # Eight streams, more than the cores, under a short switch interval:
+    # no two lone lines are ever scored in the serving process at once.
+    handle_chunk = service._handle_chunk
+    count_lock = threading.Lock()
+    here, most = [0], [0]
+
+    def counting_handle_chunk(world, lines):
+        with count_lock:
+            here[0] += 1
+            most[0] = max(most[0], here[0])
+        try:
+            time.sleep(0.001)
+            return handle_chunk(world, lines)
+        finally:
+            with count_lock:
+                here[0] -= 1
+
+    def paced(lines):  # one line at a time, so that most lines are lone
+        for line in lines:
+            time.sleep(0.002)
+            yield line
+
+    monkeypatch.setattr(service, "_handle_chunk", counting_handle_chunk)
+    pool = InlinePool()
+    batches = [[fixture_request(perfect_fixture, request_id=f"s{s}-{i}") for i in range(20)] for s in range(8)]
+    outs = [[] for _ in batches]
+    streams = [threading.Thread(target=serve_lines, args=(paced(lines), out.append, WORLD),
+                                kwargs={"workers": (pool, 2)}, daemon=True) for lines, out in zip(batches, outs)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for stream in streams:
+            stream.start()
+        for stream in streams:
+            stream.join(timeout=60)
+            assert not stream.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert most[0] == 1 and pool.chunks > 0  # scored here, one at a time, and at the pool
+    assert [sorted(out) for out in outs] == [sorted(handle_request_line(line, WORLD) for line in lines)
+                                             for lines in batches]
+
+
+def test_pump_answers_every_line_read_before_input_fails(perfect_fixture):
+    # A TCP connection reset surfaces as an OSError from the line reader:
+    # every line read before it is answered, then serve_lines raises it.
+    lines = request_batch(perfect_fixture, 40)
+
+    def failing_input():
+        yield from lines
+        raise ConnectionResetError("connection reset")
+
+    out = []
+    with start_workers(2) as workers:
+        with pytest.raises(ConnectionResetError):
+            serve_lines(failing_input(), out.append, WORLD, workers=workers)
+    seq = []
+    serve_lines(iter(lines), seq.append, WORLD)
+    assert sorted(out) == sorted(seq)
+
+
+def test_pump_stops_reading_when_a_write_fails(perfect_fixture):
+    # A client that goes away breaks the pipe: serve_lines raises the
+    # write's error, and the reader stops taking lines from an endless
+    # input within the in-flight budget.
+    line = fixture_request(perfect_fixture)
+    taken, reader = [0], []
+
+    def endless_input():
+        reader.append(threading.current_thread())
+        while True:
+            taken[0] += 1
+            yield line
+
+    written = []
+
+    def write_line(text):
+        if len(written) == 5:
+            raise BrokenPipeError("reader went away")
+        written.append(text)
+
+    with start_workers(2) as workers:
+        with pytest.raises(BrokenPipeError):
+            serve_lines(endless_input(), write_line, WORLD, workers=workers)
+    reader[0].join(timeout=30)
+    assert not reader[0].is_alive()
+    assert 5 < taken[0] <= service._MAX_PENDING + 1
+
+
 def test_one_worker_imports_no_process_machinery():
     # Only a multi-worker service pays for importing the pool.
     code = "import sys, brickeval.cli; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
@@ -638,12 +772,9 @@ def test_running_workers_match_sequential(perfect_fixture):
     lines = request_batch(perfect_fixture, 40)
     seq, par = [], []
     serve_lines(iter(lines), seq.append, WORLD, threads=1)
-    workers = start_workers(2)
-    try:
+    with start_workers(2) as workers:
         wait_up(workers)
-        serve_lines(iter(lines), par.append, WORLD, workers=(workers, 2))
-    finally:
-        workers.shutdown(wait=False, cancel_futures=True)
+        serve_lines(iter(lines), par.append, WORLD, workers=workers)
     assert sorted(par) == sorted(seq)
 
 
@@ -665,7 +796,7 @@ def dense_requests(n, prefix):
 def serve_in_thread(lines, workers):
     out = []
     server = threading.Thread(
-        target=serve_lines, args=(lines, out.append, WORLD), kwargs={"workers": (workers, 2)}, daemon=True
+        target=serve_lines, args=(lines, out.append, WORLD), kwargs={"workers": workers}, daemon=True
     )
     server.start()
     return server, out
@@ -683,8 +814,7 @@ def test_dead_workers_do_not_hang_the_stream(capsys):
     seq = []
     serve_lines(iter(lines), seq.append, WORLD)
     before = set(multiprocessing.active_children())
-    workers = start_workers(2)
-    try:
+    with start_workers(2) as workers:
         started = [p for p in multiprocessing.active_children() if p not in before]
         assert len(started) == 2
         wait_up(workers)
@@ -708,8 +838,6 @@ def test_dead_workers_do_not_hang_the_stream(capsys):
         assert not server.is_alive()
         assert sorted(again) == sorted(seq[:40])
         assert capsys.readouterr() == ("", BROKEN_POOL_LINE)
-    finally:
-        workers.shutdown(wait=False, cancel_futures=True)
 
 
 # ------------------------------------------------------------------ transports
@@ -847,66 +975,74 @@ def tcp_exchange(server, payload):
 
 
 def test_tcp_survives_invalid_utf8(perfect_fixture):
-    server = RewardTCPServer(("127.0.0.1", 0), WORLD, threads=1)
+    server = RewardTCPServer(("127.0.0.1", 0), WORLD)
     assert_invalid_utf8_answered(tcp_exchange(server, invalid_utf8_requests(perfect_fixture)))
 
 
 def test_tcp_bind_failure_is_os_error():
-    # The failed-bind cleanup must not hide EADDRINUSE behind an AttributeError.
+    # A port in use is an OSError (EADDRINUSE), and the service binds
+    # before it starts its pool, so no worker is spawned for it.
+    before = set(multiprocessing.active_children())
     with socket.socket() as busy:
         busy.bind(("127.0.0.1", 0))
         busy.listen()
         with pytest.raises(OSError):
-            RewardTCPServer(busy.getsockname(), WORLD, threads=2)
+            RewardTCPServer(busy.getsockname(), WORLD)
+        host, port = busy.getsockname()
+        with pytest.raises(OSError):
+            service.serve_rewards("tcp", port, host, WORLD, threads=2)
+    assert set(multiprocessing.active_children()) == before
 
 
 def test_tcp_round_trip(perfect_fixture):
-    server = RewardTCPServer(("127.0.0.1", 0), WORLD, threads=2)
     payload = fixture_request(perfect_fixture, request_id="tcp-1") + "\n"
-    rec = json.loads(tcp_exchange(server, payload.encode("utf-8")).decode("utf-8"))
+    with start_workers(2) as workers:
+        server = RewardTCPServer(("127.0.0.1", 0), WORLD, workers)
+        rec = json.loads(tcp_exchange(server, payload.encode("utf-8")).decode("utf-8"))
     assert rec["id"] == "tcp-1" and rec["total"] == 10.0
 
 
 def test_tcp_connections_share_workers(perfect_fixture):
     # Two connections at once on one server with two workers: both are
     # answered in full, and the lines of both reach the shared workers.
-    server = RewardTCPServer(("127.0.0.1", 0), WORLD, threads=2)
-    workers = server.workers
-    wait_up(workers)
-    scored = []
-    submit = workers.submit
+    with start_workers(2) as workers:
+        server = RewardTCPServer(("127.0.0.1", 0), WORLD, workers)
+        pool, _ = workers
+        wait_up(workers)
+        scored = []
+        submit = pool.submit
 
-    def recording_submit(fn, world, lines):
-        scored.extend(json.loads(line)["id"] for line in lines)
-        return submit(fn, world, lines)
+        def recording_submit(fn, world, lines):
+            scored.extend(json.loads(line)["id"] for line in lines)
+            return submit(fn, world, lines)
 
-    workers.submit = recording_submit
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        conns = [socket.create_connection(server.server_address, timeout=30) for _ in range(2)]
-        payloads = [
-            "".join(fixture_request(perfect_fixture, request_id=f"c{c}-{i}") + "\n" for i in range(16))
-            for c in range(2)
-        ]
-        for conn, payload in zip(conns, payloads):
-            conn.sendall(payload.encode("utf-8"))
-        for c, conn in enumerate(conns):
-            with conn:
-                conn.shutdown(socket.SHUT_WR)
-                data = b""
-                while chunk := conn.recv(65536):
-                    data += chunk
-            out = [json.loads(line) for line in data.decode("utf-8").splitlines()]
-            assert sorted(rec["id"] for rec in out) == sorted(f"c{c}-{i}" for i in range(16))
-            assert all(rec["total"] == 10.0 for rec in out)
-        assert server.workers is workers
-        assert {name.split("-")[0] for name in scored} == {"c0", "c1"}
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=10)
-    assert not thread.is_alive()
+        pool.submit = recording_submit
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            conns = [socket.create_connection(server.server_address, timeout=30) for _ in range(2)]
+            payloads = [
+                "".join(fixture_request(perfect_fixture, request_id=f"c{c}-{i}") + "\n" for i in range(16))
+                for c in range(2)
+            ]
+            for conn, payload in zip(conns, payloads):
+                conn.sendall(payload.encode("utf-8"))
+            for c, conn in enumerate(conns):
+                with conn:
+                    conn.shutdown(socket.SHUT_WR)
+                    data = b""
+                    while chunk := conn.recv(65536):
+                        data += chunk
+                out = [json.loads(line) for line in data.decode("utf-8").splitlines()]
+                assert sorted(rec["id"] for rec in out) == sorted(f"c{c}-{i}" for i in range(16))
+                assert all(rec["total"] == 10.0 for rec in out)
+            assert server.workers is workers
+            assert {name.split("-")[0] for name in scored} == {"c0", "c1"}
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
 
 
 # ------------------------------------------------------------ line length bound
@@ -1003,5 +1139,5 @@ def test_stdio_answers_over_long_line(perfect_fixture):
 
 
 def test_tcp_answers_over_long_line(perfect_fixture):
-    server = RewardTCPServer(("127.0.0.1", 0), WORLD, threads=1)
+    server = RewardTCPServer(("127.0.0.1", 0), WORLD)
     assert_over_long_answered(tcp_exchange(server, over_long_requests(perfect_fixture)))
